@@ -1,12 +1,16 @@
-"""Two-process concurrent writer/reader smoke test for the WAL store.
+"""Multi-process concurrent writers/reader smoke test for the WAL store.
 
 CI's fault-injection job runs this to pin ROADMAP open item 2's
-multi-process discipline: one process writes pair-score batches while a
-second concurrently reads the snapshot and scores out of the *same*
+multi-process discipline: one process writes pair-score batches, a
+second churns the snapshot (``remove_workflow`` / ``add_workflow``), and
+a third concurrently reads the snapshot and scores out of the *same*
 ``cache_dir``.  Under ``journal_mode=WAL`` + ``busy_timeout`` + the
 store's :class:`~repro.store.resilience.RetryPolicy`, no ``database is
-locked`` error may escape either process, and the store must pass full
-verification (checksums + payload decode) once both finish.
+locked`` error may escape any process.  Once all finish, the snapshot
+positions must still be distinct and the store must pass full
+verification (every table's checksum recomputed + payload decode) — so
+the checksums both writers kept up to date row by row must still equal
+a full recompute.
 
 Exit code 0 on success, 1 on any escaped error or failed verification.
 
@@ -30,6 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus  # noqa: E402
 from repro.store import RetryPolicy, WorkflowStore  # noqa: E402
+from repro.store.inverted_index import InvertedAnnotationIndex  # noqa: E402
 
 
 def _fingerprint(index: int) -> tuple[str, ...]:
@@ -54,6 +59,26 @@ def writer(cache_dir: str, rounds: int, queue) -> None:
         queue.put(("writer", "ok", retries))
     except Exception as error:  # noqa: BLE001 — the whole point is catching escapes
         queue.put(("writer", f"{type(error).__name__}: {error}", -1))
+
+
+def churner(cache_dir: str, rounds: int, queue) -> None:
+    """Remove and re-add snapshot workflows, one write transaction each."""
+    try:
+        store = WorkflowStore(
+            cache_dir,
+            retry=RetryPolicy(attempts=40, base_delay=0.005, max_delay=0.05),
+        )
+        workflows = store.load_repository().workflows()
+        for round_number in range(rounds):
+            workflow = workflows[round_number % len(workflows)]
+            if not store.remove_workflow(workflow.identifier):
+                raise RuntimeError(f"{workflow.identifier} vanished from the snapshot")
+            store.add_workflow(workflow)
+        retries = store.retry_count
+        store.close()
+        queue.put(("churner", "ok", retries))
+    except Exception as error:  # noqa: BLE001
+        queue.put(("churner", f"{type(error).__name__}: {error}", -1))
 
 
 def reader(cache_dir: str, rounds: int, queue) -> None:
@@ -89,6 +114,7 @@ def main() -> int:
         )
         seed_store = WorkflowStore(cache_dir)
         seed_store.save_repository(corpus.repository)
+        seed_store.save_index(InvertedAnnotationIndex.build(corpus.repository))
         journal_mode = seed_store.stats()["journal_mode"]
         seed_store.close()
         if str(journal_mode).lower() != "wal":
@@ -97,6 +123,7 @@ def main() -> int:
         queue: multiprocessing.Queue = multiprocessing.Queue()
         processes = [
             multiprocessing.Process(target=writer, args=(cache_dir, args.rounds, queue)),
+            multiprocessing.Process(target=churner, args=(cache_dir, args.rounds, queue)),
             multiprocessing.Process(target=reader, args=(cache_dir, args.rounds, queue)),
         ]
         for process in processes:
@@ -111,12 +138,16 @@ def main() -> int:
         failures = {role: s for role, (s, _d) in outcomes.items() if s != "ok"}
         final = WorkflowStore(cache_dir)
         report = final.verify()
+        rows, positions = final.connection.execute(
+            "SELECT COUNT(*), COUNT(DISTINCT position) FROM workflows"
+        ).fetchone()
         final.close()
 
         summary = {
             "journal_mode": str(journal_mode),
             "rounds": args.rounds,
             "writer_retries": outcomes.get("writer", ("missing", -1))[1],
+            "churner_retries": outcomes.get("churner", ("missing", -1))[1],
             "reader_rows_loaded": outcomes.get("reader", ("missing", -1))[1],
             "escaped_errors": failures,
             "final_verification": report.summary(),
@@ -127,6 +158,9 @@ def main() -> int:
             return 1
         if not report.ok:
             print(f"FAIL: store corrupt after concurrent run: {report.summary()}", file=sys.stderr)
+            return 1
+        if rows != positions:
+            print(f"FAIL: {rows} snapshot rows share {positions} positions", file=sys.stderr)
             return 1
         print("OK: no lock errors escaped; store verifies clean after concurrent access")
         return 0

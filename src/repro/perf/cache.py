@@ -27,6 +27,7 @@ the number of distances ever computed.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from sys import intern
 from typing import Callable, Iterable
 
@@ -137,6 +138,7 @@ class ModulePairScoreCache:
         "_bounds",
         "_fingerprints",
         "_warm",
+        "_persisted",
     )
 
     def __init__(self, config: ModuleComparisonConfig) -> None:
@@ -160,12 +162,17 @@ class ModulePairScoreCache:
         # Non-exact upper bounds, memoised separately: the same label
         # pairs recur across thousands of candidates, and recomputing a
         # character-bag bound per occurrence would dominate the pruning
-        # pass.  Exact scores always shadow these (checked first).
+        # pass.  Exact scores always shadow these (checked first), so
+        # storing an exact score pops its bound, which is never read again.
         self._bounds: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
         self._fingerprints: dict[int, tuple[ModuleProfile, tuple[str, ...]]] = {}
         # Keys loaded from a persistent store; hits against them are
         # counted separately so diagnostics can show warm-start reuse.
         self._warm: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+        # How many of the first (insertion-ordered) ``_scores`` entries
+        # are on the attached store's disk.  ``_scores`` only grows until
+        # clear(), so everything after this mark is unpersisted.
+        self._persisted = 0
         self.hits = 0
         self.misses = 0
         self.warm_hits = 0
@@ -206,6 +213,7 @@ class ModulePairScoreCache:
         self.misses += 1
         value = self._compute(profile_a, profile_b)
         self._scores[key] = value
+        self._bounds.pop(key, None)
         return value
 
     @staticmethod
@@ -372,6 +380,7 @@ class ModulePairScoreCache:
             if key not in self._scores:
                 self.misses += 1
                 self._scores[key] = value
+                self._bounds.pop(key, None)
         return value
 
     # -- persistence ---------------------------------------------------------
@@ -394,27 +403,41 @@ class ModulePairScoreCache:
         for (fingerprint_a, fingerprint_b), value in self._scores.items():
             yield fingerprint_a, fingerprint_b, value
 
-    def new_entries(self) -> "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]":
-        """Like :meth:`entries`, but excluding warm-loaded keys.
+    def new_entries(
+        self, end: int | None = None
+    ) -> "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]":
+        """Like :meth:`entries`, but only what the attached store lacks.
 
-        Warm entries came out of the attached store, so writing them
-        back is pure write amplification; persistence only needs what
-        this process computed.
+        Yields the entries stored since the last :meth:`mark_persisted`
+        (up to the ``end``-th entry), minus warm-loaded keys: those came
+        out of the attached store, and writing them back — or rewriting
+        entries an earlier persist already wrote — is pure write
+        amplification.
         """
         warm = self._warm
-        for key, value in self._scores.items():
+        for key, value in islice(self._scores.items(), self._persisted, end):
             if key not in warm:
                 yield key[0], key[1], value
 
+    def mark_persisted(self, end: int) -> None:
+        """Record that the first ``end`` entries are on the store's disk.
+
+        Call only after the save of :meth:`new_entries` ``(end)``
+        committed: a save that rolled back leaves the mark where it was,
+        so the next persist writes those entries again.
+        """
+        self._persisted = end
+
     def reset_warm(self) -> None:
-        """Forget which entries were warm-loaded (scores are kept).
+        """Forget which entries were warm-loaded or persisted (scores are kept).
 
         Called when the cache is re-pointed at a *different* store:
-        entries loaded from the old store are not on the new store's
-        disk, so they must count as new for the next persist.  The
-        cumulative :attr:`warm_hits` counter is preserved.
+        entries loaded from or persisted to the old store are not on the
+        new store's disk, so they must count as new for the next
+        persist.  The cumulative :attr:`warm_hits` counter is preserved.
         """
         self._warm.clear()
+        self._persisted = 0
 
     def load_entries(
         self, entries: "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]"
@@ -430,13 +453,22 @@ class ModulePairScoreCache:
         """
         loaded = 0
         scores = self._scores
+        bounds = self._bounds
+        # Each distinct fingerprint recurs across many rows; every key
+        # holding it shares one interned tuple.
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+        def canonical(fingerprint: tuple[str, ...]) -> tuple[str, ...]:
+            interned = shared.get(fingerprint)
+            if interned is None:
+                interned = shared[fingerprint] = tuple(intern(part) for part in fingerprint)
+            return interned
+
         for fingerprint_a, fingerprint_b, value in entries:
-            key = (
-                tuple(intern(part) for part in fingerprint_a),
-                tuple(intern(part) for part in fingerprint_b),
-            )
+            key = (canonical(fingerprint_a), canonical(fingerprint_b))
             if key not in scores:
                 scores[key] = value
+                bounds.pop(key, None)
                 self._warm.add(key)
                 loaded += 1
         return loaded
@@ -487,6 +519,7 @@ class ModulePairScoreCache:
         self._bounds.clear()
         self._fingerprints.clear()
         self._warm.clear()
+        self._persisted = 0
         self.hits = 0
         self.misses = 0
         self.warm_hits = 0

@@ -103,9 +103,9 @@ class AccelerationContext:
         lazily on first use.  Returns the number of entries loaded into
         the already-existing caches.
 
-        Warm markers always describe the *currently attached* store
-        (they are what :meth:`persist_scores` skips); switch stores via
-        :meth:`reset_warm_markers` first, or through
+        Warm and persisted markers always describe the *currently
+        attached* store (they are what :meth:`persist_scores` skips);
+        switch stores via :meth:`reset_warm_markers` first, or through
         :meth:`SimilarityService.attach_cache_dir
         <repro.api.service.SimilarityService.attach_cache_dir>`, which
         does so.
@@ -118,7 +118,10 @@ class AccelerationContext:
         self._store = None
 
     def reset_warm_markers(self) -> None:
-        """Re-mark every warm entry as new (see :meth:`ModulePairScoreCache.reset_warm`)."""
+        """Re-mark every warm or persisted entry as new.
+
+        See :meth:`ModulePairScoreCache.reset_warm`.
+        """
         for cache in self._pair_caches.values():
             cache.reset_warm()
 
@@ -142,16 +145,19 @@ class AccelerationContext:
     def persist_scores(self, store) -> int:
         """Write every persistable cache's *new* exact scores to ``store``.
 
-        Warm-loaded entries already live on that store's disk and are
-        skipped.  Returns the number of rows written.  Caches with
-        custom comparators have no stable cross-process signature and
-        are skipped entirely (see :func:`repro.perf.cache.config_signature`).
+        Warm-loaded entries, and entries an earlier persist committed,
+        already live on that store's disk and are skipped.  Returns the
+        number of rows written.  Caches with custom comparators have no
+        stable cross-process signature and are skipped entirely (see
+        :func:`repro.perf.cache.config_signature`).
         """
         written = 0
         for cache in self._pair_caches.values():
             signature = cache.signature
             if signature is not None:
-                written += store.save_pair_scores(signature, cache.new_entries())
+                end = cache.size
+                written += store.save_pair_scores(signature, cache.new_entries(end))
+                cache.mark_persisted(end)
         return written
 
     def warm_hits_total(self) -> int:

@@ -41,14 +41,31 @@ values, not by corpus membership, and stay exact for any workflow still
 ``busy_timeout`` and ``synchronous=NORMAL`` (the multi-process schema
 discipline of ROADMAP open item 2), so concurrent readers never block a
 writer and a crash mid-write rolls back cleanly.  Every mutating method
-runs as one transaction that also refreshes a per-table content
-checksum row in ``meta`` — :meth:`verify` recomputes the checksums and
-decodes every payload, so torn or out-of-band writes are *detected*
-rather than silently served.  Transient ``database is locked`` errors
-are retried under a configurable
+runs as one transaction opened with ``BEGIN IMMEDIATE``: the writer lock
+is taken before the first read, so reads a write depends on (the next
+snapshot position, the per-table checksums) cannot race another
+process's write.  Transient ``database is locked`` errors — on ``BEGIN``
+as on ``COMMIT`` — are retried under a configurable
 :class:`~repro.store.resilience.RetryPolicy` (bounded attempts,
 exponential backoff + jitter); corruption is never retried — callers
 quarantine and rebuild (see :func:`~repro.store.resilience.quarantine_store`).
+
+**Checksums.**  Each data table has one content checksum row in
+``meta``: an *additive row hash* (AdHash, Bellare–Micciancio 1997), the
+sum modulo ``2**256`` of one sha256 per row.  A sum needs no order and
+can be adjusted row by row, so every write transaction subtracts the
+hashes of the rows it deletes and adds those of the rows it inserts —
+a write costs O(rows touched), not a rehash of the table.  All row
+changes go through the two helpers of :class:`_Writer`, which is what
+keeps the sums exact.  :meth:`WorkflowStore.verify` still recomputes
+every table's sum from scratch and decodes every payload, so torn or
+out-of-band writes are *detected* rather than silently served.  As
+before, the checksum is an unkeyed corruption detector, not a MAC:
+whoever can edit a table can also rewrite ``meta``.  Stores written
+with the older ordered full-table checksums are converted on open,
+table by table, and only when the table still matches its old
+checksum; a table that does not stays unconverted and fails
+verification.
 """
 
 from __future__ import annotations
@@ -81,8 +98,23 @@ def _RETRIES_COUNTER():
         "Transient 'database is locked' retries across every store.",
     )
 
-#: Deterministic full-table scans backing the per-table checksums.
-_CHECKSUM_QUERIES = {
+#: Per checksummed table: its columns, in hashing order, and the text one
+#: row is hashed as.  ``%r`` keeps every bit of a float score (``repr``
+#: round-trips exactly); values are otherwise hashed as their text.
+_TABLES = {
+    "workflows": ("identifier, position, payload", "%s\x1f%s\x1f%s"),
+    "pair_scores": ("config, fp_a, fp_b, score", "%s\x1f%s\x1f%s\x1f%r"),
+    "postings": ("field, token, workflow_id", "%s\x1f%s\x1f%s"),
+    "label_bags": ("workflow_id, token, count", "%s\x1f%s\x1f%s"),
+}
+_SUM_MODULUS = 1 << 256
+_SUM_KEY = "rowsum:{}"
+
+#: The ordered full-scan checksums of stores written before the additive
+#: sums existed.  Read only once per table, to vouch for such a store
+#: before converting it (see ``WorkflowStore._init_schema``).
+_LEGACY_KEY = "checksum:{}"
+_LEGACY_QUERIES = {
     "workflows": "SELECT identifier, position, payload FROM workflows ORDER BY position, identifier",
     "pair_scores": "SELECT config, fp_a, fp_b, score FROM pair_scores ORDER BY config, fp_a, fp_b",
     "postings": "SELECT field, token, workflow_id FROM postings ORDER BY field, token, workflow_id",
@@ -90,6 +122,105 @@ _CHECKSUM_QUERIES = {
 }
 
 T = TypeVar("T")
+
+
+def _rows_sum(row_format: str, rows: Iterable[tuple]) -> int:
+    """The additive hash of some rows: their sha256s summed mod ``2**256``."""
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    return (
+        sum(from_bytes(sha256((row_format % row).encode("utf-8")).digest(), "big") for row in rows)
+        % _SUM_MODULUS
+    )
+
+
+def _table_sum(cursor: sqlite3.Cursor, table: str) -> int:
+    """Recompute one table's additive hash from every row it holds."""
+    columns, row_format = _TABLES[table]
+    return _rows_sum(row_format, cursor.execute(f"SELECT {columns} FROM {table}"))
+
+
+def _stored_sum(cursor: sqlite3.Cursor, table: str) -> int | None:
+    """A table's checksum as stored in ``meta`` (``None`` if absent or unreadable)."""
+    row = cursor.execute("SELECT value FROM meta WHERE key = ?", (_SUM_KEY.format(table),)).fetchone()
+    try:
+        return int(row[0], 16) if row is not None else None
+    except (TypeError, ValueError):
+        return None
+
+
+def _legacy_checksum(cursor: sqlite3.Cursor, table: str) -> str:
+    """The ordered sha256 an older store recorded for ``table``."""
+    digest = hashlib.sha256()
+    for row in cursor.execute(_LEGACY_QUERIES[table]):
+        for value in row:
+            if isinstance(value, float):
+                digest.update(struct.pack("<d", value))
+            else:
+                digest.update(str(value).encode("utf-8"))
+            digest.update(b"\x1f")
+        digest.update(b"\x1e")
+    return digest.hexdigest()
+
+
+class _Writer:
+    """The row changes of one write transaction, with its running sums.
+
+    Every row a write deletes or inserts goes through
+    :meth:`delete_rows` or :meth:`insert_rows`, which adjust the table's
+    additive hash by exactly those rows; :meth:`flush` stores the
+    adjusted sums in the same transaction.  A table whose sum is missing
+    (an older table that failed conversion) is left without one — only a
+    whole-table delete, which leaves nothing unvouched for, starts it
+    again from zero.
+    """
+
+    def __init__(self, cursor: sqlite3.Cursor) -> None:
+        self.cursor = cursor
+        self.execute = cursor.execute
+        self._sums: dict[str, int | None] = {}
+
+    def _adjust(self, table: str, delta: int) -> None:
+        total = self._sums[table] if table in self._sums else _stored_sum(self.cursor, table)
+        self._sums[table] = None if total is None else (total + delta) % _SUM_MODULUS
+
+    def delete_rows(self, table: str, where: str | None = None, params: tuple = ()) -> int:
+        """``DELETE FROM table [WHERE where]``, taking the deleted rows'
+        hashes out of the sum; returns the rows deleted."""
+        if where is None:
+            self.cursor.execute(f"DELETE FROM {table}")
+            self._sums[table] = 0
+            return self.cursor.rowcount
+        columns, row_format = _TABLES[table]
+        rows = self.cursor.execute(f"SELECT {columns} FROM {table} WHERE {where}", params).fetchall()
+        if rows:
+            self.cursor.execute(f"DELETE FROM {table} WHERE {where}", params)
+            self._adjust(table, -_rows_sum(row_format, rows))
+        return len(rows)
+
+    def insert_rows(self, table: str, rows: list[tuple]) -> int:
+        """Insert rows, adding their hashes to the sum.
+
+        A key conflict fails the transaction: silently replacing a row
+        would leave its hash in the sum.
+        """
+        columns, row_format = _TABLES[table]
+        if rows:
+            marks = ", ".join("?" * len(rows[0]))
+            self.cursor.executemany(f"INSERT INTO {table} ({columns}) VALUES ({marks})", rows)
+            self._adjust(table, _rows_sum(row_format, rows))
+        return len(rows)
+
+    def rehash(self, table: str) -> None:
+        """Take ``table``'s sum from a full recompute."""
+        self._sums[table] = _table_sum(self.cursor, table)
+
+    def flush(self) -> None:
+        for table, total in self._sums.items():
+            if total is not None:
+                self.cursor.execute(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    (_SUM_KEY.format(table), format(total, "064x")),
+                )
 
 
 def _workflow_payload(workflow) -> str:
@@ -188,7 +319,8 @@ class WorkflowStore:
             self.fault_injector.fire(event, store=self)
 
     def _init_schema(self) -> None:
-        def initialise(cursor: sqlite3.Cursor) -> None:
+        def initialise(writer: _Writer) -> None:
+            cursor = writer.cursor
             cursor.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
             cursor.execute(
                 "CREATE TABLE IF NOT EXISTS workflows ("
@@ -241,16 +373,28 @@ class WorkflowStore:
                     f"store {self.path} has schema version {row[0]}, "
                     f"this build expects {SCHEMA_VERSION}"
                 )
-            # Backfill checksum rows missing from pre-checksum stores.
-            # Existing rows are left alone: they are the baseline that
+            # Existing sums are left alone: they are the baseline that
             # verify() compares against, so an out-of-band modification
-            # made while the store was closed stays detectable.
-            for table in _CHECKSUM_QUERIES:
+            # made while the store was closed stays detectable.  A table
+            # of an older store is converted only if it still matches the
+            # ordered checksum that store recorded; one that does not
+            # keeps no sum, so verify() fails it.  Stores older than any
+            # checksum are backfilled from their content.
+            for table in _TABLES:
                 present = cursor.execute(
-                    "SELECT 1 FROM meta WHERE key = ?", (f"checksum:{table}",)
+                    "SELECT 1 FROM meta WHERE key = ?", (_SUM_KEY.format(table),)
                 ).fetchone()
-                if present is None:
-                    self._refresh_checksum(cursor, table)
+                if present is not None:
+                    continue
+                legacy_key = _LEGACY_KEY.format(table)
+                legacy = cursor.execute(
+                    "SELECT value FROM meta WHERE key = ?", (legacy_key,)
+                ).fetchone()
+                if legacy is not None:
+                    if legacy[0] != _legacy_checksum(cursor, table):
+                        continue
+                    cursor.execute("DELETE FROM meta WHERE key = ?", (legacy_key,))
+                writer.rehash(table)
 
         self._transaction(initialise)
 
@@ -272,17 +416,18 @@ class WorkflowStore:
 
     # -- transactions and checksums ------------------------------------------
 
-    def _transaction(
-        self, operation: Callable[[sqlite3.Cursor], T], *, tables: tuple[str, ...] = ()
-    ) -> T:
+    def _transaction(self, operation: Callable[[_Writer], T]) -> T:
         """Run one write operation atomically, with lock retry.
 
-        The operation body, the checksum refresh of every touched table,
-        and the commit form a single transaction — a reader (or a crash)
-        sees either the old state with the old checksums or the new
-        state with the new ones, never a torn mix.  ``database is
-        locked`` rolls back and retries under :attr:`retry`; every other
-        exception rolls back in a ``finally`` and propagates, so a
+        ``BEGIN IMMEDIATE`` takes the writer lock before the operation
+        reads anything, so the running checksums it adjusts (and any
+        other state it reads) cannot change under it.  The operation
+        body, the adjusted checksums and the commit form a single
+        transaction — a reader (or a crash) sees either the old state
+        with the old checksums or the new state with the new ones, never
+        a torn mix.  ``database is locked``, on ``BEGIN`` or on
+        ``COMMIT``, rolls back and retries under :attr:`retry`; every
+        other exception rolls back in a ``finally`` and propagates, so a
         failed persist can never leave the transaction (and the file
         lock it holds) open behind it.
 
@@ -295,10 +440,10 @@ class WorkflowStore:
             connection = self.connection
             committed = False
             try:
-                cursor = connection.cursor()
-                result = operation(cursor)
-                for table in tables:
-                    self._refresh_checksum(cursor, table)
+                connection.execute("BEGIN IMMEDIATE")
+                writer = _Writer(connection.cursor())
+                result = operation(writer)
+                writer.flush()
                 self._fire("commit")
                 connection.commit()
                 committed = True
@@ -327,37 +472,14 @@ class WorkflowStore:
                 span.set_attribute("retries", retries)
         return result
 
-    def _refresh_checksum(self, cursor: sqlite3.Cursor, table: str) -> None:
-        cursor.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            (f"checksum:{table}", self._table_checksum(cursor, table)),
-        )
-
-    @staticmethod
-    def _table_checksum(cursor: sqlite3.Cursor, table: str) -> str:
-        """Order-independent-of-insertion content hash of one table.
-
-        Floats are hashed as their IEEE-754 bytes, so a score differing
-        in the last ulp still changes the checksum.
-        """
-        digest = hashlib.sha256()
-        for row in cursor.execute(_CHECKSUM_QUERIES[table]):
-            for value in row:
-                if isinstance(value, float):
-                    digest.update(struct.pack("<d", value))
-                else:
-                    digest.update(str(value).encode("utf-8"))
-                digest.update(b"\x1f")
-            digest.update(b"\x1e")
-        return digest.hexdigest()
-
     def verify(self) -> StoreVerification:
         """Check the store's integrity without modifying it.
 
         Four layers of checks, coarsest first: SQLite's own
         ``quick_check``, the schema version, the per-table content
-        checksums (detects torn/partial/out-of-band writes that SQLite
-        itself considers well-formed), and full payload decoding (every
+        checksums, each recomputed over the whole table (detects
+        torn/partial/out-of-band writes that SQLite itself considers
+        well-formed), and full payload decoding (every
         snapshot row parses back into a workflow, every fingerprint
         decodes, every posting names a known index field).  Returns a
         :class:`~repro.store.resilience.StoreVerification`; per-table
@@ -376,7 +498,7 @@ class WorkflowStore:
                 report.fail(f"sqlite quick_check: {integrity}")
         except sqlite3.DatabaseError as error:
             report.fail(f"sqlite quick_check failed: {error}")
-            for table in _CHECKSUM_QUERIES:
+            for table in _TABLES:
                 report.tables[table] = "unreadable"
             return report
         try:
@@ -389,19 +511,19 @@ class WorkflowStore:
                 report.fail(f"meta: schema version {row[0]} != {SCHEMA_VERSION}")
         except (sqlite3.DatabaseError, ValueError) as error:
             report.fail(f"meta: {error}")
-        for table in _CHECKSUM_QUERIES:
+        for table in _TABLES:
             report.tables[table] = "ok"
             try:
-                stored = connection.execute(
-                    "SELECT value FROM meta WHERE key = ?", (f"checksum:{table}",)
-                ).fetchone()
-                actual = self._table_checksum(connection.cursor(), table)
+                stored = _stored_sum(connection.cursor(), table)
+                actual = _table_sum(connection.cursor(), table)
             except sqlite3.DatabaseError as error:
                 report.fail(f"{table}: unreadable ({error})", table=table)
                 continue
             if stored is None:
-                report.fail(f"{table}: checksum row missing", table=table)
-            elif stored[0] != actual:
+                report.fail(
+                    f"{table}: checksum row missing, unreadable or unconverted", table=table
+                )
+            elif stored != actual:
                 report.fail(f"{table}: content checksum mismatch", table=table)
         if report.table_ok("workflows"):
             try:
@@ -417,13 +539,16 @@ class WorkflowStore:
                 report.fail(f"workflows: undecodable payload ({error})", table="workflows")
         if report.table_ok("pair_scores"):
             try:
-                for (fp_a, fp_b) in connection.execute(
-                    "SELECT fp_a, fp_b FROM pair_scores"
-                ):
-                    if not isinstance(json.loads(fp_a), list) or not isinstance(
-                        json.loads(fp_b), list
-                    ):
-                        raise ValueError("fingerprint is not a JSON list")
+                # Few distinct fingerprints recur across many rows: each
+                # distinct text is decoded once.
+                decoded: set[str] = set()
+                for row in connection.execute("SELECT fp_a, fp_b FROM pair_scores"):
+                    for fingerprint in row:
+                        if fingerprint in decoded:
+                            continue
+                        if not isinstance(json.loads(fingerprint), list):
+                            raise ValueError("fingerprint is not a JSON list")
+                        decoded.add(fingerprint)
             except Exception as error:
                 report.fail(f"pair_scores: undecodable fingerprint ({error})", table="pair_scores")
         if report.table_ok("postings"):
@@ -516,25 +641,21 @@ class WorkflowStore:
             for token, count in sorted(workflow_label_bag(workflow).items())
         ]
 
-        def operation(cursor: sqlite3.Cursor) -> int:
-            cursor.execute("DELETE FROM workflows")
-            cursor.executemany(
-                "INSERT INTO workflows (identifier, position, payload) VALUES (?, ?, ?)", rows
-            )
-            cursor.execute("DELETE FROM label_bags")
-            cursor.executemany(
-                "INSERT INTO label_bags (workflow_id, token, count) VALUES (?, ?, ?)", bag_rows
-            )
-            cursor.execute(
+        def operation(writer: _Writer) -> int:
+            writer.delete_rows("workflows")
+            writer.insert_rows("workflows", rows)
+            writer.delete_rows("label_bags")
+            writer.insert_rows("label_bags", bag_rows)
+            writer.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('repository_name', ?)",
                 (repository.name,),
             )
-            cursor.execute(
+            writer.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('label_bags_saved', '1')"
             )
             return len(rows)
 
-        return self._transaction(operation, tables=("workflows", "label_bags"))
+        return self._transaction(operation)
 
     def load_repository(self) -> WorkflowRepository | None:
         """Rebuild the snapshot corpus in its original iteration order."""
@@ -574,41 +695,35 @@ class WorkflowStore:
         never drift from the stored corpus; likewise the label character
         bag when the ``label_bags_saved`` marker is present.
         """
+        identifier = workflow.identifier
+        payload = _workflow_payload(workflow)
+        posting_rows = [
+            (field, token, identifier)
+            for field in InvertedAnnotationIndex.FIELDS
+            for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
+        ]
+        bag_rows = [
+            (identifier, token, count)
+            for token, count in sorted(workflow_label_bag(workflow).items())
+        ]
 
-        def operation(cursor: sqlite3.Cursor) -> None:
-            indexed = bool(cursor.execute("SELECT EXISTS(SELECT 1 FROM postings)").fetchone()[0])
+        def operation(writer: _Writer) -> None:
+            indexed = writer.execute("SELECT 1 FROM postings LIMIT 1").fetchone() is not None
             bagged = (
-                cursor.execute(
-                    "SELECT 1 FROM meta WHERE key = 'label_bags_saved'"
-                ).fetchone()
+                writer.execute("SELECT 1 FROM meta WHERE key = 'label_bags_saved'").fetchone()
                 is not None
             )
-            position_row = cursor.execute("SELECT COALESCE(MAX(position), -1) FROM workflows").fetchone()
-            cursor.execute(
-                "INSERT OR REPLACE INTO workflows (identifier, position, payload) VALUES (?, ?, ?)",
-                (workflow.identifier, position_row[0] + 1, _workflow_payload(workflow)),
-            )
-            cursor.execute("DELETE FROM postings WHERE workflow_id = ?", (workflow.identifier,))
+            (last,) = writer.execute("SELECT COALESCE(MAX(position), -1) FROM workflows").fetchone()
+            writer.delete_rows("workflows", "identifier = ?", (identifier,))
+            writer.insert_rows("workflows", [(identifier, last + 1, payload)])
+            writer.delete_rows("postings", "workflow_id = ?", (identifier,))
             if indexed:
-                cursor.executemany(
-                    "INSERT OR REPLACE INTO postings (field, token, workflow_id) VALUES (?, ?, ?)",
-                    [
-                        (field, token, workflow.identifier)
-                        for field in InvertedAnnotationIndex.FIELDS
-                        for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
-                    ],
-                )
-            cursor.execute("DELETE FROM label_bags WHERE workflow_id = ?", (workflow.identifier,))
+                writer.insert_rows("postings", posting_rows)
+            writer.delete_rows("label_bags", "workflow_id = ?", (identifier,))
             if bagged:
-                cursor.executemany(
-                    "INSERT INTO label_bags (workflow_id, token, count) VALUES (?, ?, ?)",
-                    [
-                        (workflow.identifier, token, count)
-                        for token, count in sorted(workflow_label_bag(workflow).items())
-                    ],
-                )
+                writer.insert_rows("label_bags", bag_rows)
 
-        self._transaction(operation, tables=("workflows", "postings", "label_bags"))
+        self._transaction(operation)
 
     def remove_workflow(self, identifier: str) -> bool:
         """Delete one snapshot row and its postings; returns whether it existed.
@@ -618,14 +733,13 @@ class WorkflowStore:
         the corpus.
         """
 
-        def operation(cursor: sqlite3.Cursor) -> bool:
-            cursor.execute("DELETE FROM workflows WHERE identifier = ?", (identifier,))
-            existed = cursor.rowcount > 0
-            cursor.execute("DELETE FROM postings WHERE workflow_id = ?", (identifier,))
-            cursor.execute("DELETE FROM label_bags WHERE workflow_id = ?", (identifier,))
+        def operation(writer: _Writer) -> bool:
+            existed = writer.delete_rows("workflows", "identifier = ?", (identifier,)) > 0
+            writer.delete_rows("postings", "workflow_id = ?", (identifier,))
+            writer.delete_rows("label_bags", "workflow_id = ?", (identifier,))
             return existed
 
-        return self._transaction(operation, tables=("workflows", "postings", "label_bags"))
+        return self._transaction(operation)
 
     # -- module-pair scores --------------------------------------------------
 
@@ -634,20 +748,26 @@ class WorkflowStore:
         config_signature: str,
         entries: Iterable[tuple[tuple[str, ...], tuple[str, ...], float]],
     ) -> int:
-        """Upsert the scores of one configuration; returns the row count."""
-        rows = [
-            (config_signature, json.dumps(list(fp_a)), json.dumps(list(fp_b)), score)
+        """Upsert the scores of one configuration; returns the rows written.
+
+        A key given twice keeps its last score.  Rows the upsert replaces
+        are deleted through :meth:`_Writer.delete_rows`, so their hashes
+        leave the table's checksum with them.
+        """
+        # ``+ 0.0`` stores -0.0 as 0.0, which SQLite would do anyway; the
+        # checksum must hash the score that is read back.
+        scores = {
+            (config_signature, json.dumps(list(fp_a)), json.dumps(list(fp_b))): float(score) + 0.0
             for fp_a, fp_b, score in entries
-        ]
+        }
+        rows = [(*key, score) for key, score in scores.items()]
 
-        def operation(cursor: sqlite3.Cursor) -> int:
-            cursor.executemany(
-                "INSERT OR REPLACE INTO pair_scores (config, fp_a, fp_b, score) VALUES (?, ?, ?, ?)",
-                rows,
-            )
-            return len(rows)
+        def operation(writer: _Writer) -> int:
+            for key in scores:
+                writer.delete_rows("pair_scores", "config = ? AND fp_a = ? AND fp_b = ?", key)
+            return writer.insert_rows("pair_scores", rows)
 
-        return self._transaction(operation, tables=("pair_scores",))
+        return self._transaction(operation)
 
     def load_pair_scores(
         self, config_signature: str
@@ -672,24 +792,21 @@ class WorkflowStore:
         """Replace the persisted postings; returns the row count."""
         rows = list(index.rows())
 
-        def operation(cursor: sqlite3.Cursor) -> int:
-            cursor.execute("DELETE FROM postings")
-            cursor.executemany(
-                "INSERT INTO postings (field, token, workflow_id) VALUES (?, ?, ?)", rows
-            )
-            return len(rows)
+        def operation(writer: _Writer) -> int:
+            writer.delete_rows("postings")
+            return writer.insert_rows("postings", rows)
 
-        return self._transaction(operation, tables=("postings",))
+        return self._transaction(operation)
 
     def clear_postings(self) -> int:
         """Drop the persisted index (used when a snapshot is replaced
         without a live index — stale postings must not survive)."""
 
-        def operation(cursor: sqlite3.Cursor) -> int:
-            cursor.execute("DELETE FROM postings")
+        def operation(writer: _Writer) -> int:
+            writer.delete_rows("postings")
             return 0
 
-        return self._transaction(operation, tables=("postings",))
+        return self._transaction(operation)
 
     def load_index(self) -> InvertedAnnotationIndex | None:
         """Rebuild the persisted index (``None`` when none was saved)."""

@@ -127,6 +127,46 @@ class TestPairScoreCache:
                 if exact:
                     assert bound == score
 
+    def test_exact_score_drops_the_bound_it_shadows(self, store):
+        cache = ModulePairScoreCache(get_module_config("pll"))
+        first = store.module_profile(make_module(label="alpha_beta"))
+        second = store.module_profile(make_module("m2", label="beta_gamma"))
+        third = store.module_profile(make_module("m3", label="gamma_delta"))
+        assert not cache.upper_bound(first, second)[1]
+        assert not cache.upper_bound(first, third)[1]
+        assert len(cache._bounds) == 2
+        cache.score(first, second)
+        cache.score_from_levenshtein(first, third, 0.25, exact=True)
+        assert cache._bounds == {}
+        # Reads of the pair now come from the exact score.
+        assert cache.upper_bound(first, second) == (cache.score(first, second), True)
+
+    def test_new_entries_start_after_the_persisted_mark(self, store):
+        cache = ModulePairScoreCache(get_module_config("pll"))
+        profiles = [
+            store.module_profile(make_module(f"m{i}", label=label))
+            for i, label in enumerate(("alpha", "beta", "gamma"))
+        ]
+        cache.score(profiles[0], profiles[1])
+        cache.load_entries([(("warm",), ("loaded",), 0.5)])
+        assert len(list(cache.new_entries())) == 1  # warm keys never count
+        cache.mark_persisted(cache.size)
+        assert list(cache.new_entries()) == []
+        cache.score(profiles[0], profiles[2])
+        assert len(list(cache.new_entries())) == 1
+        cache.reset_warm()  # a different store: everything is new again
+        assert len(list(cache.new_entries())) == 3
+
+    def test_loaded_keys_share_one_tuple_per_fingerprint(self):
+        cache = ModulePairScoreCache(get_module_config("pll"))
+        cache.load_entries(
+            [(("a",), ("b",), 0.5), (("a",), ("c",), 0.25), (("b",), ("c",), 0.75)]
+        )
+        keys = list(cache._scores)
+        assert keys[0][0] is keys[1][0]
+        assert keys[0][1] is keys[2][0]
+        assert keys[1][1] is keys[2][1]
+
     def test_exact_match_config_bound_is_exact(self, store):
         cache = ModulePairScoreCache(get_module_config("plm"))
         first = store.module_profile(make_module())

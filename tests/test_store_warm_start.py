@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
 from repro.repository import WorkflowRepository
-from repro.store import WorkflowStore, corpus_fingerprint
+from repro.store import FaultInjector, RetryPolicy, WorkflowStore, corpus_fingerprint
 from repro.workflow.serialization import workflow_to_dict
 
 
@@ -272,6 +272,44 @@ class TestStoreAttachment:
         warm.search(ms_request(query_ids))
         second = warm.persist()
         assert second["pair_scores"] < first["pair_scores"]
+
+    def test_persist_writes_only_scores_new_since_the_last_persist(
+        self, small_corpus, cache_dir
+    ):
+        workflows = small_corpus.repository.workflows()[:20]
+        service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
+        service.search(ms_request([workflows[0].identifier]))
+        first = service.persist()
+        assert first["pair_scores"] > 0
+        assert service.persist()["pair_scores"] == 0
+        service.search(ms_request([workflows[1].identifier]))
+        second = service.persist()
+        assert second["pair_scores"] > 0
+        assert service.store.pair_score_count() == first["pair_scores"] + second["pair_scores"]
+        service.close()
+
+    def test_scores_of_a_rolled_back_save_are_written_next_persist(
+        self, small_corpus, cache_dir
+    ):
+        workflows = small_corpus.repository.workflows()[:20]
+        service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
+        service.search(ms_request([workflows[0].identifier]))
+        persisted = service.persist()["pair_scores"]
+        service.search(ms_request([workflows[1].identifier]))
+        service.store.retry = RetryPolicy.none()
+        injector = FaultInjector()
+        injector.fail_commit(times=1, locked=True)
+        service.fault_injector = injector
+        with pytest.raises(Exception, match="locked"):
+            service.persist()
+        assert injector.count_fired() == 1
+        assert service.store.pair_score_count() == persisted  # rolled back
+        retried = service.persist()["pair_scores"]
+        assert retried > 0
+        assert service.store.pair_score_count() == persisted + retried
+        assert service.persist()["pair_scores"] == 0
+        assert service.store.verify().ok
+        service.close()
 
     def test_persist_requires_store(self, small_corpus):
         service = SimilarityService(
