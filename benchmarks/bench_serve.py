@@ -207,7 +207,6 @@ async def measure_obs_overhead(
         config = ServeConfig(
             root=str(root),
             port=0,
-            batch_window=0.0,
             max_inflight=64,
             trace_sample=sample,
         )
@@ -283,16 +282,13 @@ async def run_benchmark(args: argparse.Namespace) -> int:
         print(
             f"serve benchmark: tenant {tenant!r} ({corpus_size} workflows), "
             f"{args.requests} requests/level at concurrency {levels}, "
-            f"measure={args.measure}, k={args.k}, "
-            f"batch window {args.window_ms:.0f}ms"
+            f"measure={args.measure}, k={args.k}"
         )
         reference = sequential_reference(root / tenant, query_ids, args.measure, args.k)
 
         config = ServeConfig(
             root=str(root),
             port=0,
-            batch_window=args.window_ms / 1000.0,
-            batch_max_requests=max(levels),
             max_inflight=max(max(levels), 16),
         )
         server = SimilarityServer(config)
@@ -349,7 +345,6 @@ async def run_benchmark(args: argparse.Namespace) -> int:
         "k": args.k,
         "queries": len(query_ids),
         "requests_per_level": args.requests,
-        "batch_window_ms": args.window_ms,
         "levels": results,
         "tenant_stats": snapshot,
         "equivalence": {
@@ -418,12 +413,6 @@ def main() -> int:
         help="corpus size when generating a temporary root",
     )
     parser.add_argument("--seed", type=int, default=20140901)
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=25.0,
-        help="server batch window in milliseconds",
-    )
     parser.add_argument(
         "--obs-requests",
         type=int,

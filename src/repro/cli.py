@@ -219,8 +219,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_tenants=args.max_tenants,
         max_inflight=args.max_inflight,
-        batch_window=args.batch_window_ms / 1000.0,
-        batch_max_requests=args.batch_max,
         persist_on_shutdown=args.persist_on_shutdown,
         trace_sample=args.trace_sample,
         trace_dir=args.trace_dir,
@@ -573,26 +571,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight",
         type=int,
         default=16,
-        help="per-tenant in-flight request cap; beyond it requests get 429 + Retry-After",
+        help="per-tenant in-flight request cap; beyond it requests get 429 + "
+        "Retry-After.  A search on an idle tenant runs at once; same-measure "
+        "searches that queue while the tenant is busy share its next engine "
+        "batch (bit-identical results), so the cap also bounds each batch",
     )
     serve.add_argument(
         "--max-tenants",
         type=int,
         default=8,
         help="LRU bound on concurrently open tenant services",
-    )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="micro-batch fold window: concurrent same-measure searches arriving "
-        "within this window share one engine batch (bit-identical results)",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=16,
-        help="fire a batch window early once this many requests folded into it",
     )
     serve.add_argument(
         "--persist-on-shutdown",

@@ -4,13 +4,14 @@ One :class:`SimilarityServer` serves many tenants from one serving root:
 each tenant is a subdirectory holding its own persisted
 :class:`~repro.store.WorkflowStore`, opened lazily as a
 :class:`~repro.api.SimilarityService` confined to its own worker thread
-(LRU-bounded, quarantine-aware).  Concurrent search requests for the
-same tenant and measure spec are folded into one engine batch by the
-:class:`MicroBatcher` — bit-identical to per-request execution, pinned
-by tests and the ``BENCH_serve.json`` equivalence gate.  Admission
-control answers 429 with ``Retry-After`` once a tenant's in-flight cap
-is hit, and ``GET /v1/{tenant}/stats`` reports QPS, latency percentiles,
-the batch fold factor and degradation counts.
+(LRU-bounded, quarantine-aware).  A search on an idle tenant runs at
+once; same-spec searches that arrive while the tenant is busy are folded
+into its next engine batch by the :class:`MicroBatcher` — bit-identical
+to per-request execution, pinned by tests and the ``BENCH_serve.json``
+equivalence gate.  Admission control answers 429 with ``Retry-After``
+once a tenant's in-flight cap is hit, and ``GET /v1/{tenant}/stats``
+reports QPS, latency percentiles, the batch fold factor and degradation
+counts.
 
 Typical lifecycle::
 

@@ -2,11 +2,13 @@
 
 The serving layer bounds work, not memory: each tenant may hold at most
 ``max_inflight`` admitted requests (executing on its worker thread or
-waiting in a micro-batch window).  The cap doubles as the bounded queue
+queued on its search lane).  The cap doubles as the bounded queue
 — a request beyond it is rejected *immediately* with HTTP 429 and a
 ``Retry-After`` hint rather than buffered without bound, so a tenant
 flooding itself degrades its own latency but can neither exhaust server
 memory nor starve other tenants (whose worker threads are independent).
+Because a micro-batch fold only ever holds admitted requests, the same
+cap bounds the size of every engine batch.
 
 All counters are touched from the event loop thread only.
 """

@@ -1,14 +1,17 @@
-"""Cross-request micro-batching.
+"""Cross-request micro-batching on one search lane per tenant.
 
 The engine is already cross-query: one
 :meth:`~repro.api.SimilarityService.search` call over many queries
 amortizes workflow profiles and value-keyed module-pair scores across
 all of them.  The micro-batcher extends that amortization across
-*requests*: concurrent search requests for the same tenant and the same
-fold key — measure spec, ``k`` and execution policy — are folded into
-one engine batch.  The first foldable request opens a window of
-``window`` seconds; compatible requests arriving inside it join, and the
-window fires early at ``max_requests``.  Requests with different
+*requests* without ever making one wait for a timer.  Each tenant has
+one search lane that runs at most one engine batch at a time.  A
+foldable search arriving at an idle lane is dispatched at once.
+Searches admitted while the lane's batch runs queue by fold key —
+measure spec, ``k`` and execution policy — and when the batch finishes
+the lane runs the oldest queued fold next, as one engine batch.  Folds
+therefore form only while the tenant thread is busy, and a fold never
+holds more than the tenant's admission cap.  Requests with different
 measure specs (or explicit candidate restrictions) never share a batch.
 
 **Bit-identity pin.**  Folding is safe because the engine computes every
@@ -26,6 +29,7 @@ note recording the fold, so callers can see their request was batched
 from __future__ import annotations
 
 import asyncio
+import contextvars
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -80,114 +84,116 @@ def fold_search_requests(requests: "list[SearchRequest]") -> SearchRequest:
     return replace(requests[0], queries=queries)
 
 
-class _Bucket:
-    """The pending requests of one open batch window."""
+class _Lane:
+    """One tenant's busy search lane and the folds queued behind it."""
 
-    __slots__ = ("runtime", "entries", "timer")
+    __slots__ = ("runtime", "queued", "task")
 
     def __init__(self, runtime: "TenantRuntime") -> None:
         self.runtime = runtime
-        # (request, future, request span) — the span is captured at
-        # submit time, while the submitting task's context is current.
-        self.entries: list = []
-        self.timer: asyncio.TimerHandle | None = None
+        # fold key -> [(request, future, request span, request context)],
+        # in the order each key's oldest waiting request arrived.  Span
+        # and context are captured at submit time, while the submitting
+        # task's context is current.
+        self.queued: dict[tuple, list] = {}
+        # The event loop keeps only a weak reference to a running task.
+        self.task: "asyncio.Task | None" = None
 
 
 class MicroBatcher:
-    """Folds concurrent same-key search requests into engine batches."""
+    """Folds same-key searches that queue behind a tenant's busy lane."""
 
-    def __init__(
-        self,
-        *,
-        window: float,
-        max_requests: int,
-        metrics: "ServingMetrics",
-    ) -> None:
-        self.window = window
-        self.max_requests = max_requests
+    def __init__(self, *, metrics: "ServingMetrics") -> None:
         self.metrics = metrics
-        self._pending: dict[tuple, _Bucket] = {}
-        self._tasks: set[asyncio.Task] = set()
+        # Only busy lanes are kept: a lane is dropped the moment it has
+        # nothing left to run, so an absent lane is an idle one.
+        self._lanes: "dict[TenantRuntime, _Lane]" = {}
 
     async def submit(self, runtime: "TenantRuntime", request: SearchRequest) -> ResultSet:
-        """Queue a request into its fold window; await its own ResultSet."""
+        """Queue a request on its tenant's lane; await its own ResultSet."""
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = (runtime.name,) + fold_key(request)
-        bucket = self._pending.get(key)
-        if bucket is None:
-            bucket = self._pending[key] = _Bucket(runtime)
-            bucket.timer = loop.call_later(self.window, self._fire, key)
-        # The batch executes in its own task later; remember this
-        # request's span now so the fold can link back to every parent.
-        bucket.entries.append((request, future, get_tracer().current_span()))
-        if len(bucket.entries) >= self.max_requests:
-            self._fire(key)
+        future = loop.create_future()
+        lane = self._lanes.get(runtime)
+        if lane is None:
+            lane = self._lanes[runtime] = _Lane(runtime)
+            lane.task = loop.create_task(self._drain(lane))
+        lane.queued.setdefault(fold_key(request), []).append(
+            (request, future, get_tracer().current_span(), contextvars.copy_context())
+        )
         return await future
 
-    def _fire(self, key: tuple) -> None:
-        bucket = self._pending.pop(key, None)
-        if bucket is None:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        task = asyncio.get_running_loop().create_task(self._execute(bucket))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _drain(self, lane: _Lane) -> None:
+        """Run the lane's oldest queued fold until none is left.
 
-    async def _execute(self, bucket: _Bucket) -> None:
-        requests = [request for request, _future, _span in bucket.entries]
-        folded = fold_search_requests(requests)
-        service = bucket.runtime.service
-        # One batch span fans in the fold: parented to the request that
-        # opened the window, *linked* to every folded request's span, so
-        # each of the N requests' traces resolves this shared subtree.
-        parents = [span for _r, _f, span in bucket.entries if span is not None]
+        The lane's own task inherited the context of the request that
+        opened the lane, which may have been answered long ago.  Each fold
+        therefore runs as its own task in its oldest request's context, so
+        the spans it opens, and any other context variable it reads,
+        belong to a request of that fold.  ``context.run(create_task)``
+        rather than ``create_task(context=)`` keeps Python 3.10 working.
+        """
+        loop = asyncio.get_running_loop()
         try:
-            with get_tracer().span(
-                "batch.fold",
-                parent=parents[0] if parents else None,
-                links=tuple(parents),
-                attributes={
-                    "tenant": bucket.runtime.name,
-                    "folded_requests": len(bucket.entries),
-                },
-            ) as batch_span:
-                folded_set: ResultSet = await bucket.runtime.run(
-                    lambda: service.search(folded)
-                )
-                batch_span.set_attribute("unique_queries", len(folded_set.queries))
-        except Exception as error:  # one failure fails the whole fold
-            for _request, future, _span in bucket.entries:
+            while lane.queued:
+                entries = lane.queued.pop(next(iter(lane.queued)))
+                fold = self._run_fold(lane.runtime, entries)
+                await entries[0][3].run(loop.create_task, fold)
+        finally:
+            del self._lanes[lane.runtime]
+
+    async def _run_fold(self, runtime: "TenantRuntime", entries: list) -> None:
+        futures = [future for _request, future, *_ in entries]
+        try:
+            results = await self._execute(runtime, entries)
+        except Exception as error:  # fails this fold only; the lane moves on
+            for future in futures:
                 if not future.done():
                     future.set_exception(error)
             return
+        for future, result in zip(futures, results):
+            if not future.done():
+                future.set_result(result)
+
+    async def _execute(self, runtime: "TenantRuntime", entries: list) -> "list[ResultSet]":
+        requests = [request for request, *_ in entries]
+        folded = fold_search_requests(requests)
+        service = runtime.service
+        # One batch span fans in the fold: parented to the oldest request,
+        # *linked* to every folded request's span, so each of the N
+        # requests' traces resolves this shared subtree.
+        parents = [span for _r, _f, span, _c in entries if span is not None]
+        with get_tracer().span(
+            "batch.fold",
+            parent=parents[0] if parents else None,
+            links=tuple(parents),
+            attributes={"tenant": runtime.name, "folded_requests": len(entries)},
+        ) as batch_span:
+            folded_set: ResultSet = await runtime.run(lambda: service.search(folded))
+            batch_span.set_attribute("unique_queries", len(folded_set.queries))
         unique_queries = len(folded_set.queries)
-        self.metrics.tenant(bucket.runtime.name).record_batch(
-            len(bucket.entries), unique_queries
-        )
+        self.metrics.tenant(runtime.name).record_batch(len(entries), unique_queries)
         by_id = {result.query_id: result for result in folded_set.queries}
-        for request, future, span in bucket.entries:
-            if future.done():
-                continue
+        results = []
+        for request, _future, span, _context in entries:
             if request.queries is None:
                 # The fold ran with queries=None too, so the folded
                 # payload is exactly this request's repository-order answer.
                 per_request = folded_set.queries
             else:
                 per_request = tuple(by_id[query] for query in request.queries)
-            future.set_result(
+            results.append(
                 ResultSet(
                     kind="search",
                     queries=per_request,
                     diagnostics=self._request_diagnostics(
                         folded_set,
-                        len(bucket.entries),
+                        len(entries),
                         unique_queries,
                         span.trace_id if span is not None else None,
                     ),
                 )
             )
+        return results
 
     @staticmethod
     def _request_diagnostics(
@@ -212,14 +218,3 @@ class MicroBatcher:
                 f"({unique_queries} unique queries) into one engine batch",
             )
         return diagnostics
-
-    async def flush(self) -> None:
-        """Fire every open window immediately and wait for the batches.
-
-        Called on graceful shutdown so drained requests do not wait for
-        their windows to expire.
-        """
-        for key in list(self._pending):
-            self._fire(key)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)

@@ -1,10 +1,9 @@
 """Configuration of the serving layer.
 
 One :class:`ServeConfig` value describes a whole server: where the
-tenants live on disk, how the listener binds, how aggressively
-concurrent requests are folded into engine batches, and how much
-in-flight work one tenant may hold before admission control starts
-answering 429.  The CLI (``repro serve``) and the load benchmark build
+tenants live on disk, how the listener binds, and how much in-flight
+work one tenant may hold before admission control starts answering
+429.  The CLI (``repro serve``) and the load benchmark build
 these from flags; tests build them directly.
 """
 
@@ -26,21 +25,17 @@ class ServeConfig:
     services — the least recently used *idle* tenant is closed when the
     bound is exceeded.
 
-    ``batch_window`` and ``batch_max_requests`` shape the cross-request
-    micro-batcher: the first foldable search request for a
-    (tenant, measure-spec) pair opens a window of ``batch_window``
-    seconds; every compatible request arriving inside it joins the same
-    engine batch, and the window fires early once ``batch_max_requests``
-    have joined.  Folding is a pure latency/throughput trade — answers
-    are pinned bit-identical to per-request execution.
-
     ``max_inflight`` caps admitted requests per tenant (executing plus
-    waiting in a batch window).  The cap *is* the bounded queue: request
-    ``max_inflight + 1`` is answered ``429`` with a ``Retry-After`` of
-    ``retry_after`` seconds instead of being buffered without bound.
+    queued on the tenant's search lane).  The cap *is* the bounded
+    queue: request ``max_inflight + 1`` is answered ``429`` with a
+    ``Retry-After`` of ``retry_after`` seconds instead of being buffered
+    without bound.  It also bounds micro-batching, which needs no knob
+    of its own: a search on an idle tenant runs at once, and only
+    same-spec searches admitted while the tenant's lane is busy fold
+    into its next engine batch (bit-identical to per-request execution).
 
-    ``drain_timeout`` bounds graceful shutdown: pending batch windows
-    fire immediately and in-flight work gets this many seconds to finish
+    ``drain_timeout`` bounds graceful shutdown: in-flight work, including
+    searches still queued on a lane, gets this many seconds to finish
     before connections are torn down.  ``persist_on_shutdown`` writes
     each open tenant's accumulated pair scores back to its store while
     draining, so the next process warm-starts from this one's work.
@@ -57,8 +52,6 @@ class ServeConfig:
     port: int = 8340
     max_tenants: int = 8
     max_inflight: int = 16
-    batch_window: float = 0.010
-    batch_max_requests: int = 16
     retry_after: float = 1.0
     drain_timeout: float = 10.0
     max_body_bytes: int = 8 * 1024 * 1024
@@ -75,12 +68,6 @@ class ServeConfig:
             raise ValueError(f"max_tenants must be positive, got {self.max_tenants}")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {self.max_inflight}")
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be non-negative, got {self.batch_window}")
-        if self.batch_max_requests < 1:
-            raise ValueError(
-                f"batch_max_requests must be positive, got {self.batch_max_requests}"
-            )
         if self.retry_after < 0 or self.drain_timeout < 0:
             raise ValueError("retry_after and drain_timeout must be non-negative")
         if self.max_body_bytes < 1024:

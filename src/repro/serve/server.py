@@ -14,9 +14,10 @@ dependency.  The endpoint surface:
 Request bodies and responses are exactly the JSON shapes the
 :mod:`repro.api` request/result objects already round-trip — the server
 adds no wire format of its own.  Search requests flow through the
-:class:`~repro.serve.batcher.MicroBatcher` (bit-identical fold of
-concurrent same-spec requests), everything else runs directly on the
-tenant's worker thread.  Admission control answers 429 with
+:class:`~repro.serve.batcher.MicroBatcher`, whose per-tenant lane runs a
+search at once when the tenant is idle and folds same-spec searches that
+queue while it is busy (bit-identically); everything else runs directly
+on the tenant's worker thread.  Admission control answers 429 with
 ``Retry-After`` once a tenant's in-flight cap is hit.  Error mapping:
 invalid tenant names and malformed requests are 400, unknown tenants
 and unknown workflow identifiers 404, unsalvageably corrupt tenant
@@ -25,8 +26,16 @@ surfaces as an error at all, because the service's own quarantine-and-
 rebuild ladder answers exactly (the response's diagnostics carry
 ``degraded`` instead).
 
-Graceful shutdown (:meth:`SimilarityServer.stop`): stop accepting, fire
-every open batch window immediately, wait for admitted work to drain
+Malformed HTTP is answered, never dropped: a request or header line
+over the stream limit (64 KiB), a malformed or negative
+``Content-Length`` and a garbled request line each get a protocol-level
+400 that carries an ``X-Request-Id`` and closes the connection.  A
+client's ``X-Request-Id`` is echoed only when it is a short token
+(1–64 letters, digits or ``._:-``); anything else gets a generated id,
+so a client cannot inject header lines into the response.
+
+Graceful shutdown (:meth:`SimilarityServer.stop`): stop accepting, wait
+for admitted work — executing or queued on a search lane — to drain
 (bounded by ``drain_timeout``), optionally persist each tenant's
 accumulated scores, close every tenant service on its own thread.
 """
@@ -36,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import re
 import signal
 import time
 import uuid
@@ -74,6 +84,10 @@ _REASONS = {
 }
 
 
+#: Client request ids echoed back verbatim; anything else is replaced.
+_REQUEST_ID = re.compile(r"[A-Za-z0-9._:-]{1,64}")
+
+
 class _HttpError(Exception):
     """Carries an HTTP status for protocol-level failures."""
 
@@ -97,8 +111,8 @@ async def _read_request(
 ) -> "tuple[str, str, dict[str, str], bytes] | None":
     """One HTTP/1.1 request, or ``None`` when the peer closed cleanly."""
     try:
-        line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+        line = await _read_line(reader, "request line")
+    except ConnectionResetError:
         return None
     if not line:
         return None
@@ -108,7 +122,7 @@ async def _read_request(
     method, target = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -117,10 +131,21 @@ async def _read_request(
         length = int(headers.get("content-length", "0") or "0")
     except ValueError as error:
         raise _HttpError(400, "malformed Content-Length") from error
+    if length < 0:
+        raise _HttpError(400, "negative Content-Length")
     if length > max_body:
         raise _HttpError(413, f"request body exceeds {max_body} bytes")
     body = await reader.readexactly(length) if length > 0 else b""
     return method, target, headers, body
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as error:
+        # StreamReader.readline reports a line over its limit as
+        # ValueError (not LimitOverrunError) after discarding the line.
+        raise _HttpError(400, f"{what} too long") from error
 
 
 def _write_response(
@@ -159,11 +184,7 @@ class SimilarityServer:
         # Never evict a tenant that still has admitted work: its worker
         # thread is busy and its caches are about to be read.
         self.tenants.is_idle = lambda name: self.admission.inflight(name) == 0
-        self.batcher = MicroBatcher(
-            window=config.batch_window,
-            max_requests=config.batch_max_requests,
-            metrics=self.metrics,
-        )
+        self.batcher = MicroBatcher(metrics=self.metrics)
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         self._stopped = False
@@ -205,9 +226,6 @@ class SimilarityServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Fire open batch windows now — drained requests must not sit
-        # out their window against a server that stopped accepting.
-        await self.batcher.flush()
         if drain:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.config.drain_timeout
@@ -253,7 +271,9 @@ class SimilarityServer:
                 if request is None:
                     break
                 method, target, headers, body = request
-                request_id = headers.get("x-request-id") or uuid.uuid4().hex[:16]
+                request_id = headers.get("x-request-id", "")
+                if not _REQUEST_ID.fullmatch(request_id):
+                    request_id = uuid.uuid4().hex[:16]
                 with self.tracer.span(
                     "serve.request",
                     parent=None,
@@ -480,8 +500,7 @@ async def _serve_until_signal(config: ServeConfig) -> int:
     console(
         f"serving {len(tenants)} tenant(s) {tenants} from {config.root} "
         f"on http://{config.host}:{server.port} "
-        f"(window {config.batch_window * 1000:.0f}ms, "
-        f"max in-flight {config.max_inflight}/tenant"
+        f"(max in-flight {config.max_inflight}/tenant"
         + (f", traces -> {config.trace_dir}" if config.trace_dir else "")
         + ")"
     )

@@ -7,6 +7,12 @@ same objects can safely be shared by every test that needs them.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import threading
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import SimilarityFramework
@@ -18,6 +24,7 @@ from repro.corpus import (
 )
 from repro.goldstandard import ExpertPanel, GoldStandardStudy
 from repro.repository import SimilaritySearchEngine
+from repro.serve import ServeClient
 from repro.workflow import WorkflowBuilder
 
 
@@ -186,3 +193,80 @@ def ranking_data(small_study):
 @pytest.fixture(scope="session")
 def search_engine(small_corpus):
     return SimilaritySearchEngine(small_corpus.repository)
+
+
+# -- serving: deterministic micro-batch folds ----------------------------------
+#
+# A tenant's search lane folds only the searches admitted while its
+# batch runs, so the serve tests make folds happen by holding the lane
+# busy rather than by racing a timer.
+
+#: A search under a fold key no serve-test payload uses (BT, k=1).
+PILOT_SEARCH = {"measure": {"name": "BT"}, "queries": ["1000"], "k": 1}
+
+
+async def until(predicate, *, timeout: float = 10.0) -> None:
+    """Yield to the event loop until ``predicate()`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"condition not reached within {timeout}s")
+        await asyncio.sleep(0.002)
+
+
+@contextlib.asynccontextmanager
+async def held_tenant_thread(server, tenant: str):
+    """Block ``tenant``'s worker thread until the block exits.
+
+    Requests admitted meanwhile stay in flight: a search dispatched onto
+    the tenant's lane waits for the thread like any other work.
+    """
+    runtime = await server.tenants.get(tenant)
+    gate = threading.Event()
+    blocker = asyncio.ensure_future(runtime.run(gate.wait))
+    try:
+        yield
+    finally:
+        gate.set()
+        await blocker
+
+
+async def search_in_order(server, tenant: str, payloads, *, while_held=None) -> list:
+    """POST each search payload, in order, while ``tenant``'s thread is held.
+
+    Each payload is admitted — hence queued on the tenant's lane — before
+    the next is sent.  The first goes onto the idle lane at once and then
+    waits for the thread, so the lane is busy and the rest queue by fold
+    key; lead with :data:`PILOT_SEARCH` to keep the lane busy under a key
+    no payload shares.  ``while_held`` is awaited, if given, before the
+    thread is released; the lane then runs the first search, and after it
+    the queued folds, oldest fold key first.  Returns every response, in
+    order.
+    """
+    path = f"/v1/{tenant}/search"
+    clients = [ServeClient("127.0.0.1", server.port) for _ in payloads]
+    tasks: "list[asyncio.Future]" = []
+    try:
+        async with held_tenant_thread(server, tenant):
+            for client, payload in zip(clients, payloads):
+                tasks.append(asyncio.ensure_future(client.post(path, payload)))
+                await until(lambda: server.admission.inflight(tenant) == len(tasks))
+            if while_held is not None:
+                await while_held()
+        return await asyncio.wait_for(asyncio.gather(*tasks), timeout=60.0)
+    finally:
+        for task in tasks:
+            task.cancel()
+        for client in clients:
+            await client.close()
+
+
+@pytest.fixture()
+def serve_lanes():
+    """Helpers that make serving concurrency deterministic (see above)."""
+    return SimpleNamespace(
+        PILOT_SEARCH=PILOT_SEARCH,
+        until=until,
+        held_tenant_thread=held_tenant_thread,
+        search_in_order=search_in_order,
+    )

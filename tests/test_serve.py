@@ -11,10 +11,16 @@ engine.  The load-bearing assertions mirror the serving contract:
 * requests under different measure specs never share a batch;
 * one tenant's corrupted store quarantines and rebuilds without
   touching another tenant;
+* a search on an idle tenant runs at once as its own batch; searches
+  queued while the tenant's lane is busy fold one batch per fold key,
+  oldest key first, and a failing fold fails only its own requests;
 * past the per-tenant in-flight cap the server answers 429 with
   ``Retry-After`` instead of queueing without bound;
-* graceful shutdown drains admitted work (open batch windows fire
-  immediately rather than waiting out their timers).
+* graceful shutdown drains admitted work, including searches still
+  queued on a lane.
+
+Folds are made deterministic by holding the tenant's lane busy (the
+``serve_lanes`` fixture), never by racing a timer.
 """
 
 from __future__ import annotations
@@ -98,6 +104,34 @@ def search_payload(query: str, measure: str = MEASURE, k: int = 5) -> dict:
     return {"measure": {"name": measure}, "queries": [query], "k": k}
 
 
+async def tenant_stats(server, tenant: str = "alpha"):
+    client = ServeClient("127.0.0.1", server.port)
+    try:
+        return await client.get(f"/v1/{tenant}/stats")
+    finally:
+        await client.close()
+
+
+def record_searches(runtime, *, fail_measure: "str | None" = None) -> list:
+    """Record ``(measure, queries)`` of every engine search the tenant
+    runs; searches under ``fail_measure`` raise instead."""
+    calls: list = []
+    search = runtime.service.search
+
+    def recording(request):
+        calls.append((request.measure.name, request.queries))
+        if request.measure.name == fail_measure:
+            raise RuntimeError("injected engine fault")
+        return search(request)
+
+    runtime.service.search = recording
+    return calls
+
+
+def has_fold_note(payload) -> bool:
+    return any("micro-batched" in note for note in payload["diagnostics"]["notes"])
+
+
 # -- tenant layout helpers ---------------------------------------------------
 
 
@@ -131,108 +165,212 @@ class TestTenantLayout:
 
 class TestMicroBatching:
     def test_folded_results_equal_sequential_bit_for_bit(
-        self, serve_root, alpha_expected
+        self, serve_root, alpha_expected, serve_lanes
     ):
         query_ids, expected = alpha_expected
 
         async def scenario(server):
-            clients = [ServeClient("127.0.0.1", server.port) for _ in query_ids]
-            try:
-                responses = await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
-                        for client, query in zip(clients, query_ids)
-                    ]
-                )
-                status, _, stats = await clients[0].get("/v1/alpha/stats")
-            finally:
-                for client in clients:
-                    await client.close()
-            return responses, (status, stats)
+            pilot, *responses = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [serve_lanes.PILOT_SEARCH, *[search_payload(q) for q in query_ids]],
+            )
+            return pilot, responses, await tenant_stats(server)
 
-        responses, (stats_status, stats) = run_serve(
-            serve_root, scenario, batch_window=0.25, batch_max_requests=64
-        )
+        pilot, responses, (stats_status, _, stats) = run_serve(serve_root, scenario)
+        assert pilot[0] == 200, pilot
         for query, (status, _headers, payload) in zip(query_ids, responses):
             assert status == 200, payload
             result = ResultSet.from_dict(payload)
             # The folded answer IS the per-request answer: same hits,
             # same scores, same ranks, same tie-breaks.
             assert result.result_tuples()[0] == expected[query]
-            notes = payload["diagnostics"]["notes"]
-            assert any("micro-batched" in note for note in notes), notes
+            assert has_fold_note(payload), payload["diagnostics"]["notes"]
         assert stats_status == 200
         batch = stats["batch"]
-        assert batch["batches"] < len(query_ids)
+        # The pilot's batch, then every queued request in ONE fold.
+        assert batch["batches"] == 2
+        assert batch["max_fold"] == len(query_ids)
         assert batch["fold_factor"] > 1.0
-        assert batch["folded_requests"] == len(query_ids)
+        assert batch["folded_requests"] == len(query_ids) + 1
         assert stats["latency_ms"]["p50"] is not None
         assert stats["latency_ms"]["p99"] is not None
         assert stats["qps"] > 0
 
-    def test_mixed_measure_specs_do_not_fold(self, serve_root, alpha_expected):
+    def test_mixed_measure_specs_do_not_fold(self, serve_root, alpha_expected, serve_lanes):
         query_ids, _ = alpha_expected
         measures = [MEASURE, "BW"]
 
         async def scenario(server):
-            clients = [ServeClient("127.0.0.1", server.port) for _ in measures]
-            try:
-                responses = await asyncio.gather(
-                    *[
-                        client.post(
-                            "/v1/alpha/search",
-                            search_payload(query_ids[0], measure=measure),
-                        )
-                        for client, measure in zip(clients, measures)
-                    ]
-                )
-                _, _, stats = await clients[0].get("/v1/alpha/stats")
-            finally:
-                for client in clients:
-                    await client.close()
-            return responses, stats
+            _pilot, *responses = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [
+                    serve_lanes.PILOT_SEARCH,
+                    *[search_payload(query_ids[0], measure=m) for m in measures],
+                ],
+            )
+            return responses, (await tenant_stats(server))[2]
 
-        responses, stats = run_serve(
-            serve_root, scenario, batch_window=0.25, batch_max_requests=64
-        )
+        responses, stats = run_serve(serve_root, scenario)
         for measure, (status, _headers, payload) in zip(measures, responses):
             assert status == 200, payload
             assert payload["queries"][0]["measure"] == measure
-            notes = payload["diagnostics"]["notes"]
-            assert not any("micro-batched" in note for note in notes), notes
-        # Two requests under two measure specs: two engine batches of one.
-        assert stats["batch"]["batches"] == 2
+            assert not has_fold_note(payload), payload["diagnostics"]["notes"]
+        # Queued together, two measure specs still ran as two engine
+        # batches of one (after the pilot's).
+        assert stats["batch"]["batches"] == 3
         assert stats["batch"]["max_fold"] == 1
         assert stats["batch"]["fold_factor"] == 1.0
 
-    def test_batch_window_fires_early_at_max_requests(self, serve_root, alpha_expected):
+    def test_fold_is_bounded_by_the_admission_cap(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
         query_ids, expected = alpha_expected
+        over_cap = []
+
+        async def one_more(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                over_cap.append(
+                    await client.post("/v1/alpha/search", search_payload(query_ids[4]))
+                )
+            finally:
+                await client.close()
 
         async def scenario(server):
-            clients = [ServeClient("127.0.0.1", server.port) for _ in query_ids[:4]]
-            try:
-                started = time.perf_counter()
-                responses = await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
-                        for client, query in zip(clients, query_ids[:4])
-                    ]
-                )
-                elapsed = time.perf_counter() - started
-            finally:
-                for client in clients:
-                    await client.close()
-            return responses, elapsed
+            started = time.perf_counter()
+            _pilot, *responses = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [serve_lanes.PILOT_SEARCH, *[search_payload(q) for q in query_ids[:4]]],
+                while_held=lambda: one_more(server),
+            )
+            elapsed = time.perf_counter() - started
+            return responses, elapsed, (await tenant_stats(server))[2]
 
-        # Window of 30s would time the test out unless max_requests=4
-        # fires the batch as soon as the fourth request joins.
-        responses, elapsed = run_serve(
-            serve_root, scenario, batch_window=30.0, batch_max_requests=4
-        )
+        # The pilot plus four queued searches fill a cap of five: a sixth
+        # search is refused, so no fold can outgrow the cap.
+        responses, elapsed, stats = run_serve(serve_root, scenario, max_inflight=5)
         assert elapsed < 10.0
+        assert over_cap[0][0] == 429
         for query, (status, _headers, payload) in zip(query_ids[:4], responses):
             assert status == 200
             assert ResultSet.from_dict(payload).result_tuples()[0] == expected[query]
+        assert stats["batch"]["max_fold"] == 4
+
+
+class TestSearchLane:
+    def test_lone_request_on_an_idle_lane_runs_as_its_own_batch(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
+        query_ids, expected = alpha_expected
+        queries = query_ids[:2]
+
+        async def scenario(server):
+            calls = record_searches(await server.tenants.get("alpha"))
+            responses = await serve_lanes.search_in_order(
+                server, "alpha", [search_payload(query) for query in queries]
+            )
+            return calls, responses, (await tenant_stats(server))[2]
+
+        calls, responses, stats = run_serve(serve_root, scenario)
+        # The first search left for the engine the moment it arrived, without
+        # waiting for company; the second queued behind it and ran alone too.
+        assert calls == [(MEASURE, (queries[0],)), (MEASURE, (queries[1],))]
+        for query, (status, _headers, payload) in zip(queries, responses):
+            assert status == 200, payload
+            assert ResultSet.from_dict(payload).result_tuples()[0] == expected[query]
+            assert not has_fold_note(payload), payload["diagnostics"]["notes"]
+        assert stats["batch"]["batches"] == 2
+        assert stats["batch"]["max_fold"] == 1
+
+    def test_busy_lane_folds_one_batch_per_key_oldest_first(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
+        query_ids, expected = alpha_expected
+        measures = [MEASURE, "BW", MEASURE, "BW", MEASURE]
+        queries = query_ids[: len(measures)]
+        direct = SimilarityService.open(cache_dir=serve_root / "alpha")
+        bw_expected = {
+            query: direct.search(
+                SearchRequest(measure="BW", queries=[query], k=5)
+            ).result_tuples()[0]
+            for query, measure in zip(queries, measures)
+            if measure == "BW"
+        }
+        direct.close()
+
+        async def scenario(server):
+            calls = record_searches(await server.tenants.get("alpha"))
+            _pilot, *responses = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [
+                    serve_lanes.PILOT_SEARCH,
+                    *[search_payload(q, measure=m) for q, m in zip(queries, measures)],
+                ],
+            )
+            return calls, responses, (await tenant_stats(server))[2]
+
+        calls, responses, stats = run_serve(serve_root, scenario)
+        ms_queries = tuple(q for q, m in zip(queries, measures) if m == MEASURE)
+        bw_queries = tuple(q for q, m in zip(queries, measures) if m == "BW")
+        # After the pilot, one engine batch per fold key: the MS key's
+        # oldest request arrived first, so its fold ran first.
+        assert calls[1:] == [(MEASURE, ms_queries), ("BW", bw_queries)]
+        for query, measure, (status, _headers, payload) in zip(queries, measures, responses):
+            assert status == 200, payload
+            truth = expected if measure == MEASURE else bw_expected
+            assert ResultSet.from_dict(payload).result_tuples()[0] == truth[query]
+            fold = len(ms_queries) if measure == MEASURE else len(bw_queries)
+            assert any(
+                f"folded {fold} requests" in note for note in payload["diagnostics"]["notes"]
+            ), payload["diagnostics"]["notes"]
+        assert stats["batch"]["batches"] == 3
+        assert stats["batch"]["folded_requests"] == len(queries) + 1
+
+    @pytest.mark.parametrize("fault", ["engine", "diagnostics"])
+    def test_failed_fold_answers_500_and_the_lane_moves_on(
+        self, serve_root, alpha_expected, serve_lanes, fault
+    ):
+        query_ids, expected = alpha_expected
+        measures = ["BW", "BW", MEASURE, MEASURE]
+        queries = query_ids[: len(measures)]
+
+        async def scenario(server):
+            runtime = await server.tenants.get("alpha")
+            if fault == "engine":
+                record_searches(runtime, fail_measure="BW")
+            else:
+                # A fault after the engine call, in the per-request copy.
+                copy = server.batcher._request_diagnostics
+
+                def failing_copy(folded_set, *args):
+                    if folded_set.queries[0].measure == "BW":
+                        raise RuntimeError("injected diagnostics fault")
+                    return copy(folded_set, *args)
+
+                server.batcher._request_diagnostics = failing_copy
+            return await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [
+                    serve_lanes.PILOT_SEARCH,
+                    *[search_payload(q, measure=m) for q, m in zip(queries, measures)],
+                ],
+            )
+
+        pilot, *responses = run_serve(serve_root, scenario)
+        assert pilot[0] == 200
+        for query, measure, (status, _headers, payload) in zip(queries, measures, responses):
+            if measure == "BW":
+                assert status == 500, payload
+                assert "injected" in payload["error"]
+            else:
+                # The fold queued behind the failed one still answers.
+                assert status == 200, payload
+                assert ResultSet.from_dict(payload).result_tuples()[0] == expected[query]
 
 
 # -- other operations --------------------------------------------------------
@@ -471,27 +609,34 @@ class TestTenantIsolation:
 
 
 class TestAdmission:
-    def test_over_cap_requests_get_429_with_retry_after(self, serve_root, alpha_expected):
+    def test_over_cap_requests_get_429_with_retry_after(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
         query_ids, _ = alpha_expected
 
         async def scenario(server):
             clients = [ServeClient("127.0.0.1", server.port) for _ in range(5)]
             try:
-                responses = await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
+                async with serve_lanes.held_tenant_thread(server, "alpha"):
+                    tasks = [
+                        asyncio.ensure_future(
+                            client.post("/v1/alpha/search", search_payload(query))
+                        )
                         for client, query in zip(clients, query_ids)
                     ]
-                )
+                    # The one admitted search waits for the held thread;
+                    # the other four are answered at once.
+                    await serve_lanes.until(
+                        lambda: sum(task.done() for task in tasks) == 4
+                    )
+                responses = await asyncio.gather(*tasks)
                 _, _, stats = await clients[0].get("/v1/alpha/stats")
             finally:
                 for client in clients:
                     await client.close()
             return responses, stats
 
-        responses, stats = run_serve(
-            serve_root, scenario, max_inflight=1, batch_window=0.3
-        )
+        responses, stats = run_serve(serve_root, scenario, max_inflight=1)
         statuses = sorted(status for status, _headers, _payload in responses)
         assert statuses.count(200) == 1
         assert statuses.count(429) == 4
@@ -500,25 +645,32 @@ class TestAdmission:
                 assert headers["retry-after"] == str(payload["retry_after_seconds"])
         assert stats["rejections"] == 4
 
-    def test_load_beneath_cap_is_never_rejected(self, serve_root, alpha_expected):
+    def test_load_beneath_cap_is_never_rejected(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
         query_ids, expected = alpha_expected
 
         async def scenario(server):
             clients = [ServeClient("127.0.0.1", server.port) for _ in query_ids]
             try:
-                return await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
+                async with serve_lanes.held_tenant_thread(server, "alpha"):
+                    tasks = [
+                        asyncio.ensure_future(
+                            client.post("/v1/alpha/search", search_payload(query))
+                        )
                         for client, query in zip(clients, query_ids)
                     ]
-                )
+                    # Every request is admitted and in flight at once: the
+                    # load sits exactly at the cap.
+                    await serve_lanes.until(
+                        lambda: server.admission.inflight("alpha") == len(query_ids)
+                    )
+                return await asyncio.gather(*tasks)
             finally:
                 for client in clients:
                     await client.close()
 
-        responses = run_serve(
-            serve_root, scenario, max_inflight=len(query_ids), batch_window=0.05
-        )
+        responses = run_serve(serve_root, scenario, max_inflight=len(query_ids))
         for query, (status, _headers, payload) in zip(query_ids, responses):
             assert status == 200
             assert ResultSet.from_dict(payload).result_tuples()[0] == expected[query]
@@ -528,33 +680,34 @@ class TestAdmission:
 
 
 class TestGracefulShutdown:
-    def test_stop_drains_pending_batch_window(self, serve_root, alpha_expected):
+    def test_stop_drains_work_queued_on_a_lane(
+        self, serve_root, alpha_expected, serve_lanes
+    ):
         query_ids, expected = alpha_expected
+        stopping = []
 
         async def scenario_runner():
-            config = ServeConfig(
-                root=str(serve_root), port=0, batch_window=2.0, batch_max_requests=64
-            )
-            server = SimilarityServer(config)
+            server = SimilarityServer(ServeConfig(root=str(serve_root), port=0))
             await server.start()
-            client = ServeClient("127.0.0.1", server.port)
-            started = time.perf_counter()
-            pending = asyncio.create_task(
-                client.post("/v1/alpha/search", search_payload(query_ids[0]))
-            )
-            # Let the request reach the server and sit in its 2s window.
-            await asyncio.sleep(0.15)
-            await server.stop()  # must fire the window, not wait it out
-            status, _headers, payload = await pending
-            elapsed = time.perf_counter() - started
-            await client.close()
-            return status, payload, elapsed
 
-        status, payload, elapsed = asyncio.run(scenario_runner())
+            async def stop_while_queued():
+                stopping.append(asyncio.ensure_future(server.stop()))
+                await asyncio.sleep(0.1)
+                # stop() is waiting for the admitted, still-queued search.
+                assert not stopping[0].done()
+
+            _pilot, response = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [serve_lanes.PILOT_SEARCH, search_payload(query_ids[0])],
+                while_held=stop_while_queued,
+            )
+            await stopping[0]
+            return response
+
+        status, _headers, payload = asyncio.run(scenario_runner())
         assert status == 200, payload
         assert ResultSet.from_dict(payload).result_tuples()[0] == expected[query_ids[0]]
-        # Drained well before the 2s batch window would have expired.
-        assert elapsed < 1.5
 
     def test_stop_is_idempotent(self, serve_root):
         async def scenario(server):

@@ -2,9 +2,11 @@
 
 What the tracing + metrics PR promises, asserted end to end:
 
-* every response carries ``X-Request-Id`` (echoed from the client or
-  generated) — including 429 rejections, error mappings and even
-  protocol-level 400s — and JSON error bodies repeat it;
+* every response carries ``X-Request-Id`` (echoed from the client when
+  it is a short token, generated otherwise) — including 429
+  rejections, error mappings and even protocol-level 400s for garbled,
+  oversized or negative-length input — and JSON error bodies repeat
+  it;
 * a traced request's ``X-Trace-Id`` equals its diagnostics
   ``trace_id`` and resolves through ``Tracer.export_trace`` into a span
   tree that follows the request across every layer: server → tenant
@@ -13,6 +15,9 @@ What the tracing + metrics PR promises, asserted end to end:
   linked to all N request spans, every request's trace resolves the
   shared subtree, and the answers stay bit-identical to the sequential
   reference;
+* under fractional sampling, a fold queued behind a sampled request
+  records nothing into that request's trace and leaves no span
+  unflushed;
 * ``GET /metrics`` serves the process-wide registry in Prometheus text
   format;
 * with ``trace_sample=0`` nothing records, no trace header appears,
@@ -154,25 +159,28 @@ class TestRequestCorrelation:
             assert "error" in payload
             assert payload["request_id"] == headers["x-request-id"]
 
-    def test_429_rejections_carry_request_ids(self, obs_root, expected):
+    def test_429_rejections_carry_request_ids(self, obs_root, expected, serve_lanes):
         query_ids, _ = expected
 
         async def scenario(server):
             clients = [ServeClient("127.0.0.1", server.port) for _ in range(5)]
             try:
-                return await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
+                async with serve_lanes.held_tenant_thread(server, "alpha"):
+                    tasks = [
+                        asyncio.ensure_future(
+                            client.post("/v1/alpha/search", search_payload(query))
+                        )
                         for client, query in zip(clients, query_ids)
                     ]
-                )
+                    await serve_lanes.until(
+                        lambda: sum(task.done() for task in tasks) == 4
+                    )
+                return await asyncio.gather(*tasks)
             finally:
                 for client in clients:
                     await client.close()
 
-        responses = run_serve(
-            obs_root, scenario, max_inflight=1, batch_window=0.3
-        )
+        responses = run_serve(obs_root, scenario, max_inflight=1)
         rejected = [r for r in responses if r[0] == 429]
         assert len(rejected) == 4
         seen = set()
@@ -180,6 +188,81 @@ class TestRequestCorrelation:
             assert payload["request_id"] == headers["x-request-id"]
             seen.add(headers["x-request-id"])
         assert len(seen) == 4  # ids are per-request, not per-connection
+
+    def test_unsafe_client_request_id_is_replaced(self, obs_root):
+        # A bare CR inside the value would otherwise be echoed into the
+        # response head, splitting it for a lenient client.
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    b"GET /healthz HTTP/1.1\r\n"
+                    b"X-Request-Id: abc\rSet-Cookie: pwned=1\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), timeout=10.0)
+            finally:
+                writer.close()
+
+        head, _, _body = run_serve(obs_root, scenario).partition(b"\r\n\r\n")
+        assert b"200" in head.split(b"\r\n")[0]
+        assert b"pwned" not in head and b"Set-Cookie" not in head
+        (generated,) = [
+            line.split(b":", 1)[1].strip()
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"x-request-id:")
+        ]
+        assert len(generated) == 16
+        int(generated, 16)  # a generated hex id, not the client's value
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "request line too long"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+                "header line too long",
+            ),
+            (
+                b"POST /v1/alpha/search HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\n\r\n",
+                "negative Content-Length",
+            ),
+        ],
+        ids=["long-request-line", "long-header-line", "negative-content-length"],
+    )
+    def test_malformed_input_gets_a_protocol_400(self, obs_root, serve_lanes, raw, reason):
+        loop_errors = []
+
+        async def scenario(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(raw)
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=10.0)
+            finally:
+                writer.close()
+            # The server's connection task has finished (it closed first).
+            await serve_lanes.until(lambda: not server._connections)
+            return response
+
+        response = run_serve(obs_root, scenario)
+        head, _, body = response.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert b"400" in lines[0], head
+        assert b"Connection: close" in lines
+        assert b"X-Request-Id:" in head
+        payload = json.loads(body)
+        assert payload["request_id"]
+        assert reason in payload["error"]
+        # One answer for one request: bytes after the bad head were not
+        # parsed as a second request.
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert loop_errors == []
 
     def test_protocol_errors_are_correlatable_too(self, obs_root):
         async def scenario(server):
@@ -269,29 +352,60 @@ class TestTracing:
             assert payload["diagnostics"]["trace_id"] is None
             assert ResultSet.from_dict(payload).result_tuples()[0] == truth[query]
 
+    def test_fold_queued_behind_a_sampled_request_stays_out_of_its_trace(
+        self, obs_root, expected, serve_lanes
+    ):
+        """Fractional sampling: a sampled pilot holds the lane and an
+        unsampled search queues behind it.  The queued fold runs in its
+        own request's context, so none of its spans joins the pilot's
+        trace (answered before the fold ran) and no span is left live."""
+        query_ids, truth = expected
+
+        async def scenario(server):
+            # Sample a root only while the tenant has nothing in flight:
+            # the pilot's request is sampled; the queued search's request
+            # and every root its fold opens come later, and are not.
+            server.tracer._random = lambda: (
+                0.0 if server.admission.inflight("alpha") == 0 else 0.99
+            )
+            pilot, queued = await serve_lanes.search_in_order(
+                server, "alpha", [serve_lanes.PILOT_SEARCH, search_payload(query_ids[0])]
+            )
+            pilot_trace = pilot[1]["x-trace-id"]
+            return pilot, queued, server.tracer.export_trace(pilot_trace), server.tracer
+
+        pilot, queued, pilot_tree, tracer = run_serve(obs_root, scenario, trace_sample=0.5)
+        assert pilot[0] == 200
+        pilot_trace = pilot[1]["x-trace-id"]
+        assert pilot[2]["diagnostics"]["trace_id"] == pilot_trace
+        status, headers, payload = queued
+        assert status == 200, payload
+        assert ResultSet.from_dict(payload).result_tuples()[0] == truth[query_ids[0]]
+        assert "x-trace-id" not in headers
+        assert payload["diagnostics"]["trace_id"] != pilot_trace
+        assert payload["diagnostics"]["trace_id"] is None
+        # The pilot's trace holds its own fold and nothing of the next one.
+        assert names_of(pilot_tree).count("service.search") == 1, names_of(pilot_tree)
+        # Every recorded span reached a finished trace.
+        assert tracer._live == {}
+
 
 # -- micro-batch fold fan-in (the satellite) ---------------------------------
 
 
 class TestFoldTraceFanIn:
     def test_one_batch_span_fans_into_every_request_trace(
-        self, obs_root, expected
+        self, obs_root, expected, serve_lanes
     ):
         query_ids, truth = expected
         fold = len(query_ids)
 
         async def scenario(server):
-            clients = [ServeClient("127.0.0.1", server.port) for _ in query_ids]
-            try:
-                responses = await asyncio.gather(
-                    *[
-                        client.post("/v1/alpha/search", search_payload(query))
-                        for client, query in zip(clients, query_ids)
-                    ]
-                )
-            finally:
-                for client in clients:
-                    await client.close()
+            _pilot, *responses = await serve_lanes.search_in_order(
+                server,
+                "alpha",
+                [serve_lanes.PILOT_SEARCH, *[search_payload(q) for q in query_ids]],
+            )
             trees = {
                 headers["x-trace-id"]: server.tracer.export_trace(
                     headers["x-trace-id"]
@@ -300,11 +414,9 @@ class TestFoldTraceFanIn:
             }
             return responses, trees
 
-        # A 30s window that can only fire by reaching max_requests=N
-        # guarantees one deterministic batch of exactly N requests.
-        responses, trees = run_serve(
-            obs_root, scenario, batch_window=30.0, batch_max_requests=fold
-        )
+        # All N requests queue behind the busy lane, which then runs them
+        # as one deterministic batch of exactly N.
+        responses, trees = run_serve(obs_root, scenario)
 
         trace_ids = []
         for query, (status, headers, payload) in zip(query_ids, responses):
