@@ -26,9 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -56,37 +54,6 @@ def _result_digest(result_set) -> str:
     """A stable fingerprint of the full ranked payload (ids, scores,
     ranks) for cross-process identity checks."""
     return hashlib.sha256(repr(result_set.result_tuples()).encode("utf-8")).hexdigest()
-
-
-def _rss_probe_child(args: argparse.Namespace) -> int:
-    """Child mode of the sql-pushdown section: open the store, run the
-    probe searches, report peak RSS.  ``ru_maxrss`` is monotonic per
-    process, so each admission tier must be measured in its own process
-    (the parent sets ``REPRO_FORCE_SQL_ADMISSION`` to pick the tier)."""
-    import resource
-
-    service = SimilarityService.open(
-        cache_dir=Path(args.rss_cache_dir), framework=SimilarityFramework()
-    )
-    query_ids = service.repository.identifiers()[: args.queries]
-    report: dict = {"measures": {}}
-    for measure in ("BW", args.measure):
-        result = service.search(
-            SearchRequest(measure=measure, queries=query_ids, k=args.k)
-        )
-        report["measures"][measure] = {
-            "path": result.diagnostics.path,
-            "index_candidates": result.diagnostics.index_candidates,
-            "seconds": result.diagnostics.seconds,
-            "digest": _result_digest(result),
-        }
-    report["index_materialized"] = (
-        service.index is not None or service.label_bags is not None
-    )
-    report["max_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    service.close()
-    print(json.dumps(report))
-    return 0
 
 
 def run_benchmark(args: argparse.Namespace) -> dict:
@@ -145,7 +112,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     print(f"  speedup: {speedup:.1f}x  identical results: {identical}")
 
     # -- warm start: persist, "restart", reopen from disk --------------------
-    # The fast service's caches (plus snapshot and inverted index) go to
+    # The fast service's caches (plus snapshot and postings) go to
     # a store directory; a brand-new service opened over that directory
     # stands in for a restarted process.  Cold = the first fast run
     # above (empty caches); warm = the same request served from the
@@ -177,7 +144,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
             f"identical: {warm_identical})"
         )
 
-        # Annotation preselection over the persisted inverted index.
+        # Annotation preselection over the persisted postings.
         bw_request = SearchRequest(measure="BW", queries=query_ids, k=args.k)
         bw_indexed_set = warm_service.search(bw_request)
         bw_sequential_set = warm_service.search(
@@ -274,15 +241,13 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     )
 
     # -- certified-bounds section --------------------------------------------
-    # The three routes the unified CertifiedBound layer newly covers:
-    # pruned PS (path-matching bound), a composed ensemble bound, and
-    # the label-char-bag indexed MS prefilter.  Each is timed against
-    # the sequential reference and must stay bit-identical.
+    # Two routes of the unified CertifiedBound layer: pruned PS
+    # (path-matching bound) and a composed ensemble bound.  Each is
+    # timed against the sequential reference and must stay bit-identical.
     bounds_report = {}
-    for bench_measure, bench_label, wants_index in (
-        ("PS_ip_te_pll", "pruned_ps", False),
-        ("BW+MS_ip_te_pll", "ensemble", False),
-        ("MS_ip_te_pll", "indexed_ms", True),
+    for bench_measure, bench_label in (
+        ("PS_ip_te_pll", "pruned_ps"),
+        ("BW+MS_ip_te_pll", "ensemble"),
     ):
         levenshtein_similarity.cache_clear()
         reference_service = SimilarityService(repository, framework=SimilarityFramework())
@@ -296,8 +261,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         )
         levenshtein_similarity.cache_clear()
         bound_service = SimilarityService(repository, framework=SimilarityFramework())
-        if wants_index:
-            bound_service.build_index()
         bound_set = bound_service.search(
             SearchRequest(measure=bench_measure, queries=query_ids, k=args.k)
         )
@@ -326,20 +289,16 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         )
 
     # -- sql-pushdown section ------------------------------------------------
-    # The SQL admission tier answers preselection straight from the
-    # persisted postings, so a warm process never materializes the
-    # in-memory index.  Peak RSS is compared across two child processes
-    # over the same store — one forced onto the SQL tier, one onto the
-    # in-memory tier — because ru_maxrss is monotonic within a process.
+    # A service reopened over an indexed store answers BW admission in
+    # SQL from the persisted postings; MS has no admission and runs the
+    # frontier-pruned scan.  Both must match the sequential reference.
     sql_dir = Path(tempfile.mkdtemp(prefix="repro-bench-sqltier-"))
     try:
         setup_service = SimilarityService(repository, framework=SimilarityFramework())
         setup_service.attach_cache_dir(sql_dir)
         setup_service.build_index()
-        setup_service.persist()
         setup_service.close()
 
-        sequential_digests = {"BW": None, args.measure: _result_digest(seed_set)}
         bw_reference = SimilarityService(
             repository, framework=SimilarityFramework()
         ).search(
@@ -350,65 +309,41 @@ def run_benchmark(args: argparse.Namespace) -> dict:
                 policy=ExecutionPolicy.sequential(),
             )
         )
-        sequential_digests["BW"] = _result_digest(bw_reference)
-
-        probes = {}
-        for tier, forced in (("sql", "1"), ("memory", "0")):
-            child_env = dict(os.environ, REPRO_FORCE_SQL_ADMISSION=forced)
-            completed = subprocess.run(
-                [
-                    sys.executable,
-                    str(Path(__file__).resolve()),
-                    "--rss-probe",
-                    "--rss-cache-dir",
-                    str(sql_dir),
-                    "--queries",
-                    str(args.queries),
-                    "-k",
-                    str(args.k),
-                    "--measure",
-                    args.measure,
-                ],
-                env=child_env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            probes[tier] = json.loads(completed.stdout.splitlines()[-1])
-
-        sql_identical = all(
-            probes["sql"]["measures"][m]["digest"] == sequential_digests[m]
-            and probes["memory"]["measures"][m]["digest"] == sequential_digests[m]
-            for m in sequential_digests
+        references = {"BW": bw_reference, args.measure: seed_set}
+        expected_paths = {"BW": "sql-indexed", args.measure: "pruned"}
+        sql_service = SimilarityService.open(
+            cache_dir=sql_dir, framework=SimilarityFramework()
         )
-        sql_paths_ok = (
-            all(
-                section["path"] == "sql-indexed"
-                for section in probes["sql"]["measures"].values()
+        measures = {}
+        for measure, reference in references.items():
+            result = sql_service.search(
+                SearchRequest(measure=measure, queries=query_ids, k=args.k)
             )
-            and all(
-                section["path"] == "indexed"
-                for section in probes["memory"]["measures"].values()
-            )
-            and not probes["sql"]["index_materialized"]
-            and probes["memory"]["index_materialized"]
-        )
-        rss_delta_kb = probes["memory"]["max_rss_kb"] - probes["sql"]["max_rss_kb"]
+            digest = _result_digest(result)
+            measures[measure] = {
+                "path": result.diagnostics.path,
+                "index_candidates": result.diagnostics.index_candidates,
+                "seconds": result.diagnostics.seconds,
+                "digest": digest,
+                "identical": digest == _result_digest(reference),
+            }
+        sql_service.close()
         sql_pushdown = {
             "queries": len(query_ids),
-            "sql": probes["sql"],
-            "memory": probes["memory"],
-            "rss_delta_kb": rss_delta_kb,
-            "identical": sql_identical,
-            "paths_ok": sql_paths_ok,
+            "measures": measures,
+            "identical": all(section["identical"] for section in measures.values()),
+            "paths_ok": all(
+                section["path"] == expected_paths[measure]
+                for measure, section in measures.items()
+            ),
         }
         print(
-            f"  sql pushdown: sql tier "
-            f"{probes['sql']['max_rss_kb']} kB peak RSS vs in-memory "
-            f"{probes['memory']['max_rss_kb']} kB (delta {rss_delta_kb} kB), "
-            f"candidates "
-            f"{[s['index_candidates'] for s in probes['sql']['measures'].values()]}, "
-            f"identical: {sql_identical}, paths ok: {sql_paths_ok}"
+            "  sql pushdown: "
+            + ", ".join(
+                f"{measure} {section['path']} ({section['index_candidates']} candidates)"
+                for measure, section in measures.items()
+            )
+            + f", identical: {sql_pushdown['identical']}, paths ok: {sql_pushdown['paths_ok']}"
         )
     finally:
         shutil.rmtree(sql_dir, ignore_errors=True)
@@ -474,16 +409,7 @@ def main(argv=None) -> int:
         default=0.0,
         help="exit non-zero if the search speedup falls below this factor",
     )
-    parser.add_argument(
-        "--rss-probe",
-        action="store_true",
-        help="internal: run as a peak-RSS probe child over --rss-cache-dir",
-    )
-    parser.add_argument("--rss-cache-dir", default=None, help="internal: probe store")
     args = parser.parse_args(argv)
-
-    if args.rss_probe:
-        return _rss_probe_child(args)
 
     report = run_benchmark(args)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
@@ -519,11 +445,9 @@ def main(argv=None) -> int:
             return 2
     sql_pushdown = report["sql_pushdown"]
     if not sql_pushdown["identical"] or not sql_pushdown["paths_ok"]:
-        # Identity and tier routing are hard gates; the RSS delta is
-        # recorded for the perf trajectory but never fails the run.
         print(
             "FAIL: sql-pushdown admission differs from the reference path "
-            "or did not stay on its forced tier",
+            "or ran off its expected tier",
             file=sys.stderr,
         )
         return 2

@@ -17,10 +17,11 @@ batch answering differently than the same request alone — fails the run
 concurrency (the micro-batcher would be dead weight).
 
 A final section times an identical serial workload with tracing enabled
-(``trace_sample=1.0``) and disabled (``trace_sample=0.0``): the report's
-``obs`` block records ``enabled_ms`` / ``disabled_ms`` (min of
-``--obs-repeats`` passes each) and the run fails if tracing costs more
-than 5% or changes any response byte.
+(``trace_sample=1.0``) and disabled (``trace_sample=0.0``), alternating
+the two modes pass by pass: the report's ``obs`` block records
+``enabled_ms`` / ``disabled_ms`` (min of ``--obs-repeats`` passes each)
+and the run fails if tracing costs more than 5% or changes any response
+byte.
 
 Usage::
 
@@ -55,6 +56,7 @@ from repro.api import (  # noqa: E402
     SimilarityService,
 )
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus  # noqa: E402
+from repro.obs.tracing import NULL_TRACER, set_tracer  # noqa: E402
 from repro.serve import ServeClient, ServeConfig, SimilarityServer  # noqa: E402
 from repro.store import discover_tenants  # noqa: E402
 
@@ -194,63 +196,67 @@ async def measure_obs_overhead(
 ) -> dict:
     """Time an identical serial workload with tracing on and off.
 
-    Each mode gets its own server (the tracer is process-global while a
-    server runs, so the modes cannot share a process concurrently): one
-    warm-up pass that also checks every response against the sequential
-    reference, then ``--obs-repeats`` timed passes with the *minimum*
-    wall time kept — min-of-repeats is the standard defence against
-    scheduler noise when the gate is a few percent.
+    One server runs both modes.  Before each pass the benchmark installs
+    that mode's tracer as both the server's and the process-wide one:
+    the recording tracer a ``trace_sample=1.0`` server starts with, or
+    the null tracer a ``trace_sample=0.0`` server keeps.  The modes then
+    alternate pass by pass (enabled, disabled, enabled, …), so load that
+    drifts on a shared machine falls on both alike.  One untimed warm-up
+    pass per mode checks every response against the sequential
+    reference; each mode keeps the *minimum* wall time of its
+    ``--obs-repeats`` timed passes — min-of-repeats is the standard
+    defence against scheduler noise when the gate is a few percent.
     """
-    timings: "dict[str, float]" = {}
+    config = ServeConfig(root=str(root), port=0, max_inflight=64, trace_sample=1.0)
+    server = SimilarityServer(config)
+    tracers = {"enabled": server.tracer, "disabled": NULL_TRACER}
+    passes: "dict[str, list[float]]" = {mode: [] for mode in tracers}
     mismatches: "list[str]" = []
-    for mode, sample in (("enabled", 1.0), ("disabled", 0.0)):
-        config = ServeConfig(
-            root=str(root),
-            port=0,
-            max_inflight=64,
-            trace_sample=sample,
-        )
-        server = SimilarityServer(config)
-        await server.start()
+    await server.start()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
         try:
-            client = ServeClient("127.0.0.1", server.port)
-            try:
 
-                async def one_pass(check: bool) -> float:
-                    started = time.perf_counter()
-                    for index in range(args.obs_requests):
-                        query_id = query_ids[index % len(query_ids)]
-                        payload = {
-                            "measure": {"name": args.measure},
-                            "queries": [query_id],
-                            "k": args.k,
-                        }
-                        status, _headers, body = await client.post(
-                            f"/v1/{tenant}/search", payload
-                        )
-                        if status != 200:
-                            mismatches.append(f"{mode}:{query_id}: HTTP {status}")
-                        elif check:
-                            answered = ResultSet.from_dict(body).result_tuples()[0]
-                            if answered != reference[query_id]:
-                                mismatches.append(f"{mode}:{query_id}")
-                    return time.perf_counter() - started
+            async def one_pass(mode: str, check: bool) -> float:
+                server.tracer = tracers[mode]
+                set_tracer(tracers[mode])
+                started = time.perf_counter()
+                for index in range(args.obs_requests):
+                    query_id = query_ids[index % len(query_ids)]
+                    payload = {
+                        "measure": {"name": args.measure},
+                        "queries": [query_id],
+                        "k": args.k,
+                    }
+                    status, _headers, body = await client.post(
+                        f"/v1/{tenant}/search", payload
+                    )
+                    if status != 200:
+                        mismatches.append(f"{mode}:{query_id}: HTTP {status}")
+                    elif check:
+                        answered = ResultSet.from_dict(body).result_tuples()[0]
+                        if answered != reference[query_id]:
+                            mismatches.append(f"{mode}:{query_id}")
+                return (time.perf_counter() - started) * 1000.0
 
-                await one_pass(check=True)
-                best = min(
-                    [await one_pass(check=False) for _ in range(args.obs_repeats)]
-                )
-                timings[mode] = best * 1000.0
-            finally:
-                await client.close()
+            for mode in tracers:
+                await one_pass(mode, check=True)
+            for _ in range(args.obs_repeats):
+                for mode in tracers:
+                    passes[mode].append(await one_pass(mode, check=False))
         finally:
-            await server.stop()
-    ratio = timings["enabled"] / timings["disabled"] if timings["disabled"] else None
+            await client.close()
+    finally:
+        await server.stop()
+    enabled, disabled = min(passes["enabled"]), min(passes["disabled"])
+    ratio = enabled / disabled if disabled else None
     return {
         "requests_per_pass": args.obs_requests,
         "timed_repeats": args.obs_repeats,
-        "enabled_ms": round(timings["enabled"], 3),
-        "disabled_ms": round(timings["disabled"], 3),
+        "enabled_passes_ms": [round(value, 3) for value in passes["enabled"]],
+        "disabled_passes_ms": [round(value, 3) for value in passes["disabled"]],
+        "enabled_ms": round(enabled, 3),
+        "disabled_ms": round(disabled, 3),
         "overhead_ratio": round(ratio, 4) if ratio is not None else None,
         "mismatches": mismatches,
         "identical": not mismatches,
@@ -422,8 +428,9 @@ def main() -> int:
     parser.add_argument(
         "--obs-repeats",
         type=int,
-        default=3,
-        help="timed passes per tracing mode (minimum wall time is kept)",
+        default=10,
+        help="timed passes per tracing mode, alternating with the other "
+        "mode (minimum wall time is kept)",
     )
     parser.add_argument("--output", default=str(_ROOT / "BENCH_serve.json"))
     args = parser.parse_args()

@@ -34,7 +34,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus  # noqa: E402
 from repro.store import RetryPolicy, WorkflowStore  # noqa: E402
-from repro.store.inverted_index import InvertedAnnotationIndex  # noqa: E402
 
 
 def _fingerprint(index: int) -> tuple[str, ...]:
@@ -113,8 +112,7 @@ def main() -> int:
             CorpusSpec(workflow_count=20, seed=42, author_count=6)
         )
         seed_store = WorkflowStore(cache_dir)
-        seed_store.save_repository(corpus.repository)
-        seed_store.save_index(InvertedAnnotationIndex.build(corpus.repository))
+        seed_store.save_repository(corpus.repository, postings=True)
         journal_mode = seed_store.stats()["journal_mode"]
         seed_store.close()
         if str(journal_mode).lower() != "wal":

@@ -65,10 +65,12 @@ class ExecutionPolicy:
     Two knobs drive the persistent layer (:mod:`repro.store`):
     ``cache_dir`` names a warm-start store directory — the service
     attaches it on first use, so even a service opened without one can
-    be warmed per request; ``preselect`` toggles the inverted-index
-    candidate preselection that ``AUTO`` applies to annotation measures
-    whenever an index is loaded (bit-identical by construction — the
-    admission bound is score-safe).
+    be warmed per request; ``preselect`` toggles the candidate
+    preselection that ``AUTO`` applies to ``BW``/``BT`` whenever a
+    trusted store holds postings (see
+    :meth:`SimilarityService.build_index
+    <repro.api.service.SimilarityService.build_index>`; bit-identical by
+    construction — the admission bound is score-safe).
 
     The retry knobs shape the attached store's
     :class:`~repro.store.resilience.RetryPolicy` for transient

@@ -98,15 +98,19 @@ class ExecutionDiagnostics:
 
     ``path`` is the path that actually ran: ``"sequential"`` (reference
     per-query scan), ``"pruned"`` (frontier-pruned top-k), ``"cached"``
-    (accelerated full scan), ``"indexed"`` (inverted-index candidate
-    preselection for annotation measures), or ``"parallel"`` (process
-    pool).  ``requested_mode`` echoes the policy; when the two differ,
-    ``notes`` says why (e.g. the pool was unavailable and the service
-    fell back).
+    (accelerated full scan), ``"serial"`` (the accelerated full scan
+    answering an explicit ``PRUNED`` request no certified bound
+    covers), ``"sql-indexed"`` (candidate preselection over the store's
+    token postings, ``BW``/``BT`` searches only), or ``"parallel"``
+    (process pool).  Pairwise and cluster requests run ``"parallel"``,
+    ``"cached"`` or ``"sequential"``.  ``requested_mode`` echoes the
+    policy; when the two differ, ``notes`` says why (e.g. the pool was
+    unavailable and the service fell back).
 
-    ``index_candidates`` counts the candidates admitted by the inverted
-    index across the request's queries (``None`` off the indexed path);
-    on a preselected search it is strictly below ``queries × corpus``.
+    ``index_candidates`` counts the candidates admitted by the store's
+    postings across the request's queries (``None`` off the
+    ``sql-indexed`` path); on a preselected search it is at most
+    ``queries × (corpus - 1)``.
     ``cache_warm_hits`` counts pair-score lookups served from entries
     loaded out of a persistent :class:`~repro.store.WorkflowStore`
     during *this* request — a warm-started service shows a positive
@@ -121,7 +125,7 @@ class ExecutionDiagnostics:
     of result equality.
 
     Three fields tell the resilience story.  ``degraded`` is ``True``
-    when any acceleration tier (store warm-start, inverted index,
+    when any acceleration tier (store warm-start, SQL admission,
     process pool) faulted during the request and the service fell back
     down the ladder — the *answer is still exact* (every fallback tier
     is bit-identical to the sequential seed path), only slower.

@@ -7,11 +7,10 @@ caller never chooses between ``search`` and ``search_batch`` or manages
 an :class:`~repro.perf.engine.AccelerationContext`: the service owns the
 context (bound to the repository's profile store) and routes every
 request to the fastest path that is bit-identical to the sequential
-reference scan — postings-admitted candidate preselection where a
-:class:`~repro.perf.bounds.AdmissionBound` certifies the measure
-(``BW``/``BT`` token overlap, single-label-Levenshtein ``MS`` character
-bags), frontier-pruned top-k for every measure with a pruning
-:class:`~repro.perf.bounds.CertifiedBound` (``MS``, ``PS``, fully
+reference scan — candidate preselection over the store's token
+postings where :func:`~repro.perf.bounds.find_admission` certifies the
+measure (``BW``/``BT``), frontier-pruned top-k for every measure with a
+pruning :class:`~repro.perf.bounds.CertifiedBound` (``MS``, ``PS``, fully
 certified ensembles), cached full scans otherwise, a process pool when
 the policy grants workers.  The
 :class:`~repro.api.results.ExecutionDiagnostics` attached to every
@@ -28,16 +27,17 @@ fresh service over the same corpus; the API tests pin this.
 
 State also outlives the process: a service opened with a ``cache_dir``
 attaches a :class:`~repro.store.WorkflowStore`, warm-starting its
-module-pair score caches (and, when the persisted snapshot matches the
-corpus, the inverted annotation index) from disk.
-:meth:`SimilarityService.persist` writes the snapshot, scores and index
-back; ``SimilarityService.open(cache_dir=...)`` with no corpus source
+module-pair score caches from disk; when the persisted snapshot matches
+the corpus, the store's postings answer ``BW``/``BT`` admission in SQL.
+:meth:`SimilarityService.persist` writes the snapshot and scores back,
+:meth:`SimilarityService.build_index` the snapshot and its postings;
+``SimilarityService.open(cache_dir=...)`` with no corpus source
 reopens the persisted snapshot directly and returns bit-identical
 results to the service that wrote it — the warm-start tests pin this.
 
 **Resilience.**  Every acceleration tier is optional: when the store,
-the inverted index or the process pool faults mid-request, the service
-falls back tier by tier — indexed → parallel → accelerated batch →
+its SQL admission or the process pool faults mid-request, the service
+falls back tier by tier — sql-indexed → parallel → accelerated batch →
 sequential exact scan — and still answers, bit-identically, because
 every tier is pinned equivalent to the sequential seed path.  A store
 that fails verification (on open or mid-query) is *quarantined* to
@@ -50,7 +50,6 @@ request records ``degraded``, ``degradation_reason`` and the
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import time
 from pathlib import Path
@@ -60,12 +59,7 @@ from ..core.framework import RankedWorkflow, SimilarityFramework
 from ..core.registry import all_configuration_names
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
-from ..perf.bounds import (
-    AdmissionBound,
-    LabelBagIndex,
-    find_admission,
-    find_frontier_bound,
-)
+from ..perf.bounds import BagOverlapAdmission, find_admission, find_frontier_bound
 from ..perf.engine import (
     AccelerationContext,
     PruneStats,
@@ -75,7 +69,6 @@ from ..perf.engine import (
 from ..repository.repository import RepositoryStatistics, WorkflowRepository
 from ..repository.search import SearchResultList, SimilaritySearchEngine
 from ..store import (
-    InvertedAnnotationIndex,
     RetryPolicy,
     StoreCorruptionError,
     WorkflowStore,
@@ -116,11 +109,6 @@ class SimilarityService:
         self.last_invalidation: dict[str, int] | None = None
         #: The attached persistent store, if any (see :meth:`attach_cache_dir`).
         self.store: WorkflowStore | None = None
-        #: The inverted annotation index, once built or loaded.
-        self.index: InvertedAnnotationIndex | None = None
-        #: The label character-bag postings powering the ``MS``
-        #: admission prefilter, once built or loaded.
-        self.label_bags: LabelBagIndex | None = None
         self._store_trusted = False
         #: Every quarantine/rebuild/degradation event of this service's
         #: lifetime, oldest first (dicts with at least an ``"event"`` key).
@@ -163,8 +151,8 @@ class SimilarityService:
         directory's :class:`~repro.store.WorkflowStore` — the warm-start
         path, bit-identical to the service that called
         :meth:`persist`.  With both, the corpus comes from ``source``
-        and the store is attached for its caches (the persisted index is
-        only trusted when the snapshot fingerprint matches the corpus).
+        and the store is attached for its caches (its postings only
+        serve admission when the snapshot fingerprint matches the corpus).
 
         The store is verified before it is trusted.  A corrupted store
         is quarantined; when its snapshot table is still intact the
@@ -221,9 +209,7 @@ class SimilarityService:
                     report=report,
                 )
             service = cls(salvaged, framework=framework)
-            service.build_index()
-            rebuilt = WorkflowStore.rebuild(cache_dir, salvaged, index=service.index)
-            service._adopt_store(rebuilt, trusted=True)
+            service._adopt_store(WorkflowStore.rebuild(cache_dir, salvaged), trusted=True)
             event = (
                 f"persisted store failed verification ({reason}); snapshot salvaged, "
                 f"damaged files quarantined to {quarantine_dir}, store rebuilt"
@@ -273,8 +259,8 @@ class SimilarityService:
 
         The store's persisted pair scores are loaded into the score
         caches immediately (always safe: entries are keyed by attribute
-        values, not corpus membership).  The persisted inverted index is
-        loaded only when the store's snapshot fingerprint matches the
+        values, not corpus membership).  The persisted postings answer
+        admission only when the store's snapshot fingerprint matches the
         live corpus — a preselection over a *different* corpus would not
         be score-safe.
 
@@ -314,9 +300,7 @@ class SimilarityService:
         quarantine_dir = quarantine_store(
             Path(cache_dir) / STORE_FILENAME, reason=reason
         )
-        store = WorkflowStore.rebuild(
-            cache_dir, self.repository, index=self.index, retry=retry
-        )
+        store = WorkflowStore.rebuild(cache_dir, self.repository, retry=retry)
         event = (
             f"persisted store failed verification ({reason}); damaged files "
             f"quarantined to {quarantine_dir}, store rebuilt from the live corpus"
@@ -330,10 +314,10 @@ class SimilarityService:
         """Whether the attached store's snapshot matches the live corpus.
 
         Only a trusted store receives incremental write-through on
-        corpus mutation and may serve its persisted index; an untrusted
-        one still contributes its (value-keyed, always-safe) pair
-        scores.  :meth:`persist` establishes trust by rewriting the
-        snapshot.
+        corpus mutation and may answer admission from its postings; an
+        untrusted one still contributes its (value-keyed, always-safe)
+        pair scores.  :meth:`persist` and :meth:`build_index` establish
+        trust by rewriting the snapshot.
         """
         return self.store is not None and self._store_trusted
 
@@ -348,135 +332,72 @@ class SimilarityService:
         self._store_trusted = trusted
         store.fault_injector = self._fault_injector
         self.context.attach_store(store)
-        # The persisted preselection structures are *not* materialized
-        # here: a trusted store answers admission directly in SQL (the
-        # "sql-indexed" tier), and the in-memory structures are lazily
-        # loaded by _ensure_memory_structures only if that tier is
-        # unavailable or faults.  Tenant/service open therefore never
-        # pays index materialization.
-
-    def _ensure_memory_structures(self, admission: AdmissionBound) -> bool:
-        """Materialize the in-memory structure an admission needs, lazily.
-
-        Only a *trusted* store may back the lazy load (same rule the
-        eager warm load used to apply); a service without a store keeps
-        whatever :meth:`build_index` built.  A load failure degrades —
-        if the store can't decode its rows but the live corpus is
-        intact, the structure is rebuilt from the corpus instead (the
-        trusted store equals the corpus by fingerprint, so the rebuild
-        is exact).  Returns whether the structure is now usable.
-        """
-        if admission.kind == "annotation":
-            if self.index is not None:
-                return True
-            if not self.store_trusted:
-                return False
-            try:
-                self.index = self.store.load_index()
-            except Exception as error:
-                self._pending_degradations.append(
-                    f"persisted index failed to load ({error}); "
-                    "rebuilt candidate preselection from the live corpus"
-                )
-                self.index = InvertedAnnotationIndex.build(
-                    self.repository.workflows()
-                )
-            return self.index is not None
-        if admission.kind == "label":
-            if self.label_bags is not None:
-                return True
-            if not self.store_trusted:
-                return False
-            try:
-                # None for stores written before label bags existed —
-                # those simply keep the pruned (non-indexed) MS path.
-                self.label_bags = self.store.load_label_bags()
-            except Exception as error:
-                self._pending_degradations.append(
-                    f"persisted label bags failed to load ({error}); "
-                    "rebuilt label preselection from the live corpus"
-                )
-                self.label_bags = LabelBagIndex.build(self.repository.workflows())
-            return self.label_bags is not None
-        return False
 
     def build_index(self) -> dict[str, int]:
-        """(Re)build the preselection structures over the live corpus.
+        """Make the attached store's snapshot and postings match the live corpus.
 
-        Two postings structures are built: the inverted annotation index
-        (``BW``/``BT`` admission) and the label character bags
-        (single-label-Levenshtein ``MS`` admission).  Once built,
-        ``AUTO`` requests for admission-certified measures route through
-        score-safe candidate preselection, and both structures mutate in
-        step with ``add_workflows``/``remove_workflows``.  Returns the
-        combined size counters.
+        One transaction rewrites the snapshot together with its
+        ``BW``/``BT`` token postings; from then on every store write
+        keeps the postings in step, and ``AUTO`` requests for those
+        measures route through score-safe candidate preselection in SQL.
+        Requires an attached ``cache_dir`` (a storeless service answers
+        ``BW``/``BT`` with the cached scan).  Returns the snapshot size
+        and the distinct tokens and postings per field.
         """
-        workflows = self.repository.workflows()
-        self.index = InvertedAnnotationIndex.build(workflows)
-        self.label_bags = LabelBagIndex.build(workflows)
-        counters = self.index.stats()
-        counters["label_bag_documents"] = len(self.label_bags)
-        return counters
+
+        def build() -> dict[str, int]:
+            self.store.save_repository(self.repository, postings=True)
+            self._store_trusted = True
+            return self.store.index_stats()
+
+        return self._store_write(build)
 
     def persist(self) -> dict[str, int]:
-        """Write the corpus snapshot, pair scores and index to the store.
+        """Write the corpus snapshot and pair scores to the store.
 
         Requires an attached ``cache_dir``.  A service later opened via
         ``SimilarityService.open(cache_dir=...)`` warm-starts from this
-        state and returns bit-identical results.  Returns counters of
-        what was written.
+        state and returns bit-identical results.  An indexed store's
+        postings follow its snapshot.  Returns counters of what the
+        store now holds.
         """
+        return self._store_write(self._persist_once)
+
+    def _store_write(self, write):
+        """Run a store write; on corruption, quarantine, rebuild and retry once."""
         if self.store is None:
             raise ValueError(
                 "no cache_dir attached; open the service with cache_dir=... "
                 "or call attach_cache_dir() first"
             )
         try:
-            return self._persist_once()
+            return write()
         except sqlite3.DatabaseError as error:
             if is_locked_error(error):
                 # Contention, not corruption: the transaction already
                 # rolled back and retried under the store's RetryPolicy;
                 # exhausting it is the caller's signal to back off.
                 raise
-            # Corruption mid-persist: quarantine + rebuild, then persist
+            # Corruption mid-write: quarantine + rebuild, then write
             # onto the fresh store (the in-memory caches are the source
             # of truth, so nothing is lost).
             self._pending_degradations.append(self._recover_store(error))
             if self.store is None:
                 raise
-            return self._persist_once()
+            return write()
 
     def _persist_once(self) -> dict[str, int]:
         # Skip the snapshot rewrite when it is already current (the
         # common repeated-persist case would otherwise delete and
-        # reinsert every row per call).  A matching snapshot written
-        # before label bags existed still gets one rewrite to backfill
-        # the bag rows and their marker.
-        snapshot_rewritten = (
-            self.store.fingerprint() != corpus_fingerprint(self.repository)
-            or not self.store.has_label_bags()
-        )
-        if snapshot_rewritten:
+        # reinsert every row per call).
+        if self.store.fingerprint() != corpus_fingerprint(self.repository):
             self.store.save_repository(self.repository)
         pair_scores = self.context.persist_scores(self.store)
-        if self.index is not None:
-            postings = self.store.save_index(self.index)
-        elif snapshot_rewritten:
-            # Without a live index any postings persisted for the *old*
-            # snapshot would be stale — drop them rather than let a
-            # future warm start preselect over them.
-            postings = self.store.clear_postings()
-        else:
-            # Snapshot unchanged and no in-memory index materialized
-            # (the SQL tier serves admission directly): the persisted
-            # postings still describe this exact corpus — keep them.
-            postings = self.store.stats()["postings"]
         self._store_trusted = True
         return {
             "workflows": len(self.repository),
             "pair_scores": pair_scores,
-            "postings": postings,
+            "postings": self.store.index_stats()["postings"],
         }
 
     def close(self) -> None:
@@ -506,12 +427,12 @@ class SimilarityService:
         happens.  With ``replace=True`` an existing workflow of the same
         identifier is removed first (with precise invalidation), so a
         *changed* workflow object can never be served stale derived data.
-        A *trusted* attached store (see :attr:`store_trusted`) and a
-        built index follow the mutation row by row — snapshot and
-        postings stay in sync while value-keyed pair scores are
-        untouched.  An untrusted store is never written through: its
-        snapshot describes some other corpus, and upserting rows into it
-        would persist a corpus that never existed.
+        A *trusted* attached store (see :attr:`store_trusted`) follows
+        the mutation row by row — snapshot and postings stay in sync
+        while value-keyed pair scores are untouched.  An untrusted store
+        is never written through: its snapshot describes some other
+        corpus, and upserting rows into it would persist a corpus that
+        never existed.
         """
         added = 0
         write_through = self.store_trusted
@@ -519,10 +440,6 @@ class SimilarityService:
             if replace and workflow.identifier in self.repository:
                 self.remove_workflows([workflow.identifier])
             self.repository.add(workflow)
-            if self.index is not None:
-                self.index.add_workflow(workflow)
-            if self.label_bags is not None:
-                self.label_bags.add_workflow(workflow)
             if write_through:
                 self.store.add_workflow(workflow)
             added += 1
@@ -534,9 +451,9 @@ class SimilarityService:
         Drops the workflow/module profiles (including profiles of
         preprocessed projections) and the per-profile fingerprint memos;
         the value-keyed pair-score caches are kept, so subsequent
-        requests stay warm.  A *trusted* attached store and a built
-        index drop the same rows (see :meth:`add_workflows` on why an
-        untrusted store is left alone).
+        requests stay warm.  A *trusted* attached store drops the same
+        rows (see :meth:`add_workflows` on why an untrusted store is
+        left alone).
 
         Identifiers not present in the repository are silently ignored —
         removal is idempotent, so replayed or queued removal requests
@@ -550,10 +467,6 @@ class SimilarityService:
         write_through = self.store_trusted
         for identifier in removed:
             self.repository.remove(identifier)
-            if self.index is not None:
-                self.index.remove_workflow(identifier)
-            if self.label_bags is not None:
-                self.label_bags.remove_workflow(identifier)
             if write_through:
                 self.store.remove_workflow(identifier)
         summary = self.context.invalidate_workflows(removed)
@@ -593,14 +506,14 @@ class SimilarityService:
         degraded = False
         degradation_reason: str | None = None
 
-        # The degradation ladder: sql-indexed → in-memory-indexed →
-        # parallel → accelerated batch → sequential exact scan.  Each
-        # tier is bit-identical to the next, so a faulting tier costs
-        # time, never correctness; a request under SEQUENTIAL mode (or
-        # one whose every acceleration tier faulted) lands on the
-        # reference scan, which touches no store, no index and no pool.
+        # The degradation ladder: sql-indexed → parallel → accelerated
+        # batch → sequential exact scan.  Each tier is bit-identical to
+        # the next, so a faulting tier costs time, never correctness; a
+        # request under SEQUENTIAL mode (or one whose every acceleration
+        # tier faulted) lands on the reference scan, which touches no
+        # store and no pool.
         if mode is not ExecutionMode.SEQUENTIAL:
-            admission: AdmissionBound | None = None
+            admission: BagOverlapAdmission | None = None
             if mode is ExecutionMode.AUTO and policy.preselect and candidates is None:
                 try:
                     instance = self.engine._accelerated_measure(measure_name)
@@ -609,110 +522,45 @@ class SimilarityService:
                     # Real configuration errors (unknown measure)
                     # re-raise identically from the later tiers.
                     admission = None
-            if admission is not None:
-                indexed = None
-                sql_tier = False
-                declined = False
-                # REPRO_FORCE_SQL_ADMISSION: "1" lets *only* the SQL
-                # tier preselect (CI equivalence forcing — a silent
-                # in-memory fallback would defeat the comparison), "0"
-                # disables the SQL tier entirely (in-memory reference
-                # runs for benchmarks/tests).  Unset prefers SQL when a
-                # trusted store can answer, in-memory otherwise.
-                sql_override = os.environ.get("REPRO_FORCE_SQL_ADMISSION", "")
-                if sql_override != "0" and self._sql_admission_ready(admission):
-                    try:
-                        self._fire_fault("sql")
-                        with get_tracer().span(
-                            "engine.preselect",
-                            attributes={"bound": admission.name, "tier": "sql"},
-                        ) as stage:
-                            admitted_sets = self._sql_admitted_sets(
-                                query_list, admission
-                            )
-                            if admitted_sets is None:
-                                # The admission declined a query in the
-                                # batch; the in-memory structures would
-                                # decline it identically, so skip them
-                                # without materializing anything.
-                                declined = True
-                            else:
-                                indexed = self._indexed_search(
-                                    query_list,
-                                    instance,
-                                    admission,
-                                    request.k,
-                                    admitted_sets,
-                                    prune=policy.prune,
-                                )
-                                sql_tier = True
-                                stage.set_attribute("candidates", indexed[1])
-                    except Exception as error:
-                        degraded = True
-                        degradation_reason = (
-                            f"sql admission tier failed ({type(error).__name__}: {error})"
+            if admission is not None and self._sql_admission_ready():
+                try:
+                    self._fire_fault("sql")
+                    with get_tracer().span(
+                        "engine.preselect",
+                        attributes={"bound": admission.name, "tier": "sql"},
+                    ) as stage:
+                        planner = SqlAdmissionPlanner(self.store)
+                        admitted_sets = [
+                            planner.admitted(admission.sql_plan(query)) for query in query_list
+                        ]
+                        results, index_candidates, batch_stats = self._indexed_search(
+                            query_list, instance, request.k, admitted_sets, prune=policy.prune
                         )
-                        notes.append(
-                            "sql candidate admission faulted; "
-                            "fell back to the in-memory index"
-                        )
-                        if (
-                            isinstance(error, sqlite3.DatabaseError)
-                            and self.context.store_fault is None
-                        ):
-                            # A store-level fault — park it for the
-                            # resilience epilogue (keep the store on
-                            # contention, quarantine-and-rebuild on
-                            # corruption), like any other store read.
-                            self.context.store_fault = error
-                if (
-                    indexed is None
-                    and not declined
-                    and sql_override != "1"
-                    and self._ensure_memory_structures(admission)
-                ):
-                    try:
-                        self._fire_fault("indexed")
-                        with get_tracer().span(
-                            "engine.preselect", attributes={"bound": admission.name}
-                        ) as stage:
-                            admitted_sets = self._memory_admitted_sets(
-                                query_list, admission
-                            )
-                            if admitted_sets is not None:
-                                indexed = self._indexed_search(
-                                    query_list,
-                                    instance,
-                                    admission,
-                                    request.k,
-                                    admitted_sets,
-                                    prune=policy.prune,
-                                )
-                                stage.set_attribute("candidates", indexed[1])
-                    except Exception as error:
-                        degraded = True
-                        if degradation_reason is None:
-                            degradation_reason = (
-                                f"indexed tier failed ({type(error).__name__}: {error})"
-                            )
-                        notes.append(
-                            "inverted-index preselection faulted; "
-                            "fell back to the accelerated batch"
-                        )
-                        # The faulting postings structure is no longer
-                        # trusted for any later request either.
-                        if admission.kind == "annotation":
-                            self.index = None
-                        else:
-                            self.label_bags = None
-                if indexed is not None:
-                    results, index_candidates, batch_stats = indexed
-                    path = "sql-indexed" if sql_tier else "indexed"
+                        stage.set_attribute("candidates", index_candidates)
+                except Exception as error:
+                    results = index_candidates = None
+                    degraded = True
+                    degradation_reason = (
+                        f"sql admission tier failed ({type(error).__name__}: {error})"
+                    )
+                    notes.append(
+                        "sql candidate admission faulted; fell back to the accelerated batch"
+                    )
+                    if (
+                        isinstance(error, sqlite3.DatabaseError)
+                        and self.context.store_fault is None
+                    ):
+                        # A store-level fault — park it for the
+                        # resilience epilogue (keep the store on
+                        # contention, quarantine-and-rebuild on
+                        # corruption), like any other store read.
+                        self.context.store_fault = error
+                else:
+                    path = "sql-indexed"
                     prune_stats = batch_stats.as_dict()
-                    note = f"candidates admitted by bound {admission.name!r}"
-                    if sql_tier:
-                        note += " (sql pushdown)"
-                    notes.append(note)
+                    notes.append(
+                        f"candidates admitted by bound {admission.name!r} (sql pushdown)"
+                    )
             wants_pool = results is None and (
                 mode is ExecutionMode.PARALLEL
                 or (mode is ExecutionMode.AUTO and policy.workers and policy.workers > 1)
@@ -1039,7 +887,7 @@ class SimilarityService:
     def fault_injector(self):
         """Optional :class:`~repro.store.FaultInjector` for chaos tests.
 
-        Fired at the ``"indexed"`` and ``"parallel"`` tier seams of this
+        Fired at the ``"sql"`` and ``"parallel"`` tier seams of this
         service and propagated to the attached store (which fires it at
         ``"commit"`` and ``"load"``).  ``None`` in production.
         """
@@ -1131,9 +979,7 @@ class SimilarityService:
             self.degradation_log.append({"event": event, "fault": repr(fault)})
             return event
         try:
-            rebuilt = WorkflowStore.rebuild(
-                directory, self.repository, index=self.index, retry=retry
-            )
+            rebuilt = WorkflowStore.rebuild(directory, self.repository, retry=retry)
         except Exception as error:
             event = (
                 f"store fault ({fault}); damaged files quarantined to "
@@ -1157,58 +1003,21 @@ class SimilarityService:
         )
         return event
 
-    def _sql_admission_ready(self, admission: AdmissionBound) -> bool:
-        """Whether a trusted store can answer this admission in SQL."""
+    def _sql_admission_ready(self) -> bool:
+        """Whether a trusted, indexed store can answer admission in SQL."""
         if self.store is None or not self._store_trusted:
             return False
         try:
-            return SqlAdmissionPlanner(self.store).available(admission)
+            return self.store.has_postings()
         except Exception:
-            # An unreadable store is simply not a tier; the in-memory
-            # ladder (and the resilience epilogue, once a real read
-            # faults) handles the rest.
+            # An unreadable store is simply not a tier; the resilience
+            # epilogue handles it once a real read faults.
             return False
-
-    def _sql_admitted_sets(
-        self, query_list: Sequence[Workflow], admission: AdmissionBound
-    ) -> "list[set[str]] | None":
-        """Admitted id sets resolved in-database; ``None`` on decline."""
-        planner = SqlAdmissionPlanner(self.store)
-        admitted_sets: list[set[str]] = []
-        for query in query_list:
-            plan = admission.sql_plan(query)
-            if plan is None:
-                return None
-            admitted_sets.append(planner.admitted(plan))
-        return admitted_sets
-
-    def _memory_admitted_sets(
-        self, query_list: Sequence[Workflow], admission: AdmissionBound
-    ) -> "list[set[str]] | None":
-        """Admitted id sets from the in-memory structures; ``None`` on
-        decline (one uncertifiable query sends the whole batch down the
-        pruned path instead)."""
-        admitted_sets: list[set[str]] = []
-        if admission.kind == "annotation":
-            for query in query_list:
-                tokens = self.index.workflow_tokens(admission.field, query)
-                admitted_sets.append(self.index.candidates(admission.field, tokens))
-            return admitted_sets
-        for query in query_list:
-            certified = admission.query_chars(query)
-            if certified is None:
-                return None
-            chars, carve_out = certified
-            admitted_sets.append(
-                self.label_bags.admitted(chars, include_empty_label=carve_out)
-            )
-        return admitted_sets
 
     def _indexed_search(
         self,
         query_list: Sequence[Workflow],
         measure,
-        admission: AdmissionBound,
         k: int,
         admitted_sets: "list[set[str]]",
         *,
@@ -1216,12 +1025,11 @@ class SimilarityService:
     ) -> "tuple[list[SearchResultList], int, PruneStats]":
         """Top-``k`` search via certified admission + frontier pruning.
 
-        Admission is score-safe by the :class:`AdmissionBound` contract:
-        every workflow outside the admitted postings union has a true
-        score of exactly ``0.0`` — token-set intersection for the
-        annotation kind, label character-bag overlap for the label kind.
-        ``admitted_sets`` (one set per query, resolved by the SQL or the
-        in-memory tier — both compute the identical set) names the
+        Admission is score-safe by the
+        :class:`~repro.perf.bounds.BagOverlapAdmission` contract: every
+        workflow outside the admitted postings union shares no token with
+        the query and has a true score of exactly ``0.0``.
+        ``admitted_sets`` (one set per query, resolved in SQL) names the
         candidates that may score above zero.  The admitted subpool
         (kept in global pool order, so tie-breaks survive) runs through
         :func:`bounded_top_k` — exact scores from the measure itself,

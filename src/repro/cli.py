@@ -12,7 +12,7 @@ library without writing Python:
   — batch top-k search for many (default: all) queries, optionally on a
   process pool;
 * ``repro index build CORPUS --cache-dir DIR`` — persist the corpus
-  snapshot, the inverted annotation index, and (with ``--warm-measure``)
+  snapshot, its annotation token postings, and (with ``--warm-measure``)
   pre-computed module-pair scores into a warm-start store directory;
   ``repro index stats --cache-dir DIR`` inspects it;
 * ``repro store verify --cache-dir DIR`` — run the store's integrity
@@ -23,8 +23,8 @@ library without writing Python:
   snapshot when possible, from ``--corpus`` otherwise;
 
 Both search commands route through the :class:`repro.api.SimilarityService`
-facade: the execution strategy (sequential / pruned / cached / indexed /
-parallel) is chosen by the service's ``ExecutionPolicy`` routing, and the
+facade: the execution strategy (sequential / pruned / cached /
+sql-indexed / parallel) is chosen by the service's ``ExecutionPolicy`` routing, and the
 path that actually ran is reported in the diagnostics.  Passing
 ``--cache-dir`` to a search command attaches the persistent store, so
 repeated invocations warm-start from each other's scores instead of
@@ -358,8 +358,8 @@ def _cmd_index_stats(args: argparse.Namespace) -> int:
     try:
         for key, value in store.stats().items():
             console(f"{key:<20} {value}")
-        # The SQL admission tier: which bounds this store can answer
-        # in-database, without materializing an index in Python.
+        # The SQL admission tier: whether this store can answer BW/BT
+        # admission in-database, and the indexes it has to do so.
         for key, value in SqlAdmissionPlanner(store).stats().items():
             console(f"sql_{key:<16} {value}")
     finally:
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index.add_subparsers(dest="index_command", required=True)
     index_build = index_sub.add_parser(
         "build",
-        help="persist a corpus snapshot + inverted annotation index into a cache dir",
+        help="persist a corpus snapshot + annotation token postings into a cache dir",
     )
     index_build.add_argument("corpus", help="corpus JSON file")
     index_build.add_argument("--cache-dir", required=True, help="store directory to write")

@@ -13,8 +13,8 @@ This package makes batch similarity search and all-pairs clustering fast
 * :mod:`repro.perf.bounds` — the unified :class:`CertifiedBound` layer:
   per-measure certified upper bounds (``MS`` char-bag + banded
   refinement, ``PS`` path matching, ensemble composition, ``BW``/``BT``
-  bag overlap) plus the postings-based admission bounds powering the
-  indexed tier.
+  bag overlap) plus the token-postings admission bound powering the
+  sql-indexed tier.
 * :mod:`repro.perf.engine` — comparator acceleration for all structural
   measures plus :func:`bounded_top_k`, the exact frontier-pruned top-k
   scan over any certified measure.
@@ -32,21 +32,17 @@ The user-facing entry points are
 
 from .bounds import (
     BOUND_CLASSES,
-    AdmissionBound,
     BagOfTagsBound,
     BagOfWordsBound,
     BagOverlapAdmission,
     CertifiedBound,
     EnsembleBound,
-    LabelBagIndex,
-    LabelCharAdmission,
     ModuleSetsBound,
     PathSetsBound,
     certifies_frontier_bound,
     find_admission,
     find_bound,
     find_frontier_bound,
-    workflow_label_bag,
 )
 from .cache import ModulePairScoreCache, config_signature
 from .engine import (
@@ -62,7 +58,6 @@ from .profiles import PROFILE_ATTRIBUTES, ModuleProfile, ProfileStore, WorkflowP
 
 __all__ = [
     "AccelerationContext",
-    "AdmissionBound",
     "BOUND_CLASSES",
     "BagOfTagsBound",
     "BagOfWordsBound",
@@ -70,8 +65,6 @@ __all__ = [
     "CachedModuleComparator",
     "CertifiedBound",
     "EnsembleBound",
-    "LabelBagIndex",
-    "LabelCharAdmission",
     "ModulePairScoreCache",
     "ModuleProfile",
     "ModuleSetsBound",
@@ -91,5 +84,4 @@ __all__ = [
     "parallel_search_batch",
     "pool_available",
     "supports_pruned_top_k",
-    "workflow_label_bag",
 ]

@@ -3,7 +3,7 @@
 Every acceleration tier of this repository skips work only when it can
 *prove* the skip changes nothing: the frontier-pruned top-k discards a
 candidate whose score provably cannot beat the current k-th result, and
-the indexed tier never scores a candidate whose score is provably zero.
+the sql-indexed tier never scores a candidate whose score is provably zero.
 This module collects those proofs behind one interface instead of the
 three ad-hoc implementations that used to live in ``perf/engine.py``
 (char-bag bounds), ``store/inverted_index.py`` (bag-overlap admission)
@@ -34,27 +34,23 @@ Registered bounds:
   the bag-overlap similarity itself (exact, hence trivially an upper
   bound).  They do not *prune* — a frontier scan would just compute the
   exact score twice — but they power ensemble composition and the
-  annotation-index admission.
+  token-postings admission.
 
-Admission (zero-certification) for the indexed tier lives here too:
-:func:`find_admission` answers which postings-based prefilter can admit
-a superset of the non-zero-scoring candidates for a measure —
-bag-overlap postings for ``BW``/``BT``, and the per-label character-bag
-postings of :class:`LabelBagIndex` for single-label-Levenshtein ``MS``
-configurations (label character overlap is exactly the zero/non-zero
-certificate of the Levenshtein similarity: an edit script must delete
-every unmatched character, so disjoint character bags force a distance
-of ``max(len_a, len_b)`` and a similarity of exactly ``0.0``).
+Admission (zero-certification) for the sql-indexed tier lives here too:
+:func:`find_admission` answers whether a token-postings prefilter can
+admit a superset of the non-zero-scoring candidates for a measure —
+bag-overlap postings for ``BW``/``BT``, the only measures whose zero
+scores a postings union certifies.
 
-The perf layer stays import-independent of the store package: the
-service supplies whatever index structures an admission needs.
+The perf layer stays import-independent of the store package: an
+admission describes itself as a :class:`SqlAdmissionPlan`, and the store
+resolves it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from ..core.annotations import (
     BagOfTagsSimilarity,
@@ -81,13 +77,9 @@ __all__ = [
     "find_bound",
     "find_frontier_bound",
     "certifies_frontier_bound",
-    "AdmissionBound",
     "BagOverlapAdmission",
-    "LabelCharAdmission",
     "SqlAdmissionPlan",
     "find_admission",
-    "LabelBagIndex",
-    "workflow_label_bag",
 ]
 
 
@@ -102,8 +94,6 @@ _MATCHING_MAPPINGS = (GreedyMapping, MaximumWeightMapping, NonCrossingMapping)
 # module sets must stay valid for sub-sequences of them (the ``PS``
 # path-internal matrices).
 _MODULE_LOCAL_PRESELECTIONS = (AllPairs, StrictTypeMatch, TypeEquivalence)
-
-_SINGLE_LEVENSHTEIN_COMPARATORS = ("levenshtein", "levenshtein_ci")
 
 
 def _bounded_similarity(nnsim_bound: float, size_a: int, size_b: int, normalize: bool) -> float:
@@ -689,287 +679,55 @@ def find_frontier_bound(measure: WorkflowSimilarityMeasure, context) -> Certifie
     return None
 
 
-# -- admission (zero-certification) for the indexed tier ---------------------
+# -- admission (zero-certification) for the sql-indexed tier -----------------
 
 
 @dataclass(frozen=True)
 class SqlAdmissionPlan:
-    """A declarative, in-database execution plan for an admission bound.
+    """The in-database execution plan of one admission query.
 
-    Produced by :meth:`AdmissionBound.sql_plan` and executed by
+    Produced by :meth:`BagOverlapAdmission.sql_plan` and executed by
     :class:`repro.store.sql_admission.SqlAdmissionPlanner` against the
-    persisted postings tables, so preselection never has to materialize
-    the in-memory index structures.  ``tokens`` carries the query-side
-    match set: annotation tokens for ``kind == "annotation"`` plans
-    (matched against ``postings.token`` under ``field``), lowered label
-    characters for ``kind == "label"`` plans (matched against the
-    per-character lowering of ``label_bags.token``).
+    persisted ``postings`` table: the admitted candidates are the
+    workflows holding any of ``tokens`` under ``field``.
     """
 
-    kind: str
+    field: str
     tokens: frozenset[str]
-    field: str | None = None
-    include_empty_label: bool = False
 
 
-class AdmissionBound:
-    """A postings-based prefilter admitting a superset of non-zero scorers.
+class BagOverlapAdmission:
+    """``BW``/``BT``: candidates sharing no annotation token score 0.0.
 
-    ``kind`` tells the service which index structure answers it:
-    ``"annotation"`` admissions run over the
-    :class:`~repro.store.inverted_index.InvertedAnnotationIndex` field
-    named by :attr:`field`; ``"label"`` admissions run over a
-    :class:`LabelBagIndex`.  Every candidate outside the admitted set
-    has a true score of exactly ``0.0``.
-
-    Bounds whose predicate can also run *inside* the store implement
-    :meth:`sql_plan`; the default ``None`` keeps a bound memory-only.
+    ``similarity(A, B) > 0`` iff the token sets intersect, so the union
+    of the postings of the query's tokens under :attr:`field` contains
+    every workflow with a positive score.
     """
-
-    kind: str = "annotation"
-    name: str = "admission"
-    field: str | None = None
-
-    def sql_plan(self, workflow: Workflow) -> SqlAdmissionPlan | None:
-        """The in-database plan for this query, or ``None``.
-
-        ``None`` means either this bound cannot be pushed down at all or
-        this particular query cannot be certified (the same queries the
-        in-memory structures decline) — the caller falls back exactly as
-        it would for the in-memory admission.
-        """
-        return None
-
-
-class BagOverlapAdmission(AdmissionBound):
-    """``BW``/``BT``: candidates sharing no annotation token score 0.0."""
-
-    kind = "annotation"
 
     def __init__(self, name: str, field: str) -> None:
         self.name = name
         self.field = field
 
     def sql_plan(self, workflow: Workflow) -> SqlAdmissionPlan:
-        # Deliberately the index's own tokenizer (a lazy import — the
+        # Deliberately the postings' own tokenizer (a lazy import — the
         # perf layer stays store-free at module load): the SQL tier must
-        # admit exactly the set the in-memory postings would.
+        # admit exactly the tokens the store persisted.
         from ..store.inverted_index import InvertedAnnotationIndex
 
         tokens = InvertedAnnotationIndex.workflow_tokens(self.field, workflow)
-        return SqlAdmissionPlan(kind=self.kind, tokens=tokens, field=self.field)
+        return SqlAdmissionPlan(field=self.field, tokens=tokens)
 
 
-class LabelCharAdmission(AdmissionBound):
-    """Single-label-Levenshtein ``MS``: label character overlap certifies zero.
-
-    ``levenshtein_similarity(a, b) > 0`` iff the two labels share a
-    character (aligning one shared character caps the distance at
-    ``longest - 1``) or both are empty; with disjoint character bags the
-    distance is exactly ``longest`` and the similarity exactly ``0.0``.
-    Postings and query characters are both lowered per character, which
-    covers ``levenshtein_ci`` exactly and is a sound superset for the
-    case-sensitive rule.  Query characters come from the *raw* workflow:
-    the importance projection only removes modules, so the raw character
-    set is a superset of the processed one.
-    """
-
-    kind = "label"
-    name = "label-char-bag"
-    field = None
-
-    def __init__(self, measure: ModuleSetsSimilarity) -> None:
-        self.measure = measure
-        rule = measure.comparator.config.rules[0]
-        self.skip_if_both_empty = rule.skip_if_both_empty
-
-    @staticmethod
-    def certifies(measure: WorkflowSimilarityMeasure) -> bool:
-        if type(measure) is not ModuleSetsSimilarity:
-            return False
-        rules = measure.comparator.config.rules
-        return (
-            len(rules) == 1
-            and rules[0].comparator in _SINGLE_LEVENSHTEIN_COMPARATORS
-            and rules[0].attribute == "label"
-        )
-
-    def query_chars(self, workflow: Workflow) -> tuple[frozenset[str], bool] | None:
-        """Lowered query label characters and the empty-label carve-out flag.
-
-        Returns ``None`` when the admission cannot certify this query:
-        a query whose *processed* module set is empty scores 1.0 (not
-        0.0) against candidates that are also processed-empty under the
-        Jaccard normalisation, which no postings union can see.  Callers
-        fall through to the pruned (non-indexed) path.
-        """
-        processed = self.measure.preprocess(workflow)
-        if not processed.modules:
-            return None
-        chars: set[str] = set()
-        has_empty_label = False
-        for module in workflow.modules:
-            label = module.attribute("label")
-            if not label:
-                has_empty_label = True
-            else:
-                for char in label:
-                    chars.update(char.lower())
-        # With skip_if_both_empty=False, two empty labels score 1.0, so
-        # candidates with an empty-label module must be admitted too.
-        carve_out = has_empty_label and not self.skip_if_both_empty
-        return frozenset(chars), carve_out
-
-    def sql_plan(self, workflow: Workflow) -> SqlAdmissionPlan | None:
-        certified = self.query_chars(workflow)
-        if certified is None:
-            return None
-        chars, carve_out = certified
-        return SqlAdmissionPlan(
-            kind=self.kind, tokens=chars, include_empty_label=carve_out
-        )
-
-
-def find_admission(measure: WorkflowSimilarityMeasure) -> AdmissionBound | None:
+def find_admission(measure: WorkflowSimilarityMeasure) -> BagOverlapAdmission | None:
     """The admission bound able to prefilter candidates for ``measure``.
 
-    Ensembles are deliberately uncovered: a member applicable to only
-    some candidates shifts the ensemble denominator, so a zero bound of
-    one member certifies nothing about the ensemble score.
+    Only the bag-overlap measures have one.  Ensembles are deliberately
+    uncovered: a member applicable to only some candidates shifts the
+    ensemble denominator, so a zero bound of one member certifies
+    nothing about the ensemble score.
     """
     if type(measure) is BagOfWordsSimilarity:
         return BagOverlapAdmission(BagOfWordsBound.name, "text")
     if type(measure) is BagOfTagsSimilarity:
         return BagOverlapAdmission(BagOfTagsBound.name, "tags")
-    if LabelCharAdmission.certifies(measure):
-        return LabelCharAdmission(measure)
     return None
-
-
-# -- per-label character-bag postings ----------------------------------------
-
-
-def workflow_label_bag(workflow: Workflow) -> dict[str, int]:
-    """Raw-label character counts of a workflow's modules.
-
-    The empty-string token counts the workflow's empty-label modules
-    (the carve-out of :class:`LabelCharAdmission`).  Raw characters are
-    the persisted canonical form; the in-memory postings lower them per
-    character on load.
-    """
-    bag: dict[str, int] = {}
-    for module in workflow.modules:
-        label = module.attribute("label")
-        if not label:
-            bag[""] = bag.get("", 0) + 1
-        else:
-            for char in label:
-                bag[char] = bag.get(char, 0) + 1
-    return bag
-
-
-class LabelBagIndex:
-    """Inverted postings over lowered label characters.
-
-    The persistent row format is ``(workflow_id, token, count)`` with
-    raw characters (or the ``""`` empty-label sentinel) as tokens; see
-    :meth:`rows`/:meth:`from_rows`.  Postings are keyed by *lowered*
-    characters, which serves both Levenshtein rule variants (see
-    :class:`LabelCharAdmission`).
-    """
-
-    def __init__(self) -> None:
-        self._postings: dict[str, set[str]] = {}
-        self._empty_label: set[str] = set()
-        self._documents: dict[str, dict[str, int]] = {}
-
-    @classmethod
-    def build(cls, workflows: Iterable[Workflow]) -> "LabelBagIndex":
-        """Index every workflow of a corpus."""
-        index = cls()
-        for workflow in workflows:
-            index.add_workflow(workflow)
-        return index
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, identifier: str) -> bool:
-        return identifier in self._documents
-
-    def add_workflow(self, workflow: Workflow) -> None:
-        self.add_bag(workflow.identifier, workflow_label_bag(workflow))
-
-    def add_bag(self, identifier: str, bag: dict[str, int]) -> None:
-        if identifier in self._documents:
-            self.remove_workflow(identifier)
-        self._documents[identifier] = bag
-        for token in bag:
-            if token == "":
-                self._empty_label.add(identifier)
-                continue
-            for lowered in token.lower():
-                self._postings.setdefault(lowered, set()).add(identifier)
-
-    def remove_workflow(self, identifier: str) -> bool:
-        bag = self._documents.pop(identifier, None)
-        if bag is None:
-            return False
-        self._empty_label.discard(identifier)
-        for token in bag:
-            if token == "":
-                continue
-            for lowered in token.lower():
-                ids = self._postings.get(lowered)
-                if ids is not None:
-                    ids.discard(identifier)
-                    if not ids:
-                        del self._postings[lowered]
-        return True
-
-    def admitted(self, chars: Iterable[str], *, include_empty_label: bool) -> set[str]:
-        """Union of the postings of ``chars`` (plus the empty-label set)."""
-        result: set[str] = set()
-        postings = self._postings
-        for char in chars:
-            ids = postings.get(char)
-            if ids:
-                result |= ids
-        if include_empty_label:
-            result |= self._empty_label
-        return result
-
-    def rows(self) -> Iterator[tuple[str, str, int]]:
-        """Deterministic persistable rows (sorted by workflow, token)."""
-        for identifier in sorted(self._documents):
-            bag = self._documents[identifier]
-            for token in sorted(bag):
-                yield identifier, token, bag[token]
-
-    def document_rows(self, identifier: str) -> Iterator[tuple[str, str, int]]:
-        bag = self._documents.get(identifier, {})
-        for token in sorted(bag):
-            yield identifier, token, bag[token]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> "LabelBagIndex":
-        index = cls()
-        documents = index._documents
-        for identifier, token, count in rows:
-            documents.setdefault(identifier, {})[token] = count
-        for identifier, bag in documents.items():
-            for token in bag:
-                if token == "":
-                    index._empty_label.add(identifier)
-                    continue
-                for lowered in token.lower():
-                    index._postings.setdefault(lowered, set()).add(identifier)
-        return index
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "documents": len(self._documents),
-            "label_chars": len(self._postings),
-            "label_postings": sum(len(ids) for ids in self._postings.values()),
-            "empty_label_documents": len(self._empty_label),
-        }

@@ -1,26 +1,25 @@
-"""Persistent warm-start store and inverted annotation index.
+"""Persistent warm-start store: one SQLite file per cache directory.
 
-The two durable structures behind :class:`repro.api.SimilarityService`'s
+The durable structures behind :class:`repro.api.SimilarityService`'s
 ``cache_dir`` support:
 
 * :class:`WorkflowStore` — a SQLite file persisting the corpus snapshot
   (in pool order), the value-fingerprint-keyed module-pair score caches
-  of :mod:`repro.perf`, the inverted index, and the per-label character
-  bags behind the ``MS`` prefilter, so a service reopened over the same
-  directory warm-starts bit-identically to the process that wrote it;
-* :class:`InvertedAnnotationIndex` — token → workflow postings over
-  annotations and module labels, giving the bag-overlap measures
-  (``BW``/``BT``) a provably score-safe sublinear candidate
-  preselection (the label-char-bag admission for Levenshtein ``MS``
-  lives in :class:`repro.perf.bounds.LabelBagIndex` and is persisted
-  here as the ``label_bags`` table).
+  of :mod:`repro.perf`, and the annotation token postings derived from
+  the snapshot, so a service reopened over the same directory
+  warm-starts bit-identically to the process that wrote it;
+* :class:`SqlAdmissionPlanner` — resolves the ``BW``/``BT`` admission
+  bound against those postings inside SQLite, a provably score-safe
+  sublinear candidate preselection;
+* :class:`InvertedAnnotationIndex` — the postings' token fields and the
+  tokenisation the store and the admission bound share.
 
 Typical lifecycle::
 
     service = SimilarityService.open("corpus.json", cache_dir="cache/")
-    service.build_index()
+    service.build_index()      # snapshot + postings to disk
     service.search(SearchRequest(measure="MS_ip_te_pll", k=10))
-    service.persist()          # snapshot + pair scores + index to disk
+    service.persist()          # pair scores (and any snapshot change)
 
     # later, in a fresh process:
     warm = SimilarityService.open(cache_dir="cache/")

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the persistence and execution seams.
 
-The resilience contract — *every store/index/pool fault degrades to the
-sequential exact path and the answer stays bit-identical to the seed* —
+The resilience contract — *every store/admission/pool fault degrades to
+the sequential exact path and the answer stays bit-identical to the seed* —
 is only testable if faults can be produced on demand, at exact points,
 a bounded number of times.  A :class:`FaultInjector` is a small event
 registry installable on the seams that can fail in production:
@@ -10,11 +10,11 @@ registry installable on the seams that can fail in production:
   inside every write transaction, just before the real ``COMMIT``
   (fail-Nth-commit, lock-for-N-attempts);
 * ``"load"`` — fired at the top of every store read
-  (``load_repository`` / ``load_pair_scores`` / ``load_index``), the
-  seam where a store corrupted mid-flight first surfaces;
+  (``load_repository`` / ``load_pair_scores`` /
+  ``SqlAdmissionPlanner.admitted``), the seam where a store corrupted
+  mid-flight first surfaces;
 * ``"parallel"`` — fired by the service before the process-pool tier
   runs (kill-worker / ``BrokenProcessPool``);
-* ``"indexed"`` — fired before the inverted-index preselection tier;
 * ``"sql"`` — fired before the in-database (SQL pushdown) admission
   tier resolves its candidate set.
 
@@ -163,16 +163,6 @@ class FaultInjector:
             "parallel",
             lambda: TimeoutError("worker result did not arrive in time"),
             label="worker-timeout",
-            times=times,
-            after=after,
-        )
-
-    def break_index(self, *, times: int = 1, after: int = 0) -> "FaultInjector":
-        """Fail the inverted-index preselection tier."""
-        return self._arm_raiser(
-            "indexed",
-            lambda: RuntimeError("inverted index unavailable"),
-            label="break-index",
             times=times,
             after=after,
         )

@@ -1,4 +1,4 @@
-"""Inverted token index over workflow labels and annotations.
+"""The token fields of the persisted inverted annotation index.
 
 The annotation measures of the paper (``BW``, ``BT``) compare token
 *sets* by their Jaccard overlap, which makes an inverted index the
@@ -20,65 +20,35 @@ reproducing the reference ranking (descending score, input order) bit
 for bit while the expensive comparisons stay proportional to the
 postings touched, not to the corpus size.
 
-Three token fields are maintained per workflow:
+Two token fields are indexed per workflow:
 
 * ``text`` — title + description through the exact Bag-of-Words
   pipeline (:func:`repro.text.tokenize` with stopword filtering), the
   preselection field of the ``BW`` measure;
 * ``tags`` — the raw keyword tags (no preprocessing, following the
-  paper's ``BT`` semantics);
-* ``label`` — module labels through :func:`repro.text.tokenize_label`
-  (CamelCase/snake_case split), kept for module-level lookups and
-  diagnostics; label Levenshtein scores are not zero-bounded by *token*
-  overlap (tokenisation lowercases and splits), so ``label`` postings
-  are not an admission structure.  ``MS`` preselection instead runs on
-  the per-label *character* bags of
-  :class:`repro.perf.bounds.LabelBagIndex`, whose overlap is the exact
-  zero certificate of the Levenshtein similarity.
+  paper's ``BT`` semantics).
 
-Which measure may use which admission structure is decided by
-:func:`repro.perf.bounds.find_admission` — the unified
-``CertifiedBound`` layer — not by this class.
-
-The index mutates in step with a live corpus (``add_workflow`` /
-``remove_workflow``) and round-trips through flat ``(field, token,
-workflow_id)`` rows, which is how :class:`repro.store.WorkflowStore`
-persists it.
+The postings themselves live only in the ``postings`` table of
+:class:`repro.store.WorkflowStore`, one ``(field, token, workflow_id)``
+row each, kept in step with the snapshot by every store write and
+queried in SQL by :class:`repro.store.SqlAdmissionPlanner`.  This class
+owns what the store and :class:`repro.perf.bounds.BagOverlapAdmission`
+must agree on: the field names and the tokenisation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-from ..text.tokenize import tokenize, tokenize_label
+from ..text.tokenize import tokenize
 from ..workflow.model import Workflow
 
 __all__ = ["InvertedAnnotationIndex"]
 
 
 class InvertedAnnotationIndex:
-    """Token → workflow postings over annotations and module labels."""
+    """The indexed token fields and their tokenisation."""
 
     #: The indexed token fields, in persistence order.
-    FIELDS: tuple[str, ...] = ("text", "tags", "label")
-
-    __slots__ = ("_postings", "_documents")
-
-    def __init__(self) -> None:
-        self._postings: dict[str, dict[str, set[str]]] = {field: {} for field in self.FIELDS}
-        self._documents: dict[str, dict[str, frozenset[str]]] = {
-            field: {} for field in self.FIELDS
-        }
-
-    @classmethod
-    def build(cls, workflows: Iterable[Workflow]) -> "InvertedAnnotationIndex":
-        """Index every workflow of a corpus."""
-        index = cls()
-        for workflow in workflows:
-            index.add_workflow(workflow)
-        return index
-
-    # -- tokenisation --------------------------------------------------------
+    FIELDS: tuple[str, ...] = ("text", "tags")
 
     @staticmethod
     def workflow_tokens(field: str, workflow: Workflow) -> frozenset[str]:
@@ -98,141 +68,4 @@ class InvertedAnnotationIndex:
             return frozenset(tokenize(f"{annotations.title} {annotations.description}"))
         if field == "tags":
             return frozenset(annotations.tags)
-        if field == "label":
-            tokens: set[str] = set()
-            for module in workflow.modules:
-                tokens.update(tokenize_label(module.label))
-            return frozenset(tokens)
         raise ValueError(f"unknown index field {field!r}; expected one of {InvertedAnnotationIndex.FIELDS}")
-
-    # -- mutation ------------------------------------------------------------
-
-    def add_workflow(self, workflow: Workflow) -> None:
-        """Index (or re-index) one workflow."""
-        if workflow.identifier in self._documents["text"]:
-            self.remove_workflow(workflow.identifier)
-        for field in self.FIELDS:
-            tokens = self.workflow_tokens(field, workflow)
-            self._documents[field][workflow.identifier] = tokens
-            postings = self._postings[field]
-            for token in tokens:
-                bucket = postings.get(token)
-                if bucket is None:
-                    postings[token] = {workflow.identifier}
-                else:
-                    bucket.add(workflow.identifier)
-
-    def remove_workflow(self, identifier: str) -> bool:
-        """Drop a workflow's postings; returns whether it was indexed."""
-        removed = False
-        for field in self.FIELDS:
-            tokens = self._documents[field].pop(identifier, None)
-            if tokens is None:
-                continue
-            removed = True
-            postings = self._postings[field]
-            for token in tokens:
-                bucket = postings.get(token)
-                if bucket is not None:
-                    bucket.discard(identifier)
-                    if not bucket:
-                        del postings[token]
-        return removed
-
-    # -- queries -------------------------------------------------------------
-
-    def candidates(self, field: str, tokens: Iterable[str]) -> set[str]:
-        """Union of the postings of ``tokens`` — every workflow that can
-        score above zero against a query carrying exactly these tokens."""
-        if field not in self._postings:
-            raise ValueError(
-                f"unknown index field {field!r}; expected one of {self.FIELDS}"
-            )
-        postings = self._postings[field]
-        admitted: set[str] = set()
-        for token in tokens:
-            bucket = postings.get(token)
-            if bucket:
-                admitted.update(bucket)
-        return admitted
-
-    def document_tokens(self, field: str, identifier: str) -> frozenset[str] | None:
-        """The indexed token set of one workflow (``None`` if unindexed)."""
-        return self._documents[field].get(identifier)
-
-    def __len__(self) -> int:
-        return len(self._documents["text"])
-
-    def __contains__(self, identifier: object) -> bool:
-        return identifier in self._documents["text"]
-
-    def stats(self) -> dict[str, int]:
-        """Size counters (documents, distinct tokens and postings per field)."""
-        counters: dict[str, int] = {"documents": len(self)}
-        total = 0
-        for field in self.FIELDS:
-            postings = self._postings[field]
-            entries = sum(len(bucket) for bucket in postings.values())
-            counters[f"{field}_tokens"] = len(postings)
-            counters[f"{field}_postings"] = entries
-            total += entries
-        counters["postings"] = total
-        return counters
-
-    # -- flat-row persistence ------------------------------------------------
-
-    def rows(self) -> Iterator[tuple[str, str, str]]:
-        """Every posting as a ``(field, token, workflow_id)`` row."""
-        for field in self.FIELDS:
-            for token, bucket in self._postings[field].items():
-                for identifier in bucket:
-                    yield field, token, identifier
-
-    def document_rows(self, identifier: str) -> Iterator[tuple[str, str, str]]:
-        """The posting rows of one workflow (for incremental persistence)."""
-        for field in self.FIELDS:
-            tokens = self._documents[field].get(identifier)
-            if tokens:
-                for token in tokens:
-                    yield field, token, identifier
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, str]]) -> "InvertedAnnotationIndex":
-        """Rebuild an index from :meth:`rows` output.
-
-        Workflows whose every field tokenised to the empty set leave no
-        rows and are therefore absent from the rebuilt index — harmless,
-        since empty documents can never be admitted as candidates.
-
-        Rows naming an unknown field (a corrupted or foreign postings
-        table) raise :class:`ValueError` rather than silently building a
-        partial index — an index that cannot be trusted must fail loudly
-        so the store layer can quarantine it and the service can fall
-        back to the exact full scan.
-        """
-        index = cls()
-        valid_fields = set(cls.FIELDS)
-        collect: dict[str, dict[str, set[str]]] = {field: {} for field in cls.FIELDS}
-        for field, token, identifier in rows:
-            if field not in valid_fields:
-                raise ValueError(
-                    f"unknown index field {field!r} in persisted postings; "
-                    f"expected one of {cls.FIELDS} — the postings table is "
-                    "corrupt or from an incompatible store"
-                )
-            index._postings[field].setdefault(token, set()).add(identifier)
-            collect[field].setdefault(identifier, set()).add(token)
-        for field, documents in collect.items():
-            index._documents[field] = {
-                identifier: frozenset(tokens) for identifier, tokens in documents.items()
-            }
-        # A workflow indexed only under some fields still needs document
-        # entries for the others, so later removal stays precise.
-        indexed_ids: set[str] = set()
-        for documents in index._documents.values():
-            indexed_ids.update(documents)
-        for field in cls.FIELDS:
-            documents = index._documents[field]
-            for identifier in indexed_ids:
-                documents.setdefault(identifier, frozenset())
-        return index

@@ -1,48 +1,29 @@
 """In-database candidate admission (SQL pushdown).
 
-The admission bounds of :mod:`repro.perf.bounds` certify that every
-candidate outside a postings union scores exactly ``0.0``.  Their
-in-memory executors (:class:`~repro.store.inverted_index.InvertedAnnotationIndex`,
-:class:`~repro.perf.bounds.LabelBagIndex`) materialize the whole
-postings structure in Python, which a warm-started service had to pay
-on every open even though the store already persists the identical rows
-(``postings`` for the ``BW``/``BT`` token overlap, ``label_bags`` for
-the ``MS`` character-bag certificate).
+The ``BW``/``BT`` admission bound of :mod:`repro.perf.bounds` certifies
+that every candidate outside a postings union scores exactly ``0.0``.
+The store already persists those postings (the ``postings`` table), so
+the union runs *inside* SQLite: the bound describes each query as a
+declarative :class:`~repro.perf.bounds.SqlAdmissionPlan` and
+:class:`SqlAdmissionPlanner` resolves it with indexed token lookups on
+the ``postings (field, token, workflow_id)`` primary-key B-tree,
+letting SQLite perform the union/distinct set algebra and returning only
+the surviving candidate ids.  Python never holds more than the admitted
+id set.
 
-This module executes the same predicates *inside* SQLite instead: the
-bound describes itself as a declarative
-:class:`~repro.perf.bounds.SqlAdmissionPlan` and
-:class:`SqlAdmissionPlanner` resolves it with indexed token lookups —
-``postings (field, token, workflow_id)`` rides its primary-key B-tree,
-``label_bags`` the ``label_bags_by_token`` index — letting SQLite
-perform the union/distinct set algebra and returning only the surviving
-candidate ids.  Python never holds more than the admitted id set, so
-preselection works without building either index structure in memory
-(and, at corpus scales beyond RAM, without ever being able to).
-
-**Bit-identity contract.**  For every plan the admitted set equals the
-in-memory structure's set exactly:
-
-* annotation plans match the query's token set against ``postings``
-  rows of the bound's field — the same rows ``save_index`` wrote from
-  ``InvertedAnnotationIndex.rows()``;
-* label plans must reproduce ``LabelBagIndex``'s *per-character
-  lowering* of the persisted raw tokens (a raw character may lower to
-  several characters, and SQLite's ``lower()`` is ASCII-only), so the
-  planner first scans the tiny distinct-token alphabet, lowers it with
-  Python's own ``str.lower`` and then resolves the matching raw tokens
-  through the indexed lookup.  The ``''`` sentinel row implements the
-  empty-label carve-out.
-
-The service's equivalence tests pin SQL-admitted results bit-identical
-to both the in-memory indexed path and the sequential seed path.
+**Bit-identity contract.**  A plan matches the query's token set —
+tokenised by :meth:`InvertedAnnotationIndex.workflow_tokens
+<repro.store.inverted_index.InvertedAnnotationIndex.workflow_tokens>`,
+the same function that wrote the rows — against the rows of the bound's
+field.  The service's equivalence tests pin SQL-admitted results
+bit-identical to the sequential seed path.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..perf.bounds import AdmissionBound, SqlAdmissionPlan
+from ..perf.bounds import SqlAdmissionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workflow_store import WorkflowStore
@@ -71,38 +52,12 @@ class SqlAdmissionPlanner:
     def __init__(self, store: "WorkflowStore") -> None:
         self.store = store
 
-    # -- availability --------------------------------------------------------
-
-    def available(self, admission: AdmissionBound) -> bool:
-        """Whether the store can answer this bound's kind right now.
-
-        Mirrors the in-memory gates exactly: annotation admission needs
-        persisted postings (``load_index`` would return non-``None``),
-        label admission needs the ``label_bags_saved`` marker
-        (``load_label_bags`` would return non-``None``).
-        """
-        if admission.kind == "annotation":
-            return self.store.has_postings()
-        if admission.kind == "label":
-            return self.store.has_label_bags()
-        return False
-
-    # -- execution -----------------------------------------------------------
-
     def admitted(self, plan: SqlAdmissionPlan) -> set[str]:
         """The admitted candidate ids of one plan (set algebra in SQL)."""
         self.store._fire("load")
-        if plan.kind == "annotation":
-            return self._admitted_annotation(plan)
-        if plan.kind == "label":
-            return self._admitted_label(plan)
-        raise ValueError(f"unknown admission plan kind {plan.kind!r}")
-
-    def _admitted_annotation(self, plan: SqlAdmissionPlan) -> set[str]:
         connection = self.store.connection
         admitted: set[str] = set()
-        tokens = sorted(plan.tokens)
-        for batch in _chunks(tokens):
+        for batch in _chunks(sorted(plan.tokens)):
             placeholders = ",".join("?" for _ in batch)
             rows = connection.execute(
                 "SELECT DISTINCT workflow_id FROM postings"
@@ -112,57 +67,16 @@ class SqlAdmissionPlanner:
             admitted.update(row[0] for row in rows)
         return admitted
 
-    def _admitted_label(self, plan: SqlAdmissionPlan) -> set[str]:
-        connection = self.store.connection
-        # The distinct raw tokens are the corpus alphabet — a handful of
-        # characters, resolvable from the token-first index alone.  The
-        # per-character lowering happens in Python so the match is
-        # bit-identical to LabelBagIndex.add_bag (str.lower may expand
-        # one character to several; SQLite's lower() is ASCII-only).
-        alphabet = [
-            row[0]
-            for row in connection.execute(
-                "SELECT DISTINCT token FROM label_bags WHERE token != ''"
-            )
-        ]
-        matching = sorted(
-            token
-            for token in alphabet
-            if any(char in plan.tokens for char in token.lower())
-        )
-        admitted: set[str] = set()
-        for batch in _chunks(matching):
-            placeholders = ",".join("?" for _ in batch)
-            rows = connection.execute(
-                "SELECT DISTINCT workflow_id FROM label_bags"
-                f" WHERE token IN ({placeholders})",
-                tuple(batch),
-            )
-            admitted.update(row[0] for row in rows)
-        if plan.include_empty_label:
-            rows = connection.execute(
-                "SELECT DISTINCT workflow_id FROM label_bags WHERE token = ''"
-            )
-            admitted.update(row[0] for row in rows)
-        return admitted
-
-    # -- diagnostics ---------------------------------------------------------
-
     def stats(self) -> dict[str, int | str | bool]:
         """SQL-tier readiness report (for ``repro index stats``)."""
-        connection = self.store.connection
         indexes = sorted(
             row[0]
-            for row in connection.execute(
+            for row in self.store.connection.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'index'"
                 " AND name NOT LIKE 'sqlite_%'"
             )
         )
         return {
             "annotation_ready": self.store.has_postings(),
-            "label_ready": self.store.has_label_bags(),
-            "label_alphabet": connection.execute(
-                "SELECT COUNT(DISTINCT token) FROM label_bags"
-            ).fetchone()[0],
             "indexes": ",".join(indexes),
         }

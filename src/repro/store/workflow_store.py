@@ -1,12 +1,12 @@
-"""SQLite-backed persistence for repositories, score caches and the index.
+"""SQLite-backed persistence for repositories, score caches and postings.
 
 A :class:`WorkflowStore` is the durable half of the acceleration layer:
 everything the in-process caches learn — module-pair scores keyed by
-attribute-value fingerprints, the inverted annotation index, and the
-corpus snapshot they were derived from — survives a process restart, so
-a :class:`~repro.api.service.SimilarityService` reopened over the same
-``cache_dir`` warm-starts bit-identically instead of paying the full
-cold-start cost again.
+attribute-value fingerprints, the corpus snapshot they were derived
+from, and the token postings derived from that snapshot — survives a
+process restart, so a :class:`~repro.api.service.SimilarityService`
+reopened over the same ``cache_dir`` warm-starts bit-identically instead
+of paying the full cold-start cost again.
 
 One store is one SQLite file (``repro_store.sqlite``) inside the cache
 directory, holding four tables:
@@ -21,15 +21,15 @@ directory, holding four tables:
   :class:`~repro.perf.cache.ModulePairScoreCache`, one row per
   ``(configuration signature, fingerprint_a, fingerprint_b)``.  SQLite
   ``REAL`` is an IEEE-754 double, so scores round-trip bit-exactly;
-* ``postings`` — the flat rows of an
-  :class:`~repro.store.inverted_index.InvertedAnnotationIndex`;
-* ``label_bags`` — the per-workflow raw-label *character* bags of
-  :class:`~repro.perf.bounds.LabelBagIndex`, one ``(workflow_id, token,
-  count)`` row per distinct character (plus the ``""`` sentinel counting
-  empty-label modules).  They power the ``MS`` label-Levenshtein
-  admission prefilter and are only trusted when the
-  ``label_bags_saved`` meta marker is present — stores written before
-  the marker existed simply rebuild the bags from the live corpus.
+* ``postings`` — one ``(field, token, workflow_id)`` row per token of
+  each :attr:`~repro.store.inverted_index.InvertedAnnotationIndex.FIELDS`
+  field, the ``BW``/``BT`` admission structure that
+  :class:`~repro.store.sql_admission.SqlAdmissionPlanner` queries.
+  Postings are data derived from the snapshot: a store holding any
+  (an *indexed* store — :meth:`WorkflowStore.rebuild` and
+  ``save_repository(..., postings=True)`` make one) rewrites them in the
+  same transaction as every snapshot write, so they always describe
+  exactly the stored corpus.
 
 Invalidation is precise and value-safe: removing or adding a workflow
 touches only its snapshot row and its posting rows, while pair scores
@@ -66,6 +66,10 @@ with the older ordered full-table checksums are converted on open,
 table by table, and only when the table still matches its old
 checksum; a table that does not stays unconverted and fails
 verification.
+
+Stores written before the postings became the only admission structure
+also held a ``label_bags`` table and ``label`` postings; opening one
+drops both (see ``WorkflowStore._init_schema``).
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from typing import Callable, Iterable, TypeVar
 
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
-from ..perf.bounds import LabelBagIndex, workflow_label_bag
 from ..repository.repository import WorkflowRepository
 from ..workflow.serialization import workflow_from_dict, workflow_to_dict
 from .inverted_index import InvertedAnnotationIndex
@@ -105,7 +108,6 @@ _TABLES = {
     "workflows": ("identifier, position, payload", "%s\x1f%s\x1f%s"),
     "pair_scores": ("config, fp_a, fp_b, score", "%s\x1f%s\x1f%s\x1f%r"),
     "postings": ("field, token, workflow_id", "%s\x1f%s\x1f%s"),
-    "label_bags": ("workflow_id, token, count", "%s\x1f%s\x1f%s"),
 }
 _SUM_MODULUS = 1 << 256
 _SUM_KEY = "rowsum:{}"
@@ -118,7 +120,6 @@ _LEGACY_QUERIES = {
     "workflows": "SELECT identifier, position, payload FROM workflows ORDER BY position, identifier",
     "pair_scores": "SELECT config, fp_a, fp_b, score FROM pair_scores ORDER BY config, fp_a, fp_b",
     "postings": "SELECT field, token, workflow_id FROM postings ORDER BY field, token, workflow_id",
-    "label_bags": "SELECT workflow_id, token, count FROM label_bags ORDER BY workflow_id, token",
 }
 
 T = TypeVar("T")
@@ -241,6 +242,20 @@ def _fingerprint_of_payloads(payloads: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
+def _posting_rows(workflow) -> list[tuple[str, str, str]]:
+    """The ``postings`` rows of one workflow."""
+    identifier = workflow.identifier
+    return [
+        (field, token, identifier)
+        for field in InvertedAnnotationIndex.FIELDS
+        for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
+    ]
+
+
+def _indexed(connection: "sqlite3.Connection | sqlite3.Cursor") -> bool:
+    return connection.execute("SELECT 1 FROM postings LIMIT 1").fetchone() is not None
+
+
 def corpus_fingerprint(repository: WorkflowRepository) -> str:
     """Order-sensitive content hash of a repository.
 
@@ -252,7 +267,7 @@ def corpus_fingerprint(repository: WorkflowRepository) -> str:
 
 
 class WorkflowStore:
-    """One cache directory's persistent snapshot, scores and index."""
+    """One cache directory's persistent snapshot, scores and postings."""
 
     def __init__(
         self,
@@ -346,22 +361,6 @@ class WorkflowStore:
             cursor.execute(
                 "CREATE INDEX IF NOT EXISTS postings_by_workflow ON postings (workflow_id)"
             )
-            cursor.execute(
-                "CREATE TABLE IF NOT EXISTS label_bags ("
-                " workflow_id TEXT NOT NULL,"
-                " token TEXT NOT NULL,"
-                " count INTEGER NOT NULL,"
-                " PRIMARY KEY (workflow_id, token))"
-            )
-            # Admission pushdown (repro.store.sql_admission) resolves
-            # candidates by token: the postings primary key already
-            # serves (field, token) prefix lookups, label_bags needs its
-            # own token-first index.  IF NOT EXISTS doubles as the
-            # migration for stores created before the SQL tier existed.
-            cursor.execute(
-                "CREATE INDEX IF NOT EXISTS label_bags_by_token"
-                " ON label_bags (token, workflow_id)"
-            )
             row = cursor.execute("SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
             if row is None:
                 cursor.execute(
@@ -395,6 +394,18 @@ class WorkflowStore:
                         continue
                     cursor.execute("DELETE FROM meta WHERE key = ?", (legacy_key,))
                 writer.rehash(table)
+            # Older stores also held label character bags and ``label``
+            # postings, which nothing reads any more.  This runs after
+            # the conversion above, which vouches for the postings with
+            # their label rows still in place; the label rows then leave
+            # through delete_rows, so the postings sum stays exact and an
+            # earlier out-of-band edit stays detectable.
+            cursor.execute("DROP TABLE IF EXISTS label_bags")
+            cursor.execute(
+                "DELETE FROM meta WHERE key IN"
+                " ('rowsum:label_bags', 'checksum:label_bags', 'label_bags_saved')"
+            )
+            writer.delete_rows("postings", "field = ?", ("label",))
 
         self._transaction(initialise)
 
@@ -559,17 +570,6 @@ class WorkflowStore:
                         raise ValueError(f"unknown index field {field!r}")
             except Exception as error:
                 report.fail(f"postings: {error}", table="postings")
-        if report.table_ok("label_bags"):
-            try:
-                for (token, count) in connection.execute(
-                    "SELECT token, count FROM label_bags"
-                ):
-                    if not isinstance(token, str) or len(token) > 1:
-                        raise ValueError(f"token {token!r} is not a single character")
-                    if not isinstance(count, int) or count <= 0:
-                        raise ValueError(f"count {count!r} is not a positive integer")
-            except Exception as error:
-                report.fail(f"label_bags: {error}", table="label_bags")
         return report
 
     # -- atomic full rewrite -------------------------------------------------
@@ -580,14 +580,13 @@ class WorkflowStore:
         cache_dir: str | Path,
         repository: WorkflowRepository,
         *,
-        index: InvertedAnnotationIndex | None = None,
         filename: str = STORE_FILENAME,
         retry: RetryPolicy | None = None,
     ) -> "WorkflowStore":
         """Write a brand-new store and atomically replace any existing one.
 
-        The full rewrite goes write-then-rename: the snapshot (and
-        optional index) is committed into a sibling temp file, fully
+        The full rewrite goes write-then-rename: the snapshot and its
+        postings are committed into a sibling temp file, fully
         checkpointed and closed, then ``os.replace``d over the final
         path — a crash at any point leaves either the complete old store
         or the complete new one, never a half-written file.  Returns an
@@ -607,9 +606,7 @@ class WorkflowStore:
                 stale.unlink()
         fresh = cls(directory, filename=temp_name, retry=retry)
         try:
-            fresh.save_repository(repository)
-            if index is not None:
-                fresh.save_index(index)
+            fresh.save_repository(repository, postings=True)
         finally:
             fresh.close()  # checkpoints the WAL into the temp file
         os.replace(temp_path, final_path)
@@ -624,34 +621,31 @@ class WorkflowStore:
         row = self.connection.execute("SELECT EXISTS(SELECT 1 FROM workflows)").fetchone()
         return bool(row[0])
 
-    def save_repository(self, repository: WorkflowRepository) -> int:
+    def save_repository(self, repository: WorkflowRepository, *, postings: bool = False) -> int:
         """Replace the snapshot with the current corpus; returns its size.
 
-        One transaction: rows, repository name, the label character bags
-        (with the ``label_bags_saved`` marker that makes them trusted on
-        load) and both checksums land together or not at all.
+        One transaction: rows, repository name, the postings and the
+        checksums land together or not at all.  The postings are
+        rewritten for the new snapshot when ``postings`` is true or the
+        store is already indexed; otherwise the table stays empty.
         """
         rows = [
             (workflow.identifier, position, _workflow_payload(workflow))
             for position, workflow in enumerate(repository)
         ]
-        bag_rows = [
-            (workflow.identifier, token, count)
-            for workflow in repository
-            for token, count in sorted(workflow_label_bag(workflow).items())
-        ]
 
         def operation(writer: _Writer) -> int:
+            indexed = postings or _indexed(writer.cursor)
             writer.delete_rows("workflows")
             writer.insert_rows("workflows", rows)
-            writer.delete_rows("label_bags")
-            writer.insert_rows("label_bags", bag_rows)
+            writer.delete_rows("postings")
+            if indexed:
+                writer.insert_rows(
+                    "postings", [row for workflow in repository for row in _posting_rows(workflow)]
+                )
             writer.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('repository_name', ?)",
                 (repository.name,),
-            )
-            writer.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('label_bags_saved', '1')"
             )
             return len(rows)
 
@@ -690,38 +684,22 @@ class WorkflowStore:
     def add_workflow(self, workflow) -> None:
         """Upsert one snapshot row (appended at the end of the pool order).
 
-        When an index has been persisted, the workflow's posting rows
-        are refreshed in the same transaction so the stored index can
-        never drift from the stored corpus; likewise the label character
-        bag when the ``label_bags_saved`` marker is present.
+        In an indexed store the workflow's posting rows are refreshed in
+        the same transaction, so the stored postings can never drift from
+        the stored corpus.
         """
         identifier = workflow.identifier
         payload = _workflow_payload(workflow)
-        posting_rows = [
-            (field, token, identifier)
-            for field in InvertedAnnotationIndex.FIELDS
-            for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
-        ]
-        bag_rows = [
-            (identifier, token, count)
-            for token, count in sorted(workflow_label_bag(workflow).items())
-        ]
+        posting_rows = _posting_rows(workflow)
 
         def operation(writer: _Writer) -> None:
-            indexed = writer.execute("SELECT 1 FROM postings LIMIT 1").fetchone() is not None
-            bagged = (
-                writer.execute("SELECT 1 FROM meta WHERE key = 'label_bags_saved'").fetchone()
-                is not None
-            )
+            indexed = _indexed(writer.cursor)
             (last,) = writer.execute("SELECT COALESCE(MAX(position), -1) FROM workflows").fetchone()
             writer.delete_rows("workflows", "identifier = ?", (identifier,))
             writer.insert_rows("workflows", [(identifier, last + 1, payload)])
             writer.delete_rows("postings", "workflow_id = ?", (identifier,))
             if indexed:
                 writer.insert_rows("postings", posting_rows)
-            writer.delete_rows("label_bags", "workflow_id = ?", (identifier,))
-            if bagged:
-                writer.insert_rows("label_bags", bag_rows)
 
         self._transaction(operation)
 
@@ -736,7 +714,6 @@ class WorkflowStore:
         def operation(writer: _Writer) -> bool:
             existed = writer.delete_rows("workflows", "identifier = ?", (identifier,)) > 0
             writer.delete_rows("postings", "workflow_id = ?", (identifier,))
-            writer.delete_rows("label_bags", "workflow_id = ?", (identifier,))
             return existed
 
         return self._transaction(operation)
@@ -786,70 +763,26 @@ class WorkflowStore:
     def pair_score_count(self) -> int:
         return self.connection.execute("SELECT COUNT(*) FROM pair_scores").fetchone()[0]
 
-    # -- inverted index ------------------------------------------------------
-
-    def save_index(self, index: InvertedAnnotationIndex) -> int:
-        """Replace the persisted postings; returns the row count."""
-        rows = list(index.rows())
-
-        def operation(writer: _Writer) -> int:
-            writer.delete_rows("postings")
-            return writer.insert_rows("postings", rows)
-
-        return self._transaction(operation)
-
-    def clear_postings(self) -> int:
-        """Drop the persisted index (used when a snapshot is replaced
-        without a live index — stale postings must not survive)."""
-
-        def operation(writer: _Writer) -> int:
-            writer.delete_rows("postings")
-            return 0
-
-        return self._transaction(operation)
-
-    def load_index(self) -> InvertedAnnotationIndex | None:
-        """Rebuild the persisted index (``None`` when none was saved)."""
-        self._fire("load")
-        rows = self.connection.execute(
-            "SELECT field, token, workflow_id FROM postings"
-        ).fetchall()
-        if not rows:
-            return None
-        return InvertedAnnotationIndex.from_rows(rows)
+    # -- postings ------------------------------------------------------------
 
     def has_postings(self) -> bool:
-        """Whether a persisted index exists (the SQL-admission gate:
-        mirrors :meth:`load_index` returning non-``None``)."""
-        row = self.connection.execute("SELECT 1 FROM postings LIMIT 1").fetchone()
-        return row is not None
+        """Whether the store is indexed (the SQL-admission gate)."""
+        return _indexed(self.connection)
 
-    # -- label character bags ------------------------------------------------
-
-    def has_label_bags(self) -> bool:
-        """Whether this store has ever persisted label bags (the marker)."""
-        row = self.connection.execute(
-            "SELECT 1 FROM meta WHERE key = 'label_bags_saved'"
-        ).fetchone()
-        return row is not None
-
-    def load_label_bags(self) -> LabelBagIndex | None:
-        """Rebuild the persisted label character bags.
-
-        Returns ``None`` when the ``label_bags_saved`` marker is absent
-        — a store written before label bags existed, or never given a
-        snapshot — so the caller rebuilds from the live corpus instead
-        of trusting an empty (or stale) table.  A marker with no rows is
-        a valid empty index: a snapshot whose every workflow has no
-        modules persists exactly that.
-        """
-        self._fire("load")
-        if not self.has_label_bags():
-            return None
-        rows = self.connection.execute(
-            "SELECT workflow_id, token, count FROM label_bags"
-        ).fetchall()
-        return LabelBagIndex.from_rows(rows)
+    def index_stats(self) -> dict[str, int]:
+        """Snapshot size and the distinct tokens and rows per postings field."""
+        connection = self.connection
+        counters = {"documents": connection.execute("SELECT COUNT(*) FROM workflows").fetchone()[0]}
+        counts = {
+            field: (tokens, rows)
+            for field, tokens, rows in connection.execute(
+                "SELECT field, COUNT(DISTINCT token), COUNT(*) FROM postings GROUP BY field"
+            )
+        }
+        for field in InvertedAnnotationIndex.FIELDS:
+            counters[f"{field}_tokens"], counters[f"{field}_postings"] = counts.get(field, (0, 0))
+        counters["postings"] = sum(rows for _tokens, rows in counts.values())
+        return counters
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -871,6 +804,5 @@ class WorkflowStore:
             "pair_scores": self.pair_score_count(),
             "pair_score_configs": configs,
             "postings": connection.execute("SELECT COUNT(*) FROM postings").fetchone()[0],
-            "label_bags": connection.execute("SELECT COUNT(*) FROM label_bags").fetchone()[0],
             "retries": self.retry_count,
         }

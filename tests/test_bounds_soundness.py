@@ -190,99 +190,38 @@ class TestEnsembleComposition:
 
 
 class TestAdmissionSoundness:
-    """Admission bounds certify zeros: everything outside the admitted
-    set must score exactly 0.0."""
+    """Admission bounds certify zeros: everything outside the set the
+    planner admits from a store's postings must score exactly 0.0."""
 
-    @pytest.mark.parametrize(
-        "configuration", ["BW", "BT", "MS_ip_te_pll", "MS_np_ta_pll"]
-    )
-    def test_non_admitted_candidates_score_zero(self, configuration, corpus, context):
-        from repro.perf.bounds import LabelBagIndex
-        from repro.store import InvertedAnnotationIndex
+    @pytest.mark.parametrize("configuration", ["BW", "BT"])
+    def test_non_admitted_candidates_score_zero(self, configuration, corpus, context, tmp_path):
+        from repro.repository import WorkflowRepository
+        from repro.store import SqlAdmissionPlanner, WorkflowStore
 
         measure = create_measure(configuration)
         accelerate_measure(measure, context)
         admission = find_admission(measure)
         assert admission is not None
-        index = InvertedAnnotationIndex.build(corpus)
-        bags = LabelBagIndex.build(corpus)
         checked = 0
-        for query in corpus[:12]:
-            if admission.kind == "annotation":
-                tokens = index.workflow_tokens(admission.field, query)
-                admitted = index.candidates(admission.field, tokens)
-            else:
-                certified = admission.query_chars(query)
-                if certified is None:
-                    continue
-                chars, carve_out = certified
-                admitted = bags.admitted(chars, include_empty_label=carve_out)
-            for candidate in corpus:
-                if candidate.identifier == query.identifier:
-                    continue
-                if candidate.identifier not in admitted:
-                    assert measure.similarity(query, candidate) == 0.0
-                    checked += 1
-        if admission.kind == "annotation":
-            # Label-char admission legitimately admits everything on a
-            # same-language corpus (nearly all labels share a character);
-            # the disjoint-alphabet test below proves its exclusions.
-            assert checked > 0, "admission admitted everything; sweep proved nothing"
-
-    def test_label_admission_excludes_disjoint_alphabets(self, context):
-        from repro.perf.bounds import LabelBagIndex
-        from repro.workflow.model import Module, Workflow
-
-        measure = create_measure("MS_np_ta_pll")
-        accelerate_measure(measure, context)
-        admission = find_admission(measure)
-        assert admission is not None and admission.kind == "label"
-        query = Workflow(
-            identifier="q", modules=(Module(identifier="q:1", label="abc"),)
-        )
-        disjoint = Workflow(
-            identifier="d", modules=(Module(identifier="d:1", label="xyz"),)
-        )
-        # Sharing a character is necessary for a positive score, not
-        # sufficient ("abc" vs "zzza" share 'a' yet score 0.0) — the
-        # admitted set is a superset of the positive scorers.
-        sharing = Workflow(
-            identifier="s", modules=(Module(identifier="s:1", label="abz"),)
-        )
-        bags = LabelBagIndex.build([disjoint, sharing])
-        chars, carve_out = admission.query_chars(query)
-        admitted = bags.admitted(chars, include_empty_label=carve_out)
-        assert admitted == {"s"}
-        assert measure.similarity(query, disjoint) == 0.0
-        assert measure.similarity(query, sharing) > 0.0
-
-    def test_label_admission_carves_out_empty_labels(self, context):
-        from repro.perf.bounds import LabelBagIndex
-        from repro.workflow.model import Module, Workflow
-
-        # pll uses skip_if_both_empty=False: two empty labels score 1.0,
-        # so a query with an empty-label module must admit candidates
-        # with one, even with no character overlap at all.
-        measure = create_measure("MS_np_ta_pll")
-        accelerate_measure(measure, context)
-        admission = find_admission(measure)
-        query = Workflow(
-            identifier="q",
-            modules=(
-                Module(identifier="q:1", label="abc"),
-                Module(identifier="q:2", label=""),
-            ),
-        )
-        empty_label = Workflow(
-            identifier="e", modules=(Module(identifier="e:1", label=""),)
-        )
-        bags = LabelBagIndex.build([empty_label])
-        chars, carve_out = admission.query_chars(query)
-        assert carve_out
-        admitted = bags.admitted(chars, include_empty_label=carve_out)
-        assert admitted == {"e"}
-        assert measure.similarity(query, empty_label) > 0.0
+        with WorkflowStore(tmp_path) as store:
+            store.save_repository(WorkflowRepository(corpus), postings=True)
+            planner = SqlAdmissionPlanner(store)
+            for query in corpus[:12]:
+                admitted = planner.admitted(admission.sql_plan(query))
+                for candidate in corpus:
+                    if candidate.identifier == query.identifier:
+                        continue
+                    if candidate.identifier not in admitted:
+                        assert measure.similarity(query, candidate) == 0.0
+                        checked += 1
+        assert checked > 0, "admission admitted everything; sweep proved nothing"
 
     def test_ensembles_have_no_admission(self):
         assert find_admission(create_measure("BW+BT")) is None
         assert find_admission(create_measure("BW+MS_ip_te_pll")) is None
+
+    @pytest.mark.parametrize("configuration", ["MS_ip_te_pll", "MS_np_ta_pll", "PS_ip_te_pll"])
+    def test_structural_measures_have_no_admission(self, configuration):
+        """Label character overlap admits nearly every candidate on a
+        natural-language corpus, so MS/PS prune by frontier bound only."""
+        assert find_admission(create_measure(configuration)) is None

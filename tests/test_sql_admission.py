@@ -1,25 +1,26 @@
-"""SQL-pushdown candidate admission: equivalence, laziness, chaos.
+"""SQL-pushdown candidate admission: equivalence, churn, chaos.
 
 The acceptance contract of :mod:`repro.store.sql_admission`: a warm
-service answers admission-certified ``AUTO`` searches entirely from the
-persisted store (``path == "sql-indexed"``) with results bit-identical
-to both the in-memory indexed tier and the sequential seed path — and
-it does so *without* materializing ``InvertedAnnotationIndex`` or
-``LabelBagIndex`` in Python.  When the SQL tier faults mid-query, the
-service degrades to the in-memory tier, still bit-identically.
+service answers ``BW``/``BT`` ``AUTO`` searches from the persisted
+store's postings (``path == "sql-indexed"``) with results bit-identical
+to the sequential seed path, while ``MS`` runs the frontier-pruned scan
+without any admission query.  When the SQL tier faults mid-query, the
+service degrades to the accelerated batch, still bit-identically.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
 from repro.repository import WorkflowRepository
-from repro.store import FaultInjector, SqlAdmissionPlanner
-from repro.store.inverted_index import InvertedAnnotationIndex
+from repro.store import FaultInjector, SqlAdmissionPlanner, WorkflowStore
+from repro.store.workflow_store import _table_sum
 
-#: One measure per admission structure: text postings, tag postings,
-#: label character bags.
+#: The admitted measures (text and tag postings) plus MS, which has no
+#: admission and must not touch the postings.
 MEASURES = ("BW", "BT", "MS_ip_te_pll")
 
 
@@ -42,6 +43,10 @@ def sequential_request(measure, query_ids, k=10):
     )
 
 
+def expected_path(measure):
+    return "pruned" if measure.startswith("MS") else "sql-indexed"
+
+
 @pytest.fixture()
 def corpus_slice(small_corpus):
     return small_corpus.repository.workflows()[:35]
@@ -54,7 +59,7 @@ def query_ids(corpus_slice):
 
 @pytest.fixture()
 def warm_cache(tmp_path, corpus_slice, query_ids):
-    """A store persisted with both admission structures."""
+    """A store persisted with postings and MS pair scores."""
     cache_dir = tmp_path / "store"
     service = SimilarityService(fresh_repository(corpus_slice), cache_dir=cache_dir)
     service.build_index()
@@ -65,46 +70,40 @@ def warm_cache(tmp_path, corpus_slice, query_ids):
 
 
 class TestSqlAdmissionEquivalence:
-    """Tentpole: sql-indexed ≡ in-memory indexed ≡ sequential, bit for bit."""
+    """sql-indexed ≡ sequential, bit for bit; MS stays on the pruned scan."""
 
-    def test_sql_tier_bit_identical_across_measures(
-        self, warm_cache, corpus_slice, query_ids, monkeypatch
-    ):
+    def test_sql_tier_bit_identical_across_measures(self, warm_cache, corpus_slice, query_ids):
         reference_service = SimilarityService(fresh_repository(corpus_slice))
-        for measure in MEASURES:
-            reference = reference_service.search(
-                sequential_request(measure, query_ids)
-            )
-
-            monkeypatch.setenv("REPRO_FORCE_SQL_ADMISSION", "1")
-            sql_service = SimilarityService.open(cache_dir=warm_cache)
-            sql_set = sql_service.search(request(measure, query_ids))
-            assert sql_set == reference
-            assert sql_set.result_tuples() == reference.result_tuples()
-            assert sql_set.diagnostics.path == "sql-indexed"
-            sql_service.close()
-
-            monkeypatch.setenv("REPRO_FORCE_SQL_ADMISSION", "0")
-            memory_service = SimilarityService.open(cache_dir=warm_cache)
-            memory_set = memory_service.search(request(measure, query_ids))
-            assert memory_set == reference
-            assert memory_set.diagnostics.path == "indexed"
-            # Same bound, same admitted candidates — the SQL set algebra
-            # reproduces the in-memory postings union exactly.
-            assert (
-                sql_set.diagnostics.index_candidates
-                == memory_set.diagnostics.index_candidates
-            )
-            memory_service.close()
-
-    def test_sql_tier_never_materializes_structures(self, warm_cache, query_ids):
         service = SimilarityService.open(cache_dir=warm_cache)
         for measure in MEASURES:
+            reference = reference_service.search(sequential_request(measure, query_ids))
             result = service.search(request(measure, query_ids))
-            assert result.diagnostics.path == "sql-indexed"
-            assert "sql pushdown" in " ".join(result.diagnostics.notes)
-        assert service.index is None
-        assert service.label_bags is None
+            assert result == reference
+            assert result.result_tuples() == reference.result_tuples()
+            assert result.diagnostics.path == expected_path(measure)
+        service.close()
+
+    def test_sql_tier_never_materializes_structures(self, warm_cache, query_ids):
+        """Admission reads only the postings rows of the query's tokens
+        (indexed lookups, never a table scan), and MS reads none."""
+        service = SimilarityService.open(cache_dir=warm_cache)
+        for measure in MEASURES:
+            statements: list[str] = []
+            service.store.connection.set_trace_callback(statements.append)
+            result = service.search(request(measure, query_ids))
+            service.store.connection.set_trace_callback(None)
+            assert result.diagnostics.path == expected_path(measure)
+            reads = [
+                statement
+                for statement in statements
+                if "FROM postings" in statement and "LIMIT 1" not in statement
+            ]
+            if measure.startswith("MS"):
+                assert reads == []
+                assert not any("label-char-bag" in note for note in result.diagnostics.notes)
+            else:
+                assert "sql pushdown" in " ".join(result.diagnostics.notes)
+                assert reads and all("token IN" in statement for statement in reads)
         service.close()
 
     def test_sql_tier_survives_corpus_churn(
@@ -120,24 +119,20 @@ class TestSqlAdmissionEquivalence:
         for measure in MEASURES:
             churned = service.search(request(measure, query_ids))
             assert churned == fresh.search(sequential_request(measure, query_ids))
-            assert churned.diagnostics.path == "sql-indexed"
-        assert service.index is None
+            assert churned.diagnostics.path == expected_path(measure)
         service.close()
 
     def test_planner_stats_report_readiness(self, warm_cache):
         service = SimilarityService.open(cache_dir=warm_cache)
         stats = SqlAdmissionPlanner(service.store).stats()
-        assert stats["annotation_ready"] is True
-        assert stats["label_ready"] is True
-        assert stats["label_alphabet"] > 0
-        assert "label_bags_by_token" in stats["indexes"]
+        assert stats == {"annotation_ready": True, "indexes": "postings_by_workflow"}
         service.close()
 
 
 class TestSqlAdmissionChaos:
-    """Satellite: the SQL tier faults mid-query; degradation stays exact."""
+    """The SQL tier faults mid-query; degradation stays exact."""
 
-    def test_injected_sql_fault_falls_back_to_memory_tier(
+    def test_injected_sql_fault_falls_back_to_cached_scan(
         self, warm_cache, corpus_slice, query_ids
     ):
         reference = SimilarityService(fresh_repository(corpus_slice)).search(
@@ -152,8 +147,9 @@ class TestSqlAdmissionChaos:
         assert result == reference
         assert result.diagnostics.degraded
         assert "sql admission tier failed" in result.diagnostics.degradation_reason
-        # The in-memory index picked the query up, same answer.
-        assert result.diagnostics.path == "indexed"
+        # The cached full scan picked the query up, same answer.
+        assert result.diagnostics.path == "cached"
+        assert result.diagnostics.index_candidates is None
         assert ("sql", "break-sql") in injector.fired
 
         # The fault was transient: the next request is back on SQL.
@@ -173,8 +169,8 @@ class TestSqlAdmissionChaos:
         # execution — has_postings() still sees it, admitted() does not.
         original_ready = service._sql_admission_ready
 
-        def ready_then_drop(admission):
-            ready = original_ready(admission)
+        def ready_then_drop():
+            ready = original_ready()
             if ready:
                 service.store.connection.execute("DROP TABLE postings")
             return ready
@@ -185,36 +181,49 @@ class TestSqlAdmissionChaos:
         assert result.diagnostics.degraded
         service._sql_admission_ready = original_ready
 
-        # And the service healed: clean follow-up, identical answer.
+        # And the service healed: clean follow-up, identical answer, a
+        # rebuilt store that is indexed again.
         follow_up = service.search(request("BW", query_ids))
         assert follow_up == reference
+        assert follow_up.diagnostics.path == "sql-indexed"
         service.close()
 
 
 class TestFromRowsRemovalPrecision:
-    """Satellite: a workflow persisted under only some fields is still
-    removed precisely (the rebuilt index backfills empty documents)."""
+    """A workflow indexed under only some fields is still removed
+    precisely, and postings naming an unknown field fail loudly."""
 
-    def test_partial_rows_remove_cleanly(self):
-        rows = [
-            ("text", "alpha", "wf-1"),
-            ("text", "alpha", "wf-2"),
-            ("tags", "tag-a", "wf-1"),
-            # wf-2 has no tags row and neither has a label row.
-        ]
-        index = InvertedAnnotationIndex.from_rows(rows)
-        assert index.candidates("text", ["alpha"]) == {"wf-1", "wf-2"}
-        assert index.candidates("tags", ["tag-a"]) == {"wf-1"}
+    def test_partial_rows_remove_cleanly(self, corpus_slice, tmp_path):
+        untagged = [w for w in corpus_slice if not w.annotations.tags]
+        tagged = [w for w in corpus_slice if w.annotations.tags]
+        workflows = (untagged[:1] or corpus_slice[:1]) + tagged[:3]
+        with WorkflowStore(tmp_path) as store:
+            store.save_repository(fresh_repository(workflows), postings=True)
+            for workflow in workflows:
+                assert store.remove_workflow(workflow.identifier) is True
+                assert store.remove_workflow(workflow.identifier) is False  # idempotent
+                remaining = store.connection.execute(
+                    "SELECT COUNT(*) FROM postings WHERE workflow_id = ?",
+                    (workflow.identifier,),
+                ).fetchone()[0]
+                assert remaining == 0
+            assert not store.has_postings()
+            assert store.verify().ok
 
-        assert index.remove_workflow("wf-2") is True
-        assert index.remove_workflow("wf-2") is False  # idempotent
-        assert index.candidates("text", ["alpha"]) == {"wf-1"}
-        assert "wf-2" not in index
-
-        assert index.remove_workflow("wf-1") is True
-        assert index.candidates("text", ["alpha"]) == set()
-        assert index.candidates("tags", ["tag-a"]) == set()
-
-    def test_unknown_field_rows_fail_loudly(self):
-        with pytest.raises(ValueError):
-            InvertedAnnotationIndex.from_rows([("bogus", "t", "wf-1")])
+    def test_unknown_field_rows_fail_loudly(self, corpus_slice, tmp_path):
+        with WorkflowStore(tmp_path) as store:
+            store.save_repository(fresh_repository(corpus_slice[:3]), postings=True)
+        # A foreign row whose checksum was rewritten to match: only the
+        # payload decode can catch it.
+        connection = sqlite3.connect(tmp_path / "repro_store.sqlite")
+        connection.execute("UPDATE postings SET field = 'bogus' WHERE rowid = 1")
+        connection.execute(
+            "UPDATE meta SET value = ? WHERE key = 'rowsum:postings'",
+            (format(_table_sum(connection.cursor(), "postings"), "064x"),),
+        )
+        connection.commit()
+        connection.close()
+        with WorkflowStore(tmp_path) as store:
+            report = store.verify()
+        assert not report.table_ok("postings")
+        assert "unknown index field 'bogus'" in report.summary()

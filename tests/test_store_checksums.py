@@ -13,6 +13,7 @@ ordered checksums are converted only when they still match them.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import sqlite3
 import struct
@@ -29,7 +30,8 @@ from repro.repository import WorkflowRepository
 from repro.store import FaultInjector, RetryPolicy, WorkflowStore
 from repro.store.faults import hold_write_lock
 from repro.store.inverted_index import InvertedAnnotationIndex
-from repro.store.workflow_store import _TABLES, _stored_sum, _table_sum
+from repro.store.workflow_store import _TABLES, _rows_sum, _stored_sum, _table_sum
+from repro.text.tokenize import tokenize_label
 from repro.workflow.serialization import workflow_from_dict, workflow_to_dict
 
 TABLES = tuple(_TABLES)
@@ -72,6 +74,20 @@ def assert_sums_exact(store):
     assert report.ok, report.summary()
 
 
+def assert_postings_match_snapshot(store):
+    """An indexed store's postings are exactly the tokens of its snapshot."""
+    postings = set(store.connection.execute("SELECT field, token, workflow_id FROM postings"))
+    if not postings:
+        return
+    expected = {
+        (field, token, workflow.identifier)
+        for workflow in (store.load_repository() or ())
+        for field in InvertedAnnotationIndex.FIELDS
+        for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
+    }
+    assert postings == expected
+
+
 def raw_execute(cache_dir, statement):
     """An out-of-band write, bypassing the store."""
     connection = sqlite3.connect(cache_dir / "repro_store.sqlite")
@@ -83,8 +99,7 @@ def raw_execute(cache_dir, statement):
 def populated_store(cache_dir, workflows, *, scores=True):
     store = WorkflowStore(cache_dir)
     repository = WorkflowRepository(list(workflows), name="checksums")
-    store.save_repository(repository)
-    store.save_index(InvertedAnnotationIndex.build(repository))
+    store.save_repository(repository, postings=True)
     if scores:
         store.save_pair_scores(
             "sig", [(("a",), ("b",), 0.25), (("a",), ("c",), 1.0 / 3.0)]
@@ -100,9 +115,7 @@ SUBSETS = st.lists(st.integers(0, 7), unique=True, max_size=8)
 STEPS = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 7), st.booleans()),
     st.tuples(st.just("remove"), st.integers(0, 8)),
-    st.tuples(st.just("save_repository"), SUBSETS),
-    st.tuples(st.just("save_index"), SUBSETS),
-    st.tuples(st.just("clear_postings")),
+    st.tuples(st.just("save_repository"), SUBSETS, st.booleans()),
     st.tuples(
         st.just("save_pair_scores"),
         st.sampled_from(["sig-1", "sig-2"]),
@@ -120,11 +133,9 @@ def apply_step(store, step, pool, variants):
         identifier = pool[step[1]].identifier if step[1] < len(pool) else "absent"
         store.remove_workflow(identifier)
     elif kind == "save_repository":
-        store.save_repository(WorkflowRepository([pool[i] for i in step[1]], name="r"))
-    elif kind == "save_index":
-        store.save_index(InvertedAnnotationIndex.build([pool[i] for i in step[1]]))
-    elif kind == "clear_postings":
-        store.clear_postings()
+        store.save_repository(
+            WorkflowRepository([pool[i] for i in step[1]], name="r"), postings=step[2]
+        )
     else:
         store.save_pair_scores(step[1], step[2])
 
@@ -152,6 +163,7 @@ class TestIncrementalSums:
                         assert fault == "io"
                         assert recomputed(store) == before
                     assert_sums_exact(store)
+                    assert_postings_match_snapshot(store)
             finally:
                 store.close()
 
@@ -176,9 +188,8 @@ class TestIncrementalSums:
         assert store.remove_workflow(victim.identifier)
         store.add_workflow(victim)
         after = stored(store)
-        # Same postings and bags, same payload, one new position.
+        # Same postings, same payload, one new position.
         assert after["postings"] == before["postings"]
-        assert after["label_bags"] == before["label_bags"]
         assert after["pair_scores"] == before["pair_scores"]
         assert after["workflows"] != before["workflows"]
         assert_sums_exact(store)
@@ -194,8 +205,6 @@ OUT_OF_BAND_EDITS = {
     "WHERE rowid = (SELECT MIN(rowid) FROM pair_scores)",
     "postings": "UPDATE postings SET token = token || 'x' "
     "WHERE rowid = (SELECT MIN(rowid) FROM postings)",
-    "label_bags": "UPDATE label_bags SET count = count + 1 "
-    "WHERE rowid = (SELECT MIN(rowid) FROM label_bags)",
 }
 
 
@@ -211,7 +220,7 @@ class TestDetection:
         assert "checksum mismatch" in report.summary()
         assert all(report.table_ok(other) for other in TABLES if other != table)
 
-    @pytest.mark.parametrize("table", ["postings", "label_bags"])
+    @pytest.mark.parametrize("table", ["postings"])
     def test_deleted_row_is_detected(self, cache_dir, pool, table):
         populated_store(cache_dir, pool[:4]).close()
         raw_execute(cache_dir, f"DELETE FROM {table} WHERE rowid = (SELECT MAX(rowid) FROM {table})")
@@ -252,7 +261,7 @@ class TestDetection:
             store.add_workflow(pool[3])
             assert not store.verify().table_ok("postings")
             # A whole-table rewrite leaves nothing unvouched for.
-            store.save_index(InvertedAnnotationIndex.build(pool[:4]))
+            store.save_repository(WorkflowRepository(pool[:4]), postings=True)
             assert store.verify().ok
 
 
@@ -389,13 +398,72 @@ def downgrade_to_legacy(cache_dir):
     """Rewrite a store's meta the way an older build left it."""
     connection = sqlite3.connect(cache_dir / "repro_store.sqlite")
     connection.execute("DELETE FROM meta WHERE key LIKE 'rowsum:%'")
-    for table in TABLES:
+    present = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
+    for table in (table for table in LEGACY_QUERIES if table in present):
         connection.execute(
             "INSERT INTO meta (key, value) VALUES (?, ?)",
             (f"checksum:{table}", legacy_checksum(connection, table)),
         )
     connection.commit()
     connection.close()
+
+
+def label_bag_rows(workflow):
+    """One ``label_bags`` row per raw label character (``""`` counts
+    empty labels), as stores with the label prefilter kept them."""
+    bag: dict[str, int] = {}
+    for module in workflow.modules:
+        for token in module.attribute("label") or [""]:
+            bag[token] = bag.get(token, 0) + 1
+    return [(workflow.identifier, token, count) for token, count in sorted(bag.items())]
+
+
+def label_posting_rows(workflow):
+    tokens = {token for module in workflow.modules for token in tokenize_label(module.label)}
+    return [("label", token, workflow.identifier) for token in sorted(tokens)]
+
+
+def add_label_admission_tables(cache_dir):
+    """Give a store what stores with the MS label prefilter also held:
+    the ``label_bags`` table with its token index, additive checksum
+    and ``label_bags_saved`` marker, and ``label`` postings counted in
+    the postings checksum."""
+    connection = sqlite3.connect(cache_dir / "repro_store.sqlite")
+    workflows = [
+        workflow_from_dict(json.loads(payload))
+        for (payload,) in connection.execute("SELECT payload FROM workflows ORDER BY position")
+    ]
+    connection.execute(
+        "CREATE TABLE label_bags (workflow_id TEXT NOT NULL, token TEXT NOT NULL,"
+        " count INTEGER NOT NULL, PRIMARY KEY (workflow_id, token))"
+    )
+    connection.execute("CREATE INDEX label_bags_by_token ON label_bags (token, workflow_id)")
+    bags = [row for workflow in workflows for row in label_bag_rows(workflow)]
+    connection.executemany("INSERT INTO label_bags VALUES (?, ?, ?)", bags)
+    labels = [row for workflow in workflows for row in label_posting_rows(workflow)]
+    assert bags and labels
+    connection.executemany("INSERT INTO postings (field, token, workflow_id) VALUES (?, ?, ?)", labels)
+    sums = {
+        "label_bags": _rows_sum("%s\x1f%s\x1f%s", bags),
+        "postings": _table_sum(connection.cursor(), "postings"),
+    }
+    for table, total in sums.items():
+        connection.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+            (f"rowsum:{table}", format(total, "064x")),
+        )
+    connection.execute("INSERT INTO meta (key, value) VALUES ('label_bags_saved', '1')")
+    connection.commit()
+    connection.close()
+
+
+def has_label_leftovers(cache_dir):
+    connection = sqlite3.connect(cache_dir / "repro_store.sqlite")
+    names = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
+    label_rows = connection.execute("SELECT COUNT(*) FROM postings WHERE field = 'label'").fetchone()[0]
+    connection.close()
+    label_keys = {key for key in meta_keys(cache_dir) if "label" in key}
+    return bool(names & {"label_bags", "label_bags_by_token"} or label_rows or label_keys)
 
 
 def meta_keys(cache_dir):
@@ -405,23 +473,49 @@ def meta_keys(cache_dir):
     return keys
 
 
-@pytest.fixture()
-def legacy_store(cache_dir, small_corpus):
-    """A persisted store (snapshot, index, MS scores) in the older format."""
-    workflows = small_corpus.repository.workflows()[:20]
+def persisted_store(cache_dir, workflows):
+    """A persisted store (snapshot, postings, MS scores) and the
+    sequential answers of three queries under BW, BT and MS."""
     service = SimilarityService(WorkflowRepository(workflows, name="legacy"), cache_dir=cache_dir)
     service.build_index()
     query_ids = [workflow.identifier for workflow in workflows[:3]]
     service.search(SearchRequest(measure=MEASURE, queries=query_ids, k=5))
     service.persist()
-    reference = service.search(
-        SearchRequest(
-            measure=MEASURE, queries=query_ids, k=5, policy=ExecutionPolicy.sequential()
+    references = {
+        measure: service.search(
+            SearchRequest(
+                measure=measure, queries=query_ids, k=5, policy=ExecutionPolicy.sequential()
+            )
         )
-    )
+        for measure in (MEASURE, "BW", "BT")
+    }
     service.close()
+    return query_ids, references
+
+
+@pytest.fixture()
+def legacy_store(cache_dir, small_corpus):
+    """A persisted store in the format of the ordered checksums."""
+    query_ids, references = persisted_store(cache_dir, small_corpus.repository.workflows()[:20])
     downgrade_to_legacy(cache_dir)
-    return cache_dir, query_ids, reference
+    return cache_dir, query_ids, references[MEASURE]
+
+
+@pytest.fixture()
+def label_store(cache_dir, small_corpus):
+    """A persisted store that also holds label bags and label postings."""
+    query_ids, references = persisted_store(cache_dir, small_corpus.repository.workflows()[:20])
+    add_label_admission_tables(cache_dir)
+    return cache_dir, query_ids, references
+
+
+def assert_answers(service, query_ids, references, *, degraded=False):
+    for measure, reference in references.items():
+        result = service.search(SearchRequest(measure=measure, queries=query_ids, k=5))
+        assert result == reference
+        assert result.result_tuples() == reference.result_tuples()
+        assert result.diagnostics.path == ("pruned" if measure == MEASURE else "sql-indexed")
+        assert result.diagnostics.degraded is (degraded and measure == MEASURE)
 
 
 class TestMigration:
@@ -459,3 +553,50 @@ class TestMigration:
         assert result.diagnostics.degraded
         assert service.store.verify().ok
         service.close()
+
+    def test_label_store_migrates_in_place(self, label_store):
+        cache_dir, query_ids, references = label_store
+        with WorkflowStore(cache_dir, create=False) as store:
+            assert_sums_exact(store)
+        assert not has_label_leftovers(cache_dir)
+
+        service = SimilarityService.open(cache_dir=cache_dir)
+        assert not (cache_dir / "quarantine").exists()
+        assert_answers(service, query_ids, references)
+        assert_sums_exact(service.store)
+        assert_postings_match_snapshot(service.store)
+        service.close()
+
+    def test_label_store_with_edited_text_posting_is_quarantined(self, label_store):
+        cache_dir, query_ids, references = label_store
+        raw_execute(
+            cache_dir,
+            "UPDATE postings SET token = token || 'x' "
+            "WHERE rowid = (SELECT MIN(rowid) FROM postings WHERE field = 'text')",
+        )
+        with WorkflowStore(cache_dir) as store:
+            report = store.verify()
+        assert not report.table_ok("postings")
+        assert report.table_ok("workflows") and report.table_ok("pair_scores")
+
+        service = SimilarityService.open(cache_dir=cache_dir)
+        assert len(list((cache_dir / "quarantine").iterdir())) == 1
+        assert_answers(service, query_ids, references, degraded=True)
+        assert service.store.verify().ok
+        assert not has_label_leftovers(cache_dir)
+        service.close()
+
+    def test_legacy_label_store_is_converted(self, label_store):
+        cache_dir, query_ids, references = label_store
+        downgrade_to_legacy(cache_dir)
+        assert {"checksum:label_bags", "checksum:postings"} <= meta_keys(cache_dir)
+
+        service = SimilarityService.open(cache_dir=cache_dir)
+        assert not (cache_dir / "quarantine").exists()
+        assert_answers(service, query_ids, references)
+        assert_sums_exact(service.store)
+        service.close()
+        keys = meta_keys(cache_dir)
+        assert {f"rowsum:{table}" for table in TABLES} <= keys
+        assert not any(key.startswith("checksum:") for key in keys)
+        assert not has_label_leftovers(cache_dir)

@@ -1,7 +1,7 @@
 """Chaos tests: deterministic fault injection across every tier.
 
 Every armed fault — commit failures, lock storms, corrupt reads, killed
-workers, a broken index — must leave the service *answering*, with a
+workers, a broken SQL admission tier — must leave the service *answering*, with a
 ``ResultSet`` bit-identical to the sequential seed path, and must be
 visible in the request's diagnostics (``degraded`` +
 ``degradation_reason``).  The :class:`~repro.store.FaultInjector` fires
@@ -98,6 +98,51 @@ class TestStoreFaultsMidQuery:
         assert not follow_up.diagnostics.degraded
         service.close()
 
+    def test_rebuilt_store_keeps_its_postings(self, small_corpus, cache_dir):
+        """A quarantine-and-rebuild writes the postings with the snapshot,
+        so BW stays on the SQL tier, now and after a reopen."""
+        workflows = small_corpus.repository.workflows()[:60]
+        query_ids = [workflow.identifier for workflow in workflows[:4]]
+        service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
+        service.build_index()
+        service.search(SearchRequest(measure="PS_ip_te_pll", queries=query_ids, k=10))
+        service.persist()
+        service.close()
+        bw = SearchRequest(measure="BW", queries=query_ids, k=10)
+        expected = SimilarityService(fresh_repository(workflows)).search(
+            SearchRequest(
+                measure="BW", queries=query_ids, k=10, policy=ExecutionPolicy.sequential()
+            )
+        )
+
+        service = SimilarityService.open(cache_dir=cache_dir)
+        before = service.search(bw)
+        assert before.diagnostics.path == "sql-indexed"
+        postings = service.store.stats()["postings"]
+        assert postings > 0
+        injector = FaultInjector()
+        injector.corrupt_load(times=1)
+        service.fault_injector = injector
+        faulted = service.search(
+            SearchRequest(measure="PS_ip_te_pll", queries=query_ids, k=10)
+        )
+        assert faulted.diagnostics.degraded
+        assert any((cache_dir / "quarantine").iterdir())
+
+        after = service.search(bw)
+        assert after == before == expected
+        assert after.result_tuples() == expected.result_tuples()
+        assert after.diagnostics.path == "sql-indexed"
+        assert service.store.stats()["postings"] == postings
+        service.close()
+
+        reopened = SimilarityService.open(cache_dir=cache_dir)
+        again = reopened.search(bw)
+        assert again == expected
+        assert again.diagnostics.path == "sql-indexed"
+        assert reopened.store.verify().ok
+        reopened.close()
+
     def test_locked_load_keeps_the_store(self, warm_cache, query_ids, reference):
         """Contention on a read degrades the request but is not corruption:
         the store survives, nothing is quarantined."""
@@ -179,8 +224,7 @@ class TestExecutionTierFaults:
         assert result == reference
         assert result.diagnostics.degraded
 
-    def test_broken_index_falls_back(self, workflows, reference_bw=None):
-        query_ids = [workflow.identifier for workflow in workflows[:4]]
+    def test_broken_index_falls_back(self, workflows, query_ids, warm_cache):
         plain = SimilarityService(fresh_repository(workflows))
         expected = plain.search(
             SearchRequest(
@@ -190,19 +234,22 @@ class TestExecutionTierFaults:
                 policy=ExecutionPolicy.sequential(),
             )
         )
-        service = SimilarityService(fresh_repository(workflows))
-        service.build_index()
+        service = SimilarityService.open(cache_dir=warm_cache)
         injector = FaultInjector()
-        injector.break_index(times=1)
+        injector.break_sql(times=1)
         service.fault_injector = injector
 
         result = service.search(SearchRequest(measure="BW", queries=query_ids, k=10))
 
         assert result == expected
         assert result.diagnostics.degraded
-        assert "indexed tier failed" in result.diagnostics.degradation_reason
-        assert result.diagnostics.path != "indexed"
-        assert service.index is None  # a faulting index is no longer trusted
+        assert "sql admission tier failed" in result.diagnostics.degradation_reason
+        assert result.diagnostics.path == "cached"
+        # The postings were not at fault; the next request uses them again.
+        healed = service.search(SearchRequest(measure="BW", queries=query_ids, k=10))
+        assert healed == expected
+        assert healed.diagnostics.path == "sql-indexed"
+        service.close()
 
     def test_pairwise_pool_fault_falls_back(self, workflows):
         pool_ids = [workflow.identifier for workflow in workflows[:10]]
@@ -224,26 +271,32 @@ class TestExecutionTierFaults:
         assert len(pool_ids) == 10  # (pool fixture sanity)
 
     def test_every_fault_everywhere_still_bit_identical(
-        self, warm_cache, query_ids, reference
+        self, workflows, warm_cache, query_ids, reference
     ):
         """The everything-is-on-fire scenario: SQL admission down, store
-        reads corrupt, pool broken, index gone — the answer is still
-        exactly the seed's."""
+        reads corrupt, pool broken — the answer is still exactly the
+        seed's."""
         service = SimilarityService.open(cache_dir=warm_cache)
         service.build_index()
         injector = FaultInjector()
         injector.break_sql(times=1)
         injector.corrupt_load(times=1)
         injector.kill_worker(times=1)
-        injector.break_index(times=1)
         service.fault_injector = injector
 
         result = service.search(auto_request(query_ids, workers=2))
+        bw = service.search(SearchRequest(measure="BW", queries=query_ids, k=10))
 
         assert result == reference
         assert result.diagnostics.degraded
         assert result.diagnostics.degradation_reason is not None
-        assert len(injector.fired) >= 2
+        assert bw == SimilarityService(fresh_repository(workflows)).search(
+            SearchRequest(
+                measure="BW", queries=query_ids, k=10, policy=ExecutionPolicy.sequential()
+            )
+        )
+        assert bw.diagnostics.degraded
+        assert len(injector.fired) == 3
         # And the service healed: clean follow-up, clean store.
         follow_up = service.search(auto_request(query_ids))
         assert follow_up == reference

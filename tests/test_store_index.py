@@ -1,7 +1,7 @@
-"""Inverted annotation index: admission soundness and indexed routing.
+"""Token postings: admission soundness and sql-indexed routing.
 
-The index's contract is *score-safety*: preselection may never change a
-result.  Every test here compares the indexed path against the
+The postings' contract is *score-safety*: preselection may never change
+a result.  Every test here compares the sql-indexed path against the
 sequential reference scan bit for bit, across corpus churn and edge
 cases (empty token sets, fewer candidates than ``k``).
 """
@@ -12,25 +12,44 @@ import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
 from repro.core.annotations import BagOfTagsSimilarity, BagOfWordsSimilarity
+from repro.perf.bounds import find_admission
 from repro.repository import WorkflowRepository
-from repro.store import InvertedAnnotationIndex
+from repro.store import InvertedAnnotationIndex, SqlAdmissionPlanner, WorkflowStore
 
 
 def fresh_repository(workflows, name="fresh"):
     return WorkflowRepository(list(workflows), name=name)
 
 
-@pytest.fixture()
-def indexed_service(small_corpus):
-    service = SimilarityService(
-        fresh_repository(small_corpus.repository.workflows()[:40])
-    )
+def indexed(workflows, cache_dir):
+    """A service over ``workflows`` whose store holds their postings."""
+    service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
     service.build_index()
     return service
 
 
+def store_postings(store):
+    return set(store.connection.execute("SELECT field, token, workflow_id FROM postings"))
+
+
+def snapshot_postings(repository):
+    return {
+        (field, token, workflow.identifier)
+        for workflow in repository
+        for field in InvertedAnnotationIndex.FIELDS
+        for token in InvertedAnnotationIndex.workflow_tokens(field, workflow)
+    }
+
+
+@pytest.fixture()
+def indexed_service(small_corpus, tmp_path):
+    service = indexed(small_corpus.repository.workflows()[:40], tmp_path / "store")
+    yield service
+    service.close()
+
+
 class TestTokenPipelines:
-    """The index must tokenise exactly as the measures do — any drift
+    """The postings must tokenise exactly as the measures do — any drift
     would break the admission bound."""
 
     def test_text_tokens_match_bag_of_words(self, small_corpus):
@@ -49,47 +68,44 @@ class TestTokenPipelines:
 
     def test_unknown_field_rejected(self, kegg_workflow):
         with pytest.raises(ValueError):
-            InvertedAnnotationIndex.workflow_tokens("scripts", kegg_workflow)
+            InvertedAnnotationIndex.workflow_tokens("label", kegg_workflow)
 
 
 class TestAdmissionBound:
-    def test_every_positive_scoring_pair_is_admitted(self, small_corpus):
-        """Score-safety: similarity > 0 implies index admission, for both
+    def test_every_positive_scoring_pair_is_admitted(self, small_corpus, tmp_path):
+        """Score-safety: similarity > 0 implies SQL admission, for both
         bag-overlap measures."""
         workflows = small_corpus.repository.workflows()[:30]
-        index = InvertedAnnotationIndex.build(workflows)
-        pairs = [(measure, field) for measure, field in
-                 ((BagOfWordsSimilarity(), "text"), (BagOfTagsSimilarity(), "tags"))]
-        for measure, field in pairs:
-            for query in workflows[:10]:
-                tokens = index.workflow_tokens(field, query)
-                admitted = index.candidates(field, tokens)
-                for candidate in workflows:
-                    if candidate.identifier == query.identifier:
-                        continue
-                    if measure.similarity(query, candidate) > 0.0:
-                        assert candidate.identifier in admitted
+        with WorkflowStore(tmp_path) as store:
+            store.save_repository(fresh_repository(workflows), postings=True)
+            planner = SqlAdmissionPlanner(store)
+            for measure in (BagOfWordsSimilarity(), BagOfTagsSimilarity()):
+                admission = find_admission(measure)
+                for query in workflows[:10]:
+                    admitted = planner.admitted(admission.sql_plan(query))
+                    for candidate in workflows:
+                        if candidate.identifier == query.identifier:
+                            continue
+                        if measure.similarity(query, candidate) > 0.0:
+                            assert candidate.identifier in admitted
 
     def test_find_admission_covers_exactly_the_certified_measures(self):
         from repro.core.registry import create_measure
-        from repro.perf.bounds import find_admission
 
         bw = find_admission(create_measure("BW"))
-        assert bw is not None and (bw.kind, bw.field) == ("annotation", "text")
+        assert bw is not None and (bw.name, bw.field) == ("bw-token-bag", "text")
         bt = find_admission(create_measure("BT"))
-        assert bt is not None and (bt.kind, bt.field) == ("annotation", "tags")
-        # Single-label-Levenshtein MS is label-char admissible …
-        ms = find_admission(create_measure("MS_ip_te_pll"))
-        assert ms is not None and ms.kind == "label"
-        assert ms.name == "label-char-bag"
-        # … but a custom module comparator is not, and ensembles never
-        # are (member applicability shifts the denominator).
+        assert bt is not None and (bt.name, bt.field) == ("bt-tag-bag", "tags")
+        # Structural measures prune by frontier bound instead, and
+        # ensembles never admit (member applicability shifts the
+        # denominator).
+        assert find_admission(create_measure("MS_ip_te_pll")) is None
         assert find_admission(create_measure("MS_np_ta_plm")) is None
         assert find_admission(create_measure("BW+MS_ip_te_pll")) is None
 
 
 class TestIndexedRouting:
-    """AUTO routes annotation measures through the index, bit-identically."""
+    """AUTO routes annotation measures through SQL admission, bit-identically."""
 
     @pytest.mark.parametrize("measure", ["BW", "BT"])
     def test_indexed_matches_sequential_all_queries(self, indexed_service, measure):
@@ -100,7 +116,7 @@ class TestIndexedRouting:
         )
         assert auto == sequential
         assert auto.result_tuples() == sequential.result_tuples()
-        assert auto.diagnostics.path == "indexed"
+        assert auto.diagnostics.path == "sql-indexed"
         corpus_size = len(indexed_service)
         assert auto.diagnostics.index_candidates < corpus_size * corpus_size
 
@@ -109,7 +125,7 @@ class TestIndexedRouting:
         result = indexed_service.search(
             SearchRequest(measure="BW", queries=[query_id], k=10)
         )
-        assert result.diagnostics.path == "indexed"
+        assert result.diagnostics.path == "sql-indexed"
         assert result.diagnostics.index_candidates < len(indexed_service)
 
     def test_preselect_false_bypasses_index(self, indexed_service):
@@ -125,21 +141,26 @@ class TestIndexedRouting:
         assert result.diagnostics.path == "cached"
         assert result.diagnostics.index_candidates is None
 
-    def test_without_index_auto_uses_cached_scan(self, small_corpus):
-        service = SimilarityService(
-            fresh_repository(small_corpus.repository.workflows()[:15])
-        )
-        result = service.search(
-            SearchRequest(measure="BW", queries=[service.repository.identifiers()[0]], k=5)
-        )
-        assert result.diagnostics.path == "cached"
+    def test_without_index_auto_uses_cached_scan(self, small_corpus, tmp_path):
+        workflows = small_corpus.repository.workflows()[:15]
+        request = SearchRequest(measure="BW", queries=[workflows[0].identifier], k=5)
+        storeless = SimilarityService(fresh_repository(workflows))
+        assert storeless.search(request).diagnostics.path == "cached"
+        with pytest.raises(ValueError, match="no cache_dir attached"):
+            storeless.build_index()
+        # A store that was persisted but never indexed holds no postings.
+        unindexed = SimilarityService(fresh_repository(workflows), cache_dir=tmp_path)
+        unindexed.persist()
+        assert not unindexed.store.has_postings()
+        assert unindexed.search(request).diagnostics.path == "cached"
+        unindexed.close()
 
     def test_candidate_restriction_bypasses_index(self, indexed_service):
         ids = indexed_service.repository.identifiers()
         restricted = indexed_service.search(
             SearchRequest(measure="BW", queries=[ids[0]], k=5, candidates=ids[1:8])
         )
-        assert restricted.diagnostics.path != "indexed"
+        assert restricted.diagnostics.path != "sql-indexed"
         sequential = indexed_service.search(
             SearchRequest(
                 measure="BW",
@@ -151,26 +172,29 @@ class TestIndexedRouting:
         )
         assert restricted == sequential
 
-    def test_label_levenshtein_ms_routes_through_label_bags(self, indexed_service):
-        """Single-label-Levenshtein MS is admitted by the persisted
-        char-bag prefilter — indexed path, bit-identical, bound named."""
-        request = SearchRequest(measure="MS_ip_te_pll", k=10)
-        auto = indexed_service.search(request)
+    @pytest.mark.parametrize(
+        "measure",
+        [f"MS_{ip}_{pre}_pll" for ip in ("ip", "np") for pre in ("ta", "te", "tm")],
+    )
+    def test_label_levenshtein_ms_runs_pruned(self, indexed_service, measure):
+        """Single-label-Levenshtein MS has no admission: on an indexed
+        store it runs the frontier-pruned scan, bit-identically."""
+        auto = indexed_service.search(SearchRequest(measure=measure, k=10))
         sequential = indexed_service.search(
-            SearchRequest(
-                measure="MS_ip_te_pll", k=10, policy=ExecutionPolicy.sequential()
-            )
+            SearchRequest(measure=measure, k=10, policy=ExecutionPolicy.sequential())
         )
         assert auto == sequential
         assert auto.result_tuples() == sequential.result_tuples()
-        assert auto.diagnostics.path == "indexed"
-        assert any("label-char-bag" in note for note in auto.diagnostics.notes)
+        assert auto.diagnostics.path == "pruned"
+        assert auto.diagnostics.index_candidates is None
+        assert any("ms-char-bag" in note for note in auto.diagnostics.notes)
+        assert not any("label-char-bag" in note for note in auto.diagnostics.notes)
 
     def test_ensembles_never_use_the_index(self, indexed_service):
         query_id = indexed_service.repository.identifiers()[0]
         request = SearchRequest(measure="BW+MS_ip_te_pll", queries=[query_id], k=5)
         result = indexed_service.search(request)
-        assert result.diagnostics.path != "indexed"
+        assert result.diagnostics.path != "sql-indexed"
         sequential = indexed_service.search(
             SearchRequest(
                 measure="BW+MS_ip_te_pll",
@@ -181,19 +205,18 @@ class TestIndexedRouting:
         )
         assert result == sequential
 
-    def test_sparse_query_fills_with_zero_scores(self, small_corpus, untagged_workflow):
+    def test_sparse_query_fills_with_zero_scores(self, small_corpus, untagged_workflow, tmp_path):
         """A query admitting fewer candidates than ``k`` pads the ranking
         with zero-score workflows in pool order — exactly like the
         reference scan."""
         workflows = small_corpus.repository.workflows()[:20] + [untagged_workflow]
-        service = SimilarityService(fresh_repository(workflows))
-        service.build_index()
+        service = indexed(workflows, tmp_path)
         request = SearchRequest(
             measure="BT", queries=[untagged_workflow.identifier], k=10
         )
-        indexed = service.search(request)
-        assert indexed.diagnostics.path == "indexed"
-        assert indexed.diagnostics.index_candidates == 0  # no tags, no overlap
+        preselected = service.search(request)
+        assert preselected.diagnostics.path == "sql-indexed"
+        assert preselected.diagnostics.index_candidates == 0  # no tags, no overlap
         sequential = service.search(
             SearchRequest(
                 measure="BT",
@@ -202,22 +225,24 @@ class TestIndexedRouting:
                 policy=ExecutionPolicy.sequential(),
             )
         )
-        assert indexed == sequential
-        assert all(hit.similarity == 0.0 for hit in indexed.for_query(untagged_workflow.identifier))
+        assert preselected == sequential
+        assert all(
+            hit.similarity == 0.0 for hit in preselected.for_query(untagged_workflow.identifier)
+        )
+        service.close()
 
 
 class TestIndexMutation:
-    def test_index_follows_add_and_remove(self, small_corpus):
+    def test_index_follows_add_and_remove(self, small_corpus, tmp_path):
         workflows = small_corpus.repository.workflows()
         base, extra = workflows[:25], workflows[25:30]
-        service = SimilarityService(fresh_repository(base))
-        service.build_index()
+        service = indexed(base, tmp_path)
         service.add_workflows(extra)
         service.remove_workflows([base[3].identifier, base[7].identifier])
         query_id = base[0].identifier
 
         auto = service.search(SearchRequest(measure="BW", queries=[query_id], k=10))
-        assert auto.diagnostics.path == "indexed"
+        assert auto.diagnostics.path == "sql-indexed"
         fresh = SimilarityService(fresh_repository(service.repository.workflows()))
         sequential = fresh.search(
             SearchRequest(
@@ -225,36 +250,45 @@ class TestIndexMutation:
             )
         )
         assert auto == sequential
+        assert store_postings(service.store) == snapshot_postings(service.repository)
+        service.close()
 
-    def test_remove_then_readd_reindexes(self, small_corpus):
+    def test_remove_then_readd_reindexes(self, small_corpus, tmp_path):
         workflows = small_corpus.repository.workflows()[:10]
-        index = InvertedAnnotationIndex.build(workflows)
+        service = indexed(workflows, tmp_path)
         victim = workflows[4]
-        assert index.remove_workflow(victim.identifier)
-        assert victim.identifier not in index
-        assert not index.remove_workflow(victim.identifier)
-        index.add_workflow(victim)
-        assert victim.identifier in index
-        tokens = index.workflow_tokens("text", victim)
-        if tokens:
-            assert victim.identifier in index.candidates("text", tokens)
+        assert service.remove_workflows([victim.identifier]) == [victim.identifier]
+        assert not any(row[2] == victim.identifier for row in store_postings(service.store))
+        assert service.remove_workflows([victim.identifier]) == []
+        service.add_workflows([victim])
+        assert store_postings(service.store) == snapshot_postings(service.repository)
+        result = service.search(SearchRequest(measure="BW", queries=[victim.identifier], k=5))
+        assert result.diagnostics.path == "sql-indexed"
+        assert result == service.search(
+            SearchRequest(
+                measure="BW",
+                queries=[victim.identifier],
+                k=5,
+                policy=ExecutionPolicy.sequential(),
+            )
+        )
+        service.close()
 
 
 class TestRowPersistence:
-    def test_rows_round_trip(self, small_corpus):
+    def test_rows_round_trip(self, small_corpus, tmp_path):
+        """The stored postings are exactly the tokens of the snapshot."""
         workflows = small_corpus.repository.workflows()[:20]
-        index = InvertedAnnotationIndex.build(workflows)
-        rebuilt = InvertedAnnotationIndex.from_rows(index.rows())
-        for field in InvertedAnnotationIndex.FIELDS:
-            for workflow in workflows:
-                tokens = index.workflow_tokens(field, workflow)
-                assert rebuilt.candidates(field, tokens) == index.candidates(field, tokens)
+        with WorkflowStore(tmp_path) as store:
+            store.save_repository(fresh_repository(workflows), postings=True)
+            assert store_postings(store) == snapshot_postings(store.load_repository())
+            assert store.verify().ok
 
-    def test_stats_counters(self, small_corpus):
-        workflows = small_corpus.repository.workflows()[:10]
-        index = InvertedAnnotationIndex.build(workflows)
-        stats = index.stats()
+    def test_stats_counters(self, small_corpus, tmp_path):
+        service = indexed(small_corpus.repository.workflows()[:10], tmp_path)
+        stats = service.build_index()
         assert stats["documents"] == 10
-        assert stats["postings"] == (
-            stats["text_postings"] + stats["tags_postings"] + stats["label_postings"]
-        )
+        assert stats["postings"] == stats["text_postings"] + stats["tags_postings"]
+        assert stats["postings"] == len(snapshot_postings(service.repository))
+        assert stats["text_tokens"] > 0 and stats["tags_tokens"] > 0
+        service.close()

@@ -85,7 +85,6 @@ class TestVerify:
             "workflows": "ok",
             "pair_scores": "ok",
             "postings": "ok",
-            "label_bags": "ok",
         }
 
     def test_out_of_band_score_edit_is_detected(self, persisted):

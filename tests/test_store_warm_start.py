@@ -52,12 +52,11 @@ class TestWarmStartIdentity:
         assert warm_set == cold_set
         assert warm_set.result_tuples() == cold_set.result_tuples()
         assert warm_set.diagnostics.cache_warm_hits > 0
-        # The persisted postings answered admission inside SQL; the
-        # in-memory index never had to materialize on the warm path.
-        assert warm_set.diagnostics.path == "sql-indexed"
-        assert warm.index is None
+        # MS has no admission: the warm path is the pruned scan, while
+        # the persisted postings stand ready for BW/BT.
+        assert warm_set.diagnostics.path == "pruned"
         assert warm.store is not None and warm.store.has_postings()
-        assert len(warm.store.load_index()) == 40
+        assert warm.store.index_stats()["documents"] == 40
 
     def test_warm_matches_sequential_reference(self, small_corpus, cache_dir):
         workflows = small_corpus.repository.workflows()[:30]
@@ -124,7 +123,7 @@ class TestWarmStartIdentity:
         warm = SimilarityService.open(cache_dir=cache_dir)
         assert warm.repository.identifiers() == [w.identifier for w in mutated_pool]
         # Incremental row updates kept the postings current, so the SQL
-        # admission tier answers without loading the index into memory.
+        # admission tier answers from them.
         assert warm.store is not None and warm.store.has_postings()
         fresh = SimilarityService(fresh_repository(mutated_pool))
         assert warm.search(ms_request(query_ids)) == fresh.search(ms_request(query_ids))
@@ -132,7 +131,6 @@ class TestWarmStartIdentity:
         warm_bw = warm.search(bw_request)
         assert warm_bw == fresh.search(bw_request)
         assert warm_bw.diagnostics.path == "sql-indexed"
-        assert warm.index is None
 
 
 class TestStoreRoundTrips:
@@ -196,13 +194,17 @@ class TestStoreAttachment:
         writer.persist()
 
         # A *different* corpus over the same cache dir: pair scores are
-        # value-keyed and safe to reuse, the persisted index is not.
+        # value-keyed and safe to reuse, the persisted postings are not.
         other = SimilarityService(fresh_repository(workflows[:25]), cache_dir=cache_dir)
-        assert other.index is None
+        assert not other.store_trusted and other.store.has_postings()
         result = other.search(ms_request([workflows[0].identifier], k=5))
         assert result.diagnostics.cache_warm_hits > 0
         fresh = SimilarityService(fresh_repository(workflows[:25]))
         assert result == fresh.search(ms_request([workflows[0].identifier], k=5))
+        bw = SearchRequest(measure="BW", queries=[workflows[0].identifier], k=5)
+        untrusted_bw = other.search(bw)
+        assert untrusted_bw.diagnostics.path == "cached"
+        assert untrusted_bw == fresh.search(bw)
 
     def test_policy_cache_dir_attaches_store(self, small_corpus, cache_dir):
         workflows = small_corpus.repository.workflows()[:25]
