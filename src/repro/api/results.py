@@ -114,7 +114,9 @@ class ExecutionDiagnostics:
     ``cache_warm_hits`` counts pair-score lookups served from entries
     loaded out of a persistent :class:`~repro.store.WorkflowStore`
     during *this* request — a warm-started service shows a positive
-    number where a cold one recomputes.
+    number where a cold one recomputes.  A frontier bound looks each
+    distinct module pair up once per query, however many candidates
+    repeat it.
 
     ``trace_id`` correlates this execution with the tracing layer: when
     a recording :class:`~repro.obs.tracing.Tracer` is installed, it is

@@ -448,10 +448,13 @@ class SimilarityService:
     def remove_workflows(self, identifiers: Iterable[str]) -> list[str]:
         """Remove workflows and precisely invalidate their derived state.
 
-        Drops the workflow/module profiles (including profiles of
-        preprocessed projections) and the per-profile fingerprint memos;
-        the value-keyed pair-score caches are kept, so subsequent
-        requests stay warm.  A *trusted* attached store drops the same
+        Drops the workflows' bound summaries, their projections and
+        token sets cached by every measure instance, the workflow/module
+        profiles (including profiles of preprocessed projections) and
+        the per-profile fingerprint memos (see
+        :meth:`SimilaritySearchEngine.invalidate_workflows`); the
+        value-keyed pair-score caches are kept, so subsequent requests
+        stay warm.  A *trusted* attached store drops the same
         rows (see :meth:`add_workflows` on why an untrusted store is
         left alone).
 
@@ -469,7 +472,7 @@ class SimilarityService:
             self.repository.remove(identifier)
             if write_through:
                 self.store.remove_workflow(identifier)
-        summary = self.context.invalidate_workflows(removed)
+        summary = self.engine.invalidate_workflows(removed)
         summary["requested"] = len(requested)
         self.last_invalidation = summary
         return removed

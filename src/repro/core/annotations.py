@@ -19,6 +19,8 @@ perform slightly worse.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..text.tokenize import tokenize
 from ..workflow.model import Workflow
 from .base import SimilarityDetail, WorkflowSimilarityMeasure
@@ -66,6 +68,10 @@ class BagOfWordsSimilarity(WorkflowSimilarityMeasure):
 
     def is_applicable_to(self, workflow: Workflow) -> bool:
         return bool(self.tokens(workflow))
+
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        for identifier in identifiers:
+            self._token_cache.pop(identifier, None)
 
     def compare(self, first: Workflow, second: Workflow) -> SimilarityDetail:
         tokens_a = self.tokens(first)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..workflow.model import Workflow
 
@@ -98,6 +98,9 @@ class WorkflowSimilarityMeasure(ABC):
 
     def reset_stats(self) -> None:
         self.stats.reset()
+
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        """Drop per-workflow caches held for ``identifiers`` (removed workflows)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -14,7 +14,7 @@ substantially outperform every single algorithm.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..workflow.model import Workflow
 from .base import SimilarityDetail, WorkflowSimilarityMeasure
@@ -55,6 +55,10 @@ class MeanEnsemble(WorkflowSimilarityMeasure):
         super().reset_stats()
         for member in self.members:
             member.reset_stats()
+
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        for member in self.members:
+            member.forget_workflows(identifiers)
 
 
 class WeightedEnsemble(MeanEnsemble):
@@ -158,3 +162,7 @@ class RankAggregationEnsemble(WorkflowSimilarityMeasure):
         super().reset_stats()
         for member in self.members:
             member.reset_stats()
+
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        for member in self.members:
+            member.forget_workflows(identifiers)

@@ -70,6 +70,11 @@ class SimilarityFramework:
         """Register a custom measure instance under its own name."""
         self._measures[measure.name] = measure
 
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        """Drop removed workflows from every cached measure instance."""
+        for measure in self._measures.values():
+            measure.forget_workflows(identifiers)
+
     # -- comparison ---------------------------------------------------------
 
     def similarity(

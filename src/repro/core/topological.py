@@ -23,7 +23,7 @@ normalisation toggle.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..graphs.ged import EditCosts, GraphEditDistance, LabeledGraph
 from ..graphs.paths import enumerate_paths
@@ -93,6 +93,10 @@ class StructuralMeasure(WorkflowSimilarityMeasure):
         transformed = self.preprocessor.transform(workflow)
         self._projection_cache[workflow.identifier] = (workflow, transformed)
         return transformed
+
+    def forget_workflows(self, identifiers: Iterable[str]) -> None:
+        for identifier in identifiers:
+            self._projection_cache.pop(identifier, None)
 
     def module_similarity_matrix(
         self, first_modules: Sequence[Module], second_modules: Sequence[Module]

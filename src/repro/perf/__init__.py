@@ -16,8 +16,8 @@ This package makes batch similarity search and all-pairs clustering fast
   bag overlap) plus the token-postings admission bound powering the
   sql-indexed tier.
 * :mod:`repro.perf.engine` — comparator acceleration for all structural
-  measures plus :func:`bounded_top_k`, the exact frontier-pruned top-k
-  scan over any certified measure.
+  measures plus :func:`bounded_top_k`, the exact best-first,
+  frontier-pruned top-k over any certified measure.
 * :mod:`repro.perf.parallel` — an optional ``concurrent.futures``
   process-pool backend for query batches and all-pairs scoring.
 

@@ -20,11 +20,11 @@ threshold is known implement :meth:`~CertifiedBound.refine`.
 
 Registered bounds:
 
-* :class:`ModuleSetsBound` — ``MS``: character-bag matrix over the
-  admissible module pairs, min of row-/column-maxima sums, banded
-  Levenshtein refinement (the machinery formerly inlined in
-  ``module_set_top_k``).
-* :class:`PathSetsBound` — ``PS``: the same module-level bound matrix
+* :class:`ModuleSetsBound` — ``MS``: the padded sum of the candidate's
+  column maxima; refinement adds the matching bound (min of the row-
+  and column-maxima sums) and, for single-Levenshtein configurations, a
+  banded Levenshtein pass.
+* :class:`PathSetsBound` — ``PS``: the same row and column maxima
   lifted to path sets (a matching selects at most one pair per row and
   column, at every level).
 * :class:`EnsembleBound` — mean/weighted ensembles whose members are
@@ -35,6 +35,15 @@ Registered bounds:
   bound).  They do not *prune* — a frontier scan would just compute the
   exact score twice — but they power ensemble composition and the
   token-postings admission.
+
+``MS`` and ``PS`` read their module-pair bounds through one per-query
+*column memo*.  Under a module-local preselection, a candidate module's
+column — its pair bounds against every query module it may be paired
+with — depends only on its admissibility class and on the attribute
+fingerprint the pair cache compares.  Each distinct column is therefore
+bounded once per query, however many modules of however many candidates
+share it, and a refinement that tightens a pair bound tightens it for
+all of them.
 
 Admission (zero-certification) for the sql-indexed tier lives here too:
 :func:`find_admission` answers whether a token-postings prefilter can
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..core.annotations import (
     BagOfTagsSimilarity,
@@ -90,10 +100,27 @@ _MATCHING_MAPPINGS = (GreedyMapping, MaximumWeightMapping, NonCrossingMapping)
 
 # Preselection strategies whose admissibility is a property of the two
 # modules alone (type/category match), independent of their position in
-# the module list.  Required wherever a bound derived from the *full*
-# module sets must stay valid for sub-sequences of them (the ``PS``
-# path-internal matrices).
+# the module list: two modules are a candidate pair iff their
+# admissibility classes (:func:`_admissibility_classes`) are equal.
+# Both structural bounds require one: the column memo is keyed by the
+# class, and the ``PS`` path-internal matrices are built over
+# sub-sequences of the module sets.
 _MODULE_LOCAL_PRESELECTIONS = (AllPairs, StrictTypeMatch, TypeEquivalence)
+
+
+def _admissibility_classes(profile, preselection) -> tuple:
+    """Each module's admissibility class under a module-local preselection.
+
+    Mirrors the strategies' ``candidate_pairs``: ``ta`` pairs every
+    module with every other (one class), ``tm`` pairs equal lowercased
+    types, and ``te`` equal categories, custom category maps included.
+    """
+    modules = profile.modules
+    if type(preselection) is AllPairs:
+        return (None,) * len(modules)
+    if type(preselection) is StrictTypeMatch:
+        return tuple(module.lowered("type") for module in modules)
+    return tuple(preselection._category(module.module) for module in modules)
 
 
 def _bounded_similarity(nnsim_bound: float, size_a: int, size_b: int, normalize: bool) -> float:
@@ -131,46 +158,14 @@ def _pad_summation(value: float, terms: int) -> float:
 
 
 def _jaccard_required_nnsim(kth_score: float, size_a: int, size_b: int) -> float:
-    """The non-normalised similarity needed to *beat* ``kth_score``.
+    """The non-normalised similarity needed to *reach* ``kth_score``.
 
     Inverts ``sim = nnsim / (|A| + |B| - nnsim)``; the normalisation is
     strictly increasing in ``nnsim``, so any candidate whose ``nnsim``
-    upper bound stays at or below this threshold cannot outrank the
-    current k-th result.
+    upper bound stays below this threshold cannot reach the current
+    k-th result.
     """
     return kth_score * (size_a + size_b) / (1.0 + kth_score)
-
-
-def _admissible_columns(query_profile, candidate_profile, preselection):
-    """Per-query-module column index lists under the preselection strategy.
-
-    ``None`` means "every column" (the ``ta`` strategy).  The ``te`` and
-    ``tm`` strategies are answered from the profiles' cached category and
-    type indices — the same groupings their ``candidate_pairs``
-    implementations derive per call — and any custom strategy falls back
-    to that method.
-    """
-    if isinstance(preselection, AllPairs):
-        return None
-    empty: tuple[int, ...] = ()
-    if type(preselection) is TypeEquivalence and preselection._categories is None:
-        grouped = candidate_profile.indices_by_category()
-        return [grouped.get(category, empty) for category in query_profile.categories]
-    if type(preselection) is StrictTypeMatch:
-        grouped = candidate_profile.indices_by_type()
-        return [
-            grouped.get(profile.lowered("type"), empty) for profile in query_profile.modules
-        ]
-    pairs = preselection.candidate_pairs(
-        [profile.module for profile in query_profile.modules],
-        [profile.module for profile in candidate_profile.modules],
-    )
-    if pairs is None:
-        return None
-    rows: list[list[int]] = [[] for _ in range(query_profile.size)]
-    for i, j in sorted(pairs):
-        rows[i].append(j)
-    return rows
 
 
 class CertifiedBound:
@@ -179,15 +174,18 @@ class CertifiedBound:
     Subclasses declare which measures they certify (a *class-level*
     check, so routing decisions need no context) and are instantiated
     per measure via :func:`find_bound`.  Summaries are memoised per
-    workflow object, so a bound living on a long-lived
-    ``AccelerationContext`` pays the summary cost once per corpus
-    workflow per batch lifetime.
+    workflow identifier (identity-guarded), so a bound living on a
+    long-lived ``AccelerationContext`` pays the summary cost once per
+    corpus workflow until :meth:`forget` releases it.
 
     Soundness contract: ``upper_bound(summary(a), summary(b))`` is never
     below ``measure.similarity(a, b)``; ditto for any value returned by
-    :meth:`refine`.  Equality is allowed — the frontier scan processes
-    candidates in pool order, so a later candidate tied with the k-th
-    score loses the tie-break anyway.
+    :meth:`refine`.  Equality is allowed: the frontier scan verifies
+    candidates in order of descending bound, then pool position, and
+    skips a candidate whose bound *equals* the k-th score only when its
+    pool position is after the k-th entry's — the candidate would lose
+    that tie-break in :meth:`SimilarityFramework.rank
+    <repro.core.framework.SimilarityFramework.rank>` anyway.
     """
 
     #: Diagnostic name; keys ``PruneStats.pruned_by_bound``.
@@ -201,7 +199,7 @@ class CertifiedBound:
     def __init__(self, measure: WorkflowSimilarityMeasure, context) -> None:
         self.measure = measure
         self.context = context
-        self._summaries: dict[int, tuple[Workflow, object]] = {}
+        self._summaries: dict[str, tuple[Workflow, object]] = {}
 
     @classmethod
     def certifies(cls, measure: WorkflowSimilarityMeasure) -> bool:
@@ -210,12 +208,17 @@ class CertifiedBound:
 
     def summary(self, workflow: Workflow):
         """The memoised cheap per-workflow summary."""
-        entry = self._summaries.get(id(workflow))
+        entry = self._summaries.get(workflow.identifier)
         if entry is not None and entry[0] is workflow:
             return entry[1]
         value = self._summarise(workflow)
-        self._summaries[id(workflow)] = (workflow, value)
+        self._summaries[workflow.identifier] = (workflow, value)
         return value
+
+    def forget(self, identifiers: Iterable[str]) -> None:
+        """Release the summaries (and any per-query state) of removed workflows."""
+        for identifier in identifiers:
+            self._summaries.pop(identifier, None)
 
     def _summarise(self, workflow: Workflow):
         raise NotImplementedError
@@ -227,19 +230,148 @@ class CertifiedBound:
     def refine(self, query_summary, candidate_summary, threshold: float, stats=None) -> float | None:
         """Optionally spend more work for a tighter bound.
 
-        ``threshold`` is the score the candidate must *exceed* to
-        matter; implementations may use it to budget their effort (e.g.
-        the banded Levenshtein ``max_distance``), but any returned value
-        must be a valid upper bound regardless.  ``None`` means "no
-        tighter bound available" — the caller falls back to the exact
-        comparison.  ``stats`` is a ``PruneStats`` instance for
+        ``threshold`` is the score the candidate must *reach* to matter
+        (a candidate tied with the k-th score can still win on pool
+        position); implementations may use it to budget their effort
+        (e.g. the banded Levenshtein ``max_distance``), but any returned
+        value must be a valid upper bound regardless.  ``None`` means
+        "no tighter bound available" — the caller falls back to the
+        exact comparison.  ``stats`` is a ``PruneStats`` instance for
         bookkeeping (e.g. ``banded_calls``).
         """
         return None
 
 
-class ModuleSetsBound(CertifiedBound):
-    """``MS``: char-bag bound matrix + matching bound + banded refinement."""
+class _ModuleSummary:
+    """Per-workflow summary of the structural (module-pair) bounds.
+
+    ``keys[j]`` is module ``j``'s column key, the pair (admissibility
+    class, pair-cache fingerprint); ``representatives`` maps each
+    distinct key, in module order, to the first module profile holding it.
+    """
+
+    __slots__ = ("profile", "size", "keys", "representatives")
+
+    def __init__(self, profile, keys: tuple) -> None:
+        self.profile = profile
+        self.size = profile.size
+        self.keys = keys
+        self.representatives: dict[tuple, object] = {}
+        for key, module in zip(keys, profile.modules):
+            self.representatives.setdefault(key, module)
+
+
+class _PathSummary(_ModuleSummary):
+    """Per-workflow summary of the ``PS`` bound."""
+
+    __slots__ = ("paths", "lengths")
+
+    def __init__(self, profile, keys: tuple, paths: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(profile, keys)
+        #: Source-to-sink paths as tuples of module *indices* into the profile.
+        self.paths = paths
+        self.lengths = tuple(len(path) for path in paths)
+
+
+class _Column:
+    """The pair bounds of one column key against the current query.
+
+    ``values[t]`` bounds the score of query module ``rows[t]`` against
+    any module with the key (the query modules of other admissibility
+    classes are never paired with it); ``exact[t]`` marks a value that
+    is the pair's exact score, and ``top`` is the column maximum.
+    """
+
+    __slots__ = ("rows", "values", "exact", "top")
+
+    def __init__(self, rows: tuple[int, ...], values: list[float], exact: list[bool]) -> None:
+        self.rows = rows
+        self.values = values
+        self.exact = exact
+        self.top = max(values, default=0.0)
+
+
+class _ModulePairBound(CertifiedBound):
+    """The per-query column memo shared by ``MS`` and ``PS``.
+
+    The memo belongs to one query summary and is rebuilt when a
+    different one arrives, so a bound must not serve two queries at
+    once.  Values written back by a refinement stay valid upper bounds
+    for that pair of attribute values, whichever candidate produced them.
+    """
+
+    def __init__(self, measure, context) -> None:
+        super().__init__(measure, context)
+        self.cache = context.pair_cache(measure.comparator.config)
+        self._reset(None)
+
+    def _reset(self, query_summary: _ModuleSummary | None) -> None:
+        self._query = query_summary
+        self._columns_by_key: dict[tuple, _Column] = {}
+        rows: dict[object, list[int]] = {}
+        if query_summary is not None:
+            for index, key in enumerate(query_summary.keys):
+                rows.setdefault(key[0], []).append(index)
+        self._rows = {cls: tuple(indices) for cls, indices in rows.items()}
+
+    def forget(self, identifiers: Iterable[str]) -> None:
+        super().forget(identifiers)
+        self._reset(None)
+
+    def _profile(self, workflow: Workflow):
+        processed = self.measure.preprocess(workflow)
+        return processed, self.context.profiles.workflow_profile(processed)
+
+    def _keys(self, profile) -> tuple:
+        classes = _admissibility_classes(profile, self.measure.preselection)
+        return tuple(zip(classes, map(self.cache.fingerprint, profile.modules)))
+
+    def _summarise(self, workflow: Workflow) -> _ModuleSummary:
+        _processed, profile = self._profile(workflow)
+        return _ModuleSummary(profile, self._keys(profile))
+
+    def _columns(self, query_summary, candidate_summary) -> list[_Column]:
+        """The candidate's columns in module order, each bounded on first sight."""
+        if query_summary is not self._query:
+            self._reset(query_summary)
+        memo = self._columns_by_key
+        columns = []
+        for key in candidate_summary.keys:
+            column = memo.get(key)
+            if column is None:
+                column = memo[key] = self._column(key, candidate_summary.representatives[key])
+            columns.append(column)
+        return columns
+
+    def _column(self, key: tuple, profile_b) -> _Column:
+        rows = self._rows.get(key[0], ())
+        profiles_a = self._query.profile.modules
+        upper_bound = self.cache.upper_bound
+        values: list[float] = []
+        exact: list[bool] = []
+        for i in rows:
+            value, is_exact = upper_bound(profiles_a[i], profile_b)
+            values.append(value)
+            exact.append(is_exact)
+        return _Column(rows, values, exact)
+
+    def _row_maxima(self, candidate_summary) -> list[float]:
+        """Per query module, its best pair bound against the candidate.
+
+        Call after :meth:`_columns` for the same pair of summaries.
+        """
+        row_max = [0.0] * self._query.size
+        memo = self._columns_by_key
+        for key in candidate_summary.representatives:
+            column = memo[key]
+            for i, value in zip(column.rows, column.values):
+                if value > row_max[i]:
+                    row_max[i] = value
+        return row_max
+
+
+class ModuleSetsBound(_ModulePairBound):
+    """``MS``: column-maxima bound, then matching bound + banded refinement."""
 
     name = "ms-char-bag"
     prunes = True
@@ -249,143 +381,107 @@ class ModuleSetsBound(CertifiedBound):
         # The bound relies on the MS compare semantics (one matching
         # over one module similarity matrix, Jaccard or identity
         # normalisation); subclasses may override ``compare``.
-        return type(measure) is ModuleSetsSimilarity and type(measure.mapping) in _MATCHING_MAPPINGS
+        return (
+            type(measure) is ModuleSetsSimilarity
+            and type(measure.mapping) in _MATCHING_MAPPINGS
+            and type(measure.preselection) in _MODULE_LOCAL_PRESELECTIONS
+        )
 
-    def __init__(self, measure: ModuleSetsSimilarity, context) -> None:
-        super().__init__(measure, context)
-        self.cache = context.pair_cache(measure.comparator.config)
-        # Stage-1 artifacts of the most recent upper_bound call, reused
-        # by refine for the same summary pair (identity-checked).
-        self._stage1: tuple | None = None
-
-    def _summarise(self, workflow: Workflow):
-        processed = self.measure.preprocess(workflow)
-        return self.context.profiles.workflow_profile(processed)
+    def _similarity(self, nnsim_bound: float, size_a: int, size_b: int) -> float:
+        return _bounded_similarity(
+            _pad_summation(nnsim_bound, size_a + size_b), size_a, size_b, self.measure.normalize
+        )
 
     def upper_bound(self, query_summary, candidate_summary) -> float:
         size_a = query_summary.size
         size_b = candidate_summary.size
-        normalize = self.measure.normalize
         if not size_a or not size_b:
-            # These are the measure's exact values for empty module
-            # sets; pruning on an exact value is safe under pool order.
-            self._stage1 = None
-            return 1.0 if (not size_a and not size_b and normalize) else 0.0
-        columns = _admissible_columns(query_summary, candidate_summary, self.measure.preselection)
-        profiles_a = query_summary.modules
-        profiles_b = candidate_summary.modules
-        upper_bound = self.cache.upper_bound
-
-        matrix: list[list[float]] = []
-        exact_flags: list[list[bool]] = []
-        col_max = [0.0] * size_b
-        row_max = [0.0] * size_a
-        all_columns = range(size_b)
-        for i in range(size_a):
-            profile_a = profiles_a[i]
-            row = [0.0] * size_b
-            flags = [True] * size_b
-            best = 0.0
-            for j in (all_columns if columns is None else columns[i]):
-                value, exact = upper_bound(profile_a, profiles_b[j])
-                row[j] = value
-                flags[j] = exact
-                if value > best:
-                    best = value
-                if value > col_max[j]:
-                    col_max[j] = value
-            row_max[i] = best
-            matrix.append(row)
-            exact_flags.append(flags)
-
-        row_sum = sum(row_max)
-        self._stage1 = (query_summary, candidate_summary, matrix, exact_flags, row_max, row_sum)
-        nnsim_bound = _pad_summation(min(row_sum, sum(col_max)), size_a + size_b)
-        return _bounded_similarity(nnsim_bound, size_a, size_b, normalize)
+            # These are the measure's exact values for empty module sets.
+            return 1.0 if (not size_a and not size_b and self.measure.normalize) else 0.0
+        # A matching selects at most one pair per column.
+        total = 0.0
+        for column in self._columns(query_summary, candidate_summary):
+            total += column.top
+        return self._similarity(total, size_a, size_b)
 
     def refine(self, query_summary, candidate_summary, threshold: float, stats=None) -> float | None:
-        cache = self.cache
-        single_levenshtein = cache.single_levenshtein
-        if single_levenshtein is None:
-            return None
         size_a = query_summary.size
         size_b = candidate_summary.size
         if not size_a or not size_b:
             return None
-        memo = self._stage1
-        if memo is None or memo[0] is not query_summary or memo[1] is not candidate_summary:
-            self.upper_bound(query_summary, candidate_summary)
-            memo = self._stage1
-            if memo is None:
-                return None
-        _, _, matrix, exact_flags, row_max, row_sum = memo
-        normalize = self.measure.normalize
+        columns = self._columns(query_summary, candidate_summary)
+        row_max = self._row_maxima(candidate_summary)
+        row_sum = sum(row_max)
+        # ... and at most one pair per row.
+        value = self._similarity(min(row_sum, sum(c.top for c in columns)), size_a, size_b)
+        if value < threshold or self.cache.single_levenshtein is None:
+            return value
+        if not self._banded(query_summary, candidate_summary, row_max, row_sum, threshold, stats):
+            return value
+        row_sum = sum(self._row_maxima(candidate_summary))
+        return self._similarity(min(row_sum, sum(c.top for c in columns)), size_a, size_b)
 
-        # A pair in row i can only lift the candidate above the frontier
-        # if its score clears required - (best possible contribution of
-        # all other rows); pairs below that floor are re-bounded by a
-        # banded edit distance whose max_distance encodes the floor.
+    def _banded(self, query_summary, candidate_summary, row_max, row_sum, threshold, stats) -> bool:
+        """Re-bound the candidate's open pairs by banded edit distance.
+
+        A pair in row ``i`` can only lift the candidate to the frontier
+        if its score reaches ``required - (best possible contribution of
+        every other row)``; pairs at or above that floor get a banded
+        edit distance whose ``max_distance`` encodes the floor (or their
+        exact score, when the pair cache already holds it).  Tightened
+        values are written back into the shared columns.  Returns
+        whether any value tightened.
+        """
         required = (
-            _jaccard_required_nnsim(threshold, size_a, size_b) if normalize else threshold
+            _jaccard_required_nnsim(threshold, query_summary.size, candidate_summary.size)
+            if self.measure.normalize
+            else threshold
         )
-        lowercase = single_levenshtein.lowercase
-        attribute = single_levenshtein.attribute
-        profiles_a = query_summary.modules
-        profiles_b = candidate_summary.modules
-        refined = False
-        for i in range(size_a):
-            floor = required - (row_sum - row_max[i])
-            if floor <= 0.0:
-                continue
-            profile_a = profiles_a[i]
-            row = matrix[i]
-            flags = exact_flags[i]
-            best = 0.0
-            for j in range(size_b):
-                value = row[j]
-                if value > 0.0 and not flags[j] and value >= floor:
-                    profile_b = profiles_b[j]
+        floors = [required - (row_sum - best) for best in row_max]
+        cache = self.cache
+        rule = cache.single_levenshtein
+        attribute = rule.attribute
+        lowercase = rule.lowercase
+        upper_bound = cache.upper_bound
+        profiles_a = query_summary.profile.modules
+        memo = self._columns_by_key
+        tightened = False
+        for key, profile_b in candidate_summary.representatives.items():
+            column = memo[key]
+            values = column.values
+            exact = column.exact
+            changed = False
+            for t, i in enumerate(column.rows):
+                floor = floors[i]
+                value = values[t]
+                if floor <= 0.0 or exact[t] or value < floor:
+                    continue
+                profile_a = profiles_a[i]
+                score, is_exact = upper_bound(profile_a, profile_b)
+                if not is_exact:
                     if lowercase:
                         value_a = profile_a.lowered(attribute)
                         value_b = profile_b.lowered(attribute)
                     else:
                         value_a = profile_a.values[attribute]
                         value_b = profile_b.values[attribute]
-                    similarity, exact = bounded_levenshtein_similarity(value_a, value_b, floor)
+                    similarity, is_exact = bounded_levenshtein_similarity(value_a, value_b, floor)
                     if stats is not None:
                         stats.banded_calls += 1
-                    value = cache.score_from_levenshtein(profile_a, profile_b, similarity, exact=exact)
-                    if value < row[j]:
-                        row[j] = value
-                        refined = True
-                    flags[j] = exact
-                if value > best:
-                    best = value
-            row_max[i] = best
-        if not refined:
-            return None
-        col_max = [0.0] * size_b
-        for row in matrix:
-            for j in range(size_b):
-                if row[j] > col_max[j]:
-                    col_max[j] = row[j]
-        nnsim_bound = _pad_summation(min(sum(row_max), sum(col_max)), size_a + size_b)
-        return _bounded_similarity(nnsim_bound, size_a, size_b, normalize)
+                    score = cache.score_from_levenshtein(
+                        profile_a, profile_b, similarity, exact=is_exact
+                    )
+                exact[t] = is_exact
+                if score < value:
+                    values[t] = score
+                    changed = True
+            if changed:
+                column.top = max(values)
+                tightened = True
+        return tightened
 
 
-class _PathSummary:
-    """Per-workflow summary of the ``PS`` bound."""
-
-    __slots__ = ("profile", "paths", "lengths")
-
-    def __init__(self, profile, paths: tuple[tuple[int, ...], ...]) -> None:
-        self.profile = profile
-        #: Source-to-sink paths as tuples of module *indices* into the profile.
-        self.paths = paths
-        self.lengths = tuple(len(path) for path in paths)
-
-
-class PathSetsBound(CertifiedBound):
+class PathSetsBound(_ModulePairBound):
     """``PS``: the module bound matrix lifted through both matching levels.
 
     For a pair of paths, the internal matching selects at most one
@@ -409,54 +505,30 @@ class PathSetsBound(CertifiedBound):
             return False
         if type(measure.path_set_mapping) not in _MATCHING_MAPPINGS:
             return False
-        # Path-internal matrices are built over *sub-sequences* of the
-        # module sets, so admissibility derived from the full sets must
-        # be position-independent.
         return type(measure.preselection) in _MODULE_LOCAL_PRESELECTIONS
 
-    def __init__(self, measure: PathSetsSimilarity, context) -> None:
-        super().__init__(measure, context)
-        self.cache = context.pair_cache(measure.comparator.config)
-
     def _summarise(self, workflow: Workflow) -> _PathSummary:
-        processed = self.measure.preprocess(workflow)
-        profile = self.context.profiles.workflow_profile(processed)
+        processed, profile = self._profile(workflow)
+        keys = self._keys(profile)
         if profile.size == 0:
-            return _PathSummary(profile, ())
+            return _PathSummary(profile, keys, ())
         index_of = {
             module.identifier: index for index, module in enumerate(processed.modules)
         }
         paths = tuple(
             tuple(index_of[name] for name in path) for path in self.measure._paths(processed)
         )
-        return _PathSummary(profile, paths)
+        return _PathSummary(profile, keys, paths)
 
     def upper_bound(self, query_summary: _PathSummary, candidate_summary: _PathSummary) -> float:
-        size_a = query_summary.profile.size
-        size_b = candidate_summary.profile.size
+        size_a = query_summary.size
+        size_b = candidate_summary.size
         normalize = self.measure.normalize
         if not size_a or not size_b:
             # PS.compare's exact empty-workflow values.
             return 1.0 if (not size_a and not size_b and normalize) else 0.0
-        columns = _admissible_columns(
-            query_summary.profile, candidate_summary.profile, self.measure.preselection
-        )
-        profiles_a = query_summary.profile.modules
-        profiles_b = candidate_summary.profile.modules
-        upper_bound = self.cache.upper_bound
-        row_max = [0.0] * size_a
-        col_max = [0.0] * size_b
-        all_columns = range(size_b)
-        for i in range(size_a):
-            profile_a = profiles_a[i]
-            best = 0.0
-            for j in (all_columns if columns is None else columns[i]):
-                value, _exact = upper_bound(profile_a, profiles_b[j])
-                if value > best:
-                    best = value
-                if value > col_max[j]:
-                    col_max[j] = value
-            row_max[i] = best
+        col_max = [column.top for column in self._columns(query_summary, candidate_summary)]
+        row_max = self._row_maxima(candidate_summary)
 
         sums_a = [sum(row_max[index] for index in path) for path in query_summary.paths]
         sums_b = [sum(col_max[index] for index in path) for path in candidate_summary.paths]
@@ -576,7 +648,6 @@ class EnsembleBound(CertifiedBound):
         else:
             self.weights = [1.0] * len(measure.members)
         self.name = "ensemble(" + "+".join(bound.name for bound in self.member_bounds) + ")"
-        self._last: tuple | None = None
 
     def _summarise(self, workflow: Workflow):
         entries = []
@@ -587,41 +658,46 @@ class EnsembleBound(CertifiedBound):
                 entries.append((False, None))
         return tuple(entries)
 
-    def upper_bound(self, query_summary, candidate_summary) -> float:
+    def _contributions(self, query_summary, candidate_summary) -> list[list]:
+        """``[bound, weight, summary_a, summary_b, member bound]`` of every
+        member applicable to both workflows."""
+        return [
+            [bound, weight, summary_a, summary_b, bound.upper_bound(summary_a, summary_b)]
+            for bound, weight, (applicable_a, summary_a), (applicable_b, summary_b) in zip(
+                self.member_bounds, self.weights, query_summary, candidate_summary
+            )
+            if applicable_a and applicable_b
+        ]
+
+    @staticmethod
+    def _mean(contributions: list[list]) -> float:
         total = 0.0
         weight_sum = 0.0
-        contributions: list[list] = []
-        for bound, weight, (applicable_a, summary_a), (applicable_b, summary_b) in zip(
-            self.member_bounds, self.weights, query_summary, candidate_summary
-        ):
-            if not (applicable_a and applicable_b):
-                continue
-            value = bound.upper_bound(summary_a, summary_b)
-            contributions.append([bound, weight, summary_a, summary_b, value])
+        for _bound, weight, _summary_a, _summary_b, value in contributions:
             total += weight * value
             weight_sum += weight
-        self._last = (query_summary, candidate_summary, contributions, weight_sum)
         if weight_sum == 0.0:
             # compare() returns exactly 0.0 when no member applies.
             return 0.0
         return total / weight_sum
 
+    def upper_bound(self, query_summary, candidate_summary) -> float:
+        return self._mean(self._contributions(query_summary, candidate_summary))
+
     def refine(self, query_summary, candidate_summary, threshold: float, stats=None) -> float | None:
-        memo = self._last
-        if memo is None or memo[0] is not query_summary or memo[1] is not candidate_summary:
-            self.upper_bound(query_summary, candidate_summary)
-            memo = self._last
-        _, _, contributions, weight_sum = memo
-        if weight_sum == 0.0 or not contributions:
+        contributions = self._contributions(query_summary, candidate_summary)
+        if not contributions:
             return None
         total = 0.0
+        weight_sum = 0.0
         for _bound, weight, _summary_a, _summary_b, value in contributions:
             total += weight * value
+            weight_sum += weight
         improved = False
         for entry in contributions:
             bound, weight, summary_a, summary_b, value = entry
-            # The ensemble can only beat the threshold if this member
-            # clears (threshold * weight_sum - everyone else's bound);
+            # The ensemble can only reach the threshold if this member
+            # reaches (threshold * weight_sum - everyone else's bound);
             # propagate that as the member's own refinement threshold.
             member_threshold = (threshold * weight_sum - (total - weight * value)) / weight
             refined = bound.refine(summary_a, summary_b, member_threshold, stats=stats)
@@ -630,10 +706,7 @@ class EnsembleBound(CertifiedBound):
                 improved = True
         if not improved:
             return None
-        total = 0.0
-        for _bound, weight, _summary_a, _summary_b, value in contributions:
-            total += weight * value
-        return total / weight_sum
+        return self._mean(contributions)
 
 
 #: Registered bound classes, checked in order by :func:`find_bound`.

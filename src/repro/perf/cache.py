@@ -485,9 +485,19 @@ class ModulePairScoreCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, float | int | str]:
+        """Counters of this cache.
+
+        ``entries`` counts exact scores and ``bound_entries`` the
+        memoised non-exact pair bounds (never evicted; both tables live
+        as long as the cache).  ``hits`` and ``warm_hits`` count
+        lookups served from exact scores: the frontier bounds look up
+        each distinct module pair once per query (their per-query column
+        memo serves every repeat), not once per occurrence.
+        """
         return {
             "config": self.config.name,
             "entries": self.size,
+            "bound_entries": len(self._bounds),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,

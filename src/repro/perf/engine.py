@@ -15,15 +15,17 @@ Two cooperating layers, both exact (no score changes):
   :meth:`SimilarityFramework.top_k
   <repro.core.framework.SimilarityFramework.top_k>` for every measure a
   :class:`~repro.perf.bounds.CertifiedBound` certifies (``MS``, ``PS``
-  and fully certified ensembles).  It maintains the current top-k
-  frontier and discards candidates whose *certified upper bound* cannot
-  beat the k-th score; candidates surviving the cheap summary bound may
-  face the bound's refinement stage (e.g. the banded-Levenshtein pass
-  of the ``MS`` bound, whose per-row distance budget is derived from
-  the frontier score).  Only candidates surviving both filters pay for
-  an exact comparison — which the measure itself performs, so selected
-  scores, tie-breaks and ranks match the sequential scan exactly.  The
-  bound machinery itself lives in :mod:`repro.perf.bounds`.
+  and fully certified ensembles).  It bounds every candidate, verifies
+  candidates best-first (descending *certified upper bound*, ties in
+  pool order) against the current top-k frontier, and stops at the
+  first candidate whose bound cannot reach the k-th entry; candidates
+  before that point may face the bound's refinement stage (e.g. the
+  matching bound and banded-Levenshtein pass of the ``MS`` bound, whose
+  per-row distance budget is derived from the frontier score).  Only
+  candidates surviving both filters pay for an exact comparison — which
+  the measure itself performs, so selected scores, tie-breaks and ranks
+  match the sequential scan exactly.  The bound machinery itself lives
+  in :mod:`repro.perf.bounds`.
 """
 
 from __future__ import annotations
@@ -167,17 +169,19 @@ class AccelerationContext:
     def invalidate_workflows(self, identifiers: Sequence[str]) -> dict[str, int]:
         """Precisely release the derived state of removed workflows.
 
-        Drops the workflow/module profiles of every identifier (including
-        profiles of preprocessed copies) and the per-profile fingerprint
-        memos of every pair cache.  Memoised pair *scores* survive: they
-        are keyed by attribute values, so they stay exact and keep
-        serving any workflow remaining in — or later added to — the
-        corpus.  Returns counters for diagnostics.
+        Drops the removed workflows' summaries from every memoised
+        certified bound (and the bounds' per-query column memos), the
+        workflow/module profiles of every identifier (including profiles
+        of preprocessed copies) and the per-profile fingerprint memos of
+        every pair cache.  Bound summaries of the remaining workflows
+        stay.  Memoised pair *scores* survive too: they are keyed by
+        attribute values, so they stay exact and keep serving any
+        workflow remaining in — or later added to — the corpus.  Returns
+        counters for diagnostics.
         """
-        # Bound instances memoise per-workflow summaries (holding strong
-        # workflow references); drop them wholesale — they are cheap to
-        # re-derive and must not serve summaries of removed workflows.
-        self.measure_bounds.clear()
+        for _measure, bound in self.measure_bounds.values():
+            if bound is not None:
+                bound.forget(identifiers)
         dropped_modules = []
         for identifier in identifiers:
             dropped_modules.extend(self.profiles.invalidate_workflow(identifier))
@@ -271,9 +275,15 @@ def accelerate_measure(measure: WorkflowSimilarityMeasure, context: Acceleration
 class PruneStats:
     """Bookkeeping of one pruned top-k scan (aggregated per batch).
 
-    ``pruned_char_bag`` counts candidates discarded by the bound's cheap
-    summary stage, ``pruned_banded`` those discarded only after its
-    refinement stage; ``pruned_by_bound`` breaks the total down by the
+    ``candidates`` counts the candidates considered (the query itself
+    excluded); each ends up counted in exactly one of the next three.
+    ``pruned_char_bag`` counts candidates discarded on the bound's cheap
+    summary stage — including the candidate that stops the best-first
+    scan and every candidate after it in bound order — and
+    ``pruned_banded`` those discarded only after its refinement stage.
+    ``exact_comparisons`` counts the candidates scored by the measure.
+    ``banded_calls`` counts the banded edit distances the refinement
+    ran, and ``pruned_by_bound`` breaks the pruned total down by the
     name of the certifying bound.
     """
 
@@ -288,13 +298,13 @@ class PruneStats:
     def pruned(self) -> int:
         return self.pruned_char_bag + self.pruned_banded
 
-    def count_prune(self, bound_name: str, *, refined: bool) -> None:
-        """Record one pruned candidate, attributed to ``bound_name``."""
+    def count_prune(self, bound_name: str, *, refined: bool, count: int = 1) -> None:
+        """Record ``count`` pruned candidates, attributed to ``bound_name``."""
         if refined:
-            self.pruned_banded += 1
+            self.pruned_banded += count
         else:
-            self.pruned_char_bag += 1
-        self.pruned_by_bound[bound_name] = self.pruned_by_bound.get(bound_name, 0) + 1
+            self.pruned_char_bag += count
+        self.pruned_by_bound[bound_name] = self.pruned_by_bound.get(bound_name, 0) + count
 
     def merge(self, other: "PruneStats") -> None:
         self.candidates += other.candidates
@@ -338,54 +348,74 @@ def bounded_top_k(
     stats: PruneStats | None = None,
     bound: CertifiedBound | None = None,
 ) -> list[RankedWorkflow]:
-    """Exact top-k with certified-bound frontier pruning.
+    """Exact top-k with best-first certified-bound frontier pruning.
 
-    Candidates are processed in pool order, mirroring the tie-breaking of
-    :meth:`SimilarityFramework.rank` (descending score, input order): the
-    frontier only ever contains earlier-positioned candidates, so a later
-    candidate whose upper bound does not *exceed* the k-th score can be
-    discarded even on equality.  Every surviving candidate is scored by
-    ``measure.similarity`` itself, so returned scores are the measure's
-    own, bit for bit.
+    Every candidate first gets its certified upper bound; candidates are
+    then verified in order of descending bound, ties in pool order (the
+    threshold algorithm of Fagin, Lotem and Naor over certified bounds).
+    The ranking order of :meth:`SimilarityFramework.rank` is descending
+    score, then pool position, so a candidate is skipped iff its bound is
+    below the k-th score, or equal to it with a pool position after the
+    k-th entry's.  Before the exact comparison a surviving candidate
+    faces the bound's refinement under the same test.  The first
+    candidate whose summary bound fails the test ends the scan: every
+    candidate after it in bound order fails it too.  Scores come from
+    ``measure.similarity`` itself, so returned scores, ranks and
+    tie-breaks are the sequential scan's, bit for bit.  Without a
+    pruning bound (or with ``prune=False``) every candidate is scored,
+    in pool order.
     """
     if stats is None:
         stats = PruneStats()
     if k <= 0:
         return []
-    if bound is None and prune:
+    if not prune:
+        bound = None
+    elif bound is None:
         bound = find_frontier_bound(measure, context)
-    query_summary = bound.summary(query) if bound is not None else None
+
+    # (-bound, position, candidate, summary); positions are unique, so
+    # sorting never compares past the position.
+    order: list[tuple[float, int, Workflow, object]] = []
+    if bound is not None:
+        summary = bound.summary
+        upper_bound = bound.upper_bound
+        query_summary = summary(query)
+    for position, candidate in enumerate(pool):
+        if exclude_query and candidate.identifier == query.identifier:
+            continue
+        if bound is None:
+            order.append((0.0, position, candidate, None))
+        else:
+            candidate_summary = summary(candidate)
+            value = upper_bound(query_summary, candidate_summary)
+            order.append((-value, position, candidate, candidate_summary))
+    stats.candidates += len(order)
+    order.sort()
 
     # Min-heap of the k best so far; the root is the current k-th entry.
     # Entries are (score, -position): lower score is worse, and on equal
     # scores a *larger* position is worse, matching rank()'s ordering.
+    # A candidate whose (bound, -position) is below the root's cannot enter.
     frontier: list[tuple[float, int, Workflow]] = []
-    heappush = heapq.heappush
-    heappushpop = heapq.heappushpop
-
-    for position, candidate in enumerate(pool):
-        if exclude_query and candidate.identifier == query.identifier:
-            continue
-        stats.candidates += 1
+    for index, (neg_value, position, candidate, candidate_summary) in enumerate(order):
         full = len(frontier) == k
-        if full and prune and bound is not None:
-            kth_score = frontier[0][0]
-            candidate_summary = bound.summary(candidate)
-            value = bound.upper_bound(query_summary, candidate_summary)
-            if value <= kth_score:
-                stats.count_prune(bound.name, refined=False)
-                continue
+        if full and bound is not None:
+            kth_score, kth_neg_position, _ = frontier[0]
+            if (-neg_value, -position) < (kth_score, kth_neg_position):
+                stats.count_prune(bound.name, refined=False, count=len(order) - index)
+                break
             value = bound.refine(query_summary, candidate_summary, kth_score, stats=stats)
-            if value is not None and value <= kth_score:
+            if value is not None and (value, -position) < (kth_score, kth_neg_position):
                 stats.count_prune(bound.name, refined=True)
                 continue
         score = measure.similarity(query, candidate)
         stats.exact_comparisons += 1
         entry = (score, -position, candidate)
         if full:
-            heappushpop(frontier, entry)
+            heapq.heappushpop(frontier, entry)
         else:
-            heappush(frontier, entry)
+            heapq.heappush(frontier, entry)
 
     ranked = sorted(frontier, key=lambda entry: (-entry[0], -entry[1]))
     return [

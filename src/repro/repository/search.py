@@ -165,6 +165,22 @@ class SimilaritySearchEngine:
         )
         return SearchResultList(query_id=query_id, measure=measure_name, results=results)
 
+    def invalidate_workflows(self, identifiers: Sequence[str]) -> dict[str, int]:
+        """Release everything derived from the removed workflows ``identifiers``.
+
+        One pass over every holder of per-workflow state: the reference
+        measures of :attr:`framework`, the accelerated measures (ensemble
+        members included) and the acceleration context (bound summaries,
+        profiles, fingerprint memos; see
+        :meth:`AccelerationContext.invalidate_workflows`).  Returns the
+        context's counters.
+        """
+        identifiers = list(identifiers)
+        self.framework.forget_workflows(identifiers)
+        for measure in self._accelerated.values():
+            measure.forget_workflows(identifiers)
+        return self.context.invalidate_workflows(identifiers)
+
     # -- batch path ----------------------------------------------------------
 
     def _accelerated_measure(

@@ -3,6 +3,9 @@ result serialization, and incremental-repository cache invalidation."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api import (
@@ -14,6 +17,7 @@ from repro.api import (
     SimilarityService,
 )
 from repro.core.framework import SimilarityFramework
+from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.perf.parallel import pool_available
 from repro.repository import SimilaritySearchEngine, WorkflowRepository
 
@@ -375,6 +379,46 @@ class TestIncrementalRepository:
         assert service.search(self._request(query_ids)) == fresh.search(
             self._request(query_ids)
         )
+
+    @pytest.mark.parametrize(
+        "measure, policy",
+        [
+            ("MS_ip_te_pll", ExecutionPolicy()),
+            ("MS_ip_te_pll", ExecutionPolicy.sequential()),
+            ("BW+MS_ip_te_pll", ExecutionPolicy()),
+        ],
+        ids=["auto", "sequential", "ensemble"],
+    )
+    def test_removed_workflows_are_freed(self, measure, policy):
+        """No measure instance, bound summary or profile keeps a removed
+        workflow alive, and re-adding its id answers like a fresh service."""
+
+        def corpus():
+            spec = CorpusSpec(workflow_count=60, seed=3)
+            return generate_myexperiment_corpus(spec).repository.workflows()
+
+        workflows = corpus()
+        service = SimilarityService(fresh_repository(workflows, name="mutable"))
+        victims = [workflow.identifier for workflow in workflows[30:]]
+        refs = [weakref.ref(workflow) for workflow in workflows[30:]]
+        del workflows
+        query_ids = service.repository.identifiers()[:3]
+        request = SearchRequest(measure=measure, queries=query_ids, k=10, policy=policy)
+        service.search(request)
+        assert service.remove_workflows(victims) == victims
+        gc.collect()
+        alive = [ref().identifier for ref in refs if ref() is not None]
+        assert alive == []
+
+        readded = corpus()[30:]
+        service.add_workflows(readded)
+        fresh = SimilarityService(
+            fresh_repository(service.repository.workflows(), name="fresh")
+        )
+        request = SearchRequest(
+            measure=measure, queries=query_ids + victims[:2], k=10, policy=policy
+        )
+        assert service.search(request).result_tuples() == fresh.search(request).result_tuples()
 
     def test_remove_unknown_identifiers_are_ignored(self, small_corpus):
         # Removal is idempotent: unknown ids are skipped, and the return

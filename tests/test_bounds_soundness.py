@@ -5,7 +5,9 @@ a bound certifies, ``upper_bound(query, candidate) >= exact score`` —
 on *every* pair, not just the ones a particular frontier happens to
 probe.  These tests sweep all pairs of a generated corpus (plus the
 paper's approach matrix as the configuration source) and assert the
-inequality for the initial bound and for every refinement step.
+inequality for the initial bound and for every refinement step.  They
+also pin the best-first top-k built on those bounds: its tie rule, and
+the per-query column memo that refinements write back into.
 
 The corpus seed is overridable via ``REPRO_BOUNDS_SEED`` so CI can run
 the same sweep on a corpus no other test has ever seen.
@@ -14,10 +16,12 @@ the same sweep on a corpus no other test has ever seen.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.core.ensemble import MeanEnsemble, WeightedEnsemble
+from repro.core.framework import SimilarityFramework
 from repro.core.registry import create_measure, paper_approach_matrix
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.perf.bounds import (
@@ -27,7 +31,8 @@ from repro.perf.bounds import (
     find_bound,
     find_frontier_bound,
 )
-from repro.perf.engine import AccelerationContext, accelerate_measure
+from repro.perf.cache import ModulePairScoreCache
+from repro.perf.engine import AccelerationContext, PruneStats, accelerate_measure, bounded_top_k
 
 SEED = int(os.environ.get("REPRO_BOUNDS_SEED", "13"))
 
@@ -136,6 +141,140 @@ def test_every_frontier_bound_certifies_what_it_claims(context):
         frontier = find_frontier_bound(measure, context)
         if frontier is not None:
             assert frontier.prunes
+
+
+#: Measures of the tie sweep: MS under every preselection (ta/te/tm),
+#: both label-only and multi-attribute comparison, with and without
+#: normalisation; PS; and a certified ensemble.
+TIE_CONFIGURATIONS = [
+    "MS_np_ta_pll",
+    "MS_ip_te_pll",
+    "MS_ip_tm_pll",
+    "MS_np_ta_pw0",
+    "MS_ip_te_pw0",
+    "MS_ip_tm_pw0",
+    "MS_ip_te_pll_nonorm",
+    "MS_np_ta_pw0_nonorm",
+    "PS_ip_te_pll",
+    "BW+MS_ip_te_pll",
+]
+
+
+def _relabelled(workflow, suffix: str, labels):
+    """``workflow`` under a new identifier, its modules relabelled in order."""
+    modules = [module.with_values(label=label) for module, label in zip(workflow.modules, labels)]
+    return workflow.with_modules(modules, suffix=suffix)
+
+
+@pytest.fixture(scope="module")
+def tie_pool(corpus):
+    """A pool whose exact ties straddle every k-th place.
+
+    Every workflow of a slice of the corpus appears twice, a third of
+    them three times, copies in reverse order, so equal scores sit at
+    scattered pool positions.  Three relabelled workflows add ties at
+    0.0: ``zero-q`` and ``zero-y`` carry two-character labels that are
+    each other's reversals (a character-bag bound of 1.0 per module
+    pair, an exact label similarity of 0.0), and every other candidate
+    shares no label character with ``zero-q`` at all.  ``zero-y``
+    therefore enters the frontier first with score 0.0, and the
+    zero-bound candidates before it in the pool must still displace it.
+    """
+    base = corpus[:12]
+    copies = [replace(w, identifier=f"{w.identifier}-b") for w in reversed(base)]
+    thirds = [replace(w, identifier=f"{w.identifier}-c") for w in base[::3]]
+    shape = corpus[12]
+
+    def pairs(offset: int) -> list[str]:
+        return [chr(offset + 2 * i) + chr(offset + 2 * i + 1) for i in range(shape.size)]
+
+    query = _relabelled(shape, "-zero-q", pairs(0x4E00))
+    reversed_labels = _relabelled(shape, "-zero-y", [label[::-1] for label in pairs(0x4E00)])
+    disjoint = _relabelled(shape, "-zero-x", pairs(0x5E00))
+    return [disjoint] + base[:6] + copies + base[6:] + thirds + [query, reversed_labels]
+
+
+@pytest.mark.parametrize("configuration", TIE_CONFIGURATIONS)
+def test_best_first_ties_match_sequential_ranking(configuration, tie_pool):
+    """bounded_top_k equals SimilarityFramework.top_k — ids, scores and
+    ranks — when exact ties straddle the k-th place, and accounts for
+    every candidate exactly once."""
+    reference = SimilarityFramework()
+    measure = create_measure(configuration)
+    context = AccelerationContext()
+    accelerate_measure(measure, context)
+    queries = [tie_pool[1], tie_pool[7], tie_pool[-2], tie_pool[-1], tie_pool[0]]
+    for k in (1, 2, 5, len(tie_pool)):
+        for query in queries:
+            stats = PruneStats()
+            fast = bounded_top_k(query, tie_pool, measure, context, k=k, stats=stats)
+            expected = reference.top_k(query, tie_pool, configuration, k=k)
+            assert [(entry.identifier, entry.similarity, entry.rank) for entry in fast] == [
+                (entry.identifier, entry.similarity, entry.rank) for entry in expected
+            ], f"{configuration}, k={k}, query {query.identifier}"
+            assert stats.exact_comparisons + stats.pruned == stats.candidates
+
+
+@pytest.mark.parametrize("configuration", ["MS_ip_te_pll", "MS_np_ta_pll", "BW+MS_ip_te_pll"])
+def test_shared_column_memo_stays_sound_after_refinement(configuration, corpus):
+    """Refinements write tightened pair bounds into the per-query
+    columns every candidate shares; afterwards every candidate's bound
+    must still be at or above its exact score."""
+    cold = AccelerationContext()
+    measure = create_measure(configuration)
+    accelerate_measure(measure, cold)
+    reference = create_measure(configuration)
+    bound = find_bound(measure, cold)
+    query = corpus[0]
+    qs = bound.summary(query)
+    candidates = [
+        (candidate, bound.summary(candidate), reference.similarity(query, candidate))
+        for candidate in corpus
+        if candidate.identifier != query.identifier
+    ]
+    stats = PruneStats()
+    for _candidate, cs, _exact in candidates:
+        value = bound.upper_bound(qs, cs)
+        for threshold in (1.0, value):
+            bound.refine(qs, cs, threshold, stats=stats)
+    assert stats.banded_calls > 0, "no refinement wrote back into the columns"
+    for candidate, cs, exact in candidates:
+        value = bound.upper_bound(qs, cs)
+        assert value >= exact, f"{candidate.identifier}: bound {value!r} < exact {exact!r}"
+        for threshold in (exact, 1.0):
+            refined = bound.refine(qs, cs, threshold)
+            assert refined is None or refined >= exact, (
+                f"{candidate.identifier}: refined {refined!r} < exact {exact!r}"
+            )
+
+
+def test_each_distinct_column_is_bounded_once_per_query(corpus, monkeypatch):
+    """The MS first pass looks a module pair up once per distinct
+    (admissibility class, fingerprint) column, not once per occurrence."""
+    context = AccelerationContext()
+    measure = create_measure("MS_np_ta_pll")
+    accelerate_measure(measure, context)
+    bound = find_bound(measure, context)
+    lookups = 0
+    original = ModulePairScoreCache.upper_bound
+
+    def counting(cache, profile_a, profile_b):
+        nonlocal lookups
+        lookups += 1
+        return original(cache, profile_a, profile_b)
+
+    monkeypatch.setattr(ModulePairScoreCache, "upper_bound", counting)
+    query = corpus[0]
+    qs = bound.summary(query)
+    summaries = [bound.summary(candidate) for candidate in corpus[1:]]
+    for cs in summaries:
+        bound.upper_bound(qs, cs)
+    distinct = {key for cs in summaries for key in cs.keys}
+    assert lookups == qs.size * len(distinct)
+    assert lookups < qs.size * sum(cs.size for cs in summaries)
+    for cs in summaries:
+        bound.upper_bound(qs, cs)
+    assert lookups == qs.size * len(distinct), "a second pass re-bounded memoised columns"
 
 
 class TestEnsembleComposition:
