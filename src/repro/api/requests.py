@@ -46,7 +46,6 @@ class ExecutionMode(str, Enum):
 
     AUTO = "auto"
     SEQUENTIAL = "sequential"
-    PRUNED = "pruned"
     PARALLEL = "parallel"
 
 
@@ -54,23 +53,20 @@ class ExecutionMode(str, Enum):
 class ExecutionPolicy:
     """Execution knobs of one request.
 
-    ``mode`` selects the path; ``workers`` and ``chunk_size`` are the
-    worker/budget knobs of the process-pool backend (``chunk_size``
-    bounds how many queries one pool task amortises its caches over);
-    ``prune`` toggles the frontier-pruned top-k on the accelerated
-    paths.  ``AUTO`` routes to the pool when workers are granted and the
-    request is pool-eligible, otherwise to the pruned/cached in-process
-    batch — never to the slow sequential scan.
-
-    Two knobs drive the persistent layer (:mod:`repro.store`):
-    ``cache_dir`` names a warm-start store directory — the service
-    attaches it on first use, so even a service opened without one can
-    be warmed per request; ``preselect`` toggles the candidate
-    preselection that ``AUTO`` applies to ``BW``/``BT`` whenever a
-    trusted store holds postings (see
-    :meth:`SimilarityService.build_index
+    ``mode`` selects the path.  ``AUTO`` answers ``BW``/``BT`` searches
+    through candidate preselection in SQL whenever a trusted store holds
+    postings (see :meth:`SimilarityService.build_index
     <repro.api.service.SimilarityService.build_index>`; bit-identical by
-    construction — the admission bound is score-safe).
+    construction — the admission bound is score-safe), routes to the
+    process pool when ``workers`` grants more than one worker and the
+    request is pool-eligible, and otherwise runs the pruned/cached
+    in-process batch — never the slow sequential scan.  ``PARALLEL``
+    asks for the pool (``workers`` defaults to 2 there) and
+    ``SEQUENTIAL`` runs the reference scan, bypassing every fast tier.
+    ``prune`` toggles the frontier-pruned top-k on the accelerated
+    paths.  ``cache_dir`` names a warm-start store directory
+    (:mod:`repro.store`) — the service attaches it on first use, so
+    even a service opened without one can be warmed per request.
 
     The retry knobs shape the attached store's
     :class:`~repro.store.resilience.RetryPolicy` for transient
@@ -83,10 +79,8 @@ class ExecutionPolicy:
 
     mode: ExecutionMode = ExecutionMode.AUTO
     workers: int | None = None
-    chunk_size: int = 16
     prune: bool = True
     cache_dir: str | None = None
-    preselect: bool = True
     retry_attempts: int = 5
     retry_base_delay: float = 0.02
     retry_max_delay: float = 0.5
@@ -96,8 +90,6 @@ class ExecutionPolicy:
             object.__setattr__(self, "mode", ExecutionMode(str(self.mode)))
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
         if self.retry_attempts < 1:
@@ -124,29 +116,16 @@ class ExecutionPolicy:
         workers: int | None = None,
         prune: bool = True,
         cache_dir: str | None = None,
-        preselect: bool = True,
     ) -> "ExecutionPolicy":
-        return cls(
-            mode=ExecutionMode.AUTO,
-            workers=workers,
-            prune=prune,
-            cache_dir=cache_dir,
-            preselect=preselect,
-        )
+        return cls(mode=ExecutionMode.AUTO, workers=workers, prune=prune, cache_dir=cache_dir)
 
     @classmethod
     def sequential(cls) -> "ExecutionPolicy":
         return cls(mode=ExecutionMode.SEQUENTIAL)
 
     @classmethod
-    def pruned(cls) -> "ExecutionPolicy":
-        return cls(mode=ExecutionMode.PRUNED)
-
-    @classmethod
-    def parallel(cls, workers: int = 2, *, chunk_size: int = 16, prune: bool = True) -> "ExecutionPolicy":
-        return cls(
-            mode=ExecutionMode.PARALLEL, workers=workers, chunk_size=chunk_size, prune=prune
-        )
+    def parallel(cls, workers: int = 2, *, prune: bool = True) -> "ExecutionPolicy":
+        return cls(mode=ExecutionMode.PARALLEL, workers=workers, prune=prune)
 
     # -- serialization -------------------------------------------------------
 
@@ -154,10 +133,8 @@ class ExecutionPolicy:
         return {
             "mode": self.mode.value,
             "workers": self.workers,
-            "chunk_size": self.chunk_size,
             "prune": self.prune,
             "cache_dir": self.cache_dir,
-            "preselect": self.preselect,
             "retry_attempts": self.retry_attempts,
             "retry_base_delay": self.retry_base_delay,
             "retry_max_delay": self.retry_max_delay,
@@ -165,14 +142,14 @@ class ExecutionPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
+        """Rebuild a policy; unknown keys are ignored, so payloads that
+        still carry since-removed knobs load unchanged."""
         cache_dir = data.get("cache_dir")
         return cls(
             mode=ExecutionMode(data.get("mode", "auto")),
             workers=data.get("workers"),
-            chunk_size=int(data.get("chunk_size", 16)),
             prune=bool(data.get("prune", True)),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
-            preselect=bool(data.get("preselect", True)),
             retry_attempts=int(data.get("retry_attempts", 5)),
             retry_base_delay=float(data.get("retry_base_delay", 0.02)),
             retry_max_delay=float(data.get("retry_max_delay", 0.5)),

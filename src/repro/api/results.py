@@ -98,14 +98,12 @@ class ExecutionDiagnostics:
 
     ``path`` is the path that actually ran: ``"sequential"`` (reference
     per-query scan), ``"pruned"`` (frontier-pruned top-k), ``"cached"``
-    (accelerated full scan), ``"serial"`` (the accelerated full scan
-    answering an explicit ``PRUNED`` request no certified bound
-    covers), ``"sql-indexed"`` (candidate preselection over the store's
-    token postings, ``BW``/``BT`` searches only), or ``"parallel"``
-    (process pool).  Pairwise and cluster requests run ``"parallel"``,
-    ``"cached"`` or ``"sequential"``.  ``requested_mode`` echoes the
-    policy; when the two differ, ``notes`` says why (e.g. the pool was
-    unavailable and the service fell back).
+    (accelerated full scan), ``"sql-indexed"`` (candidate preselection
+    over the store's token postings, ``BW``/``BT`` searches only), or
+    ``"parallel"`` (process pool).  Pairwise and cluster requests run
+    ``"parallel"``, ``"cached"`` or ``"sequential"``.  ``requested_mode``
+    echoes the policy; when the two differ, ``notes`` says why (e.g. the
+    pool was unavailable and the service fell back).
 
     ``index_candidates`` counts the candidates admitted by the store's
     postings across the request's queries (``None`` off the

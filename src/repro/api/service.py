@@ -3,17 +3,20 @@
 One service is opened over one :class:`WorkflowRepository` and answers
 declarative requests (:class:`SearchRequest`, :class:`PairwiseRequest`,
 :class:`ClusterRequest`) with unified :class:`ResultSet` responses.  The
-caller never chooses between ``search`` and ``search_batch`` or manages
-an :class:`~repro.perf.engine.AccelerationContext`: the service owns the
+caller never picks an engine method or manages an
+:class:`~repro.perf.engine.AccelerationContext`: the service owns the
 context (bound to the repository's profile store) and routes every
-request to the fastest path that is bit-identical to the sequential
-reference scan — candidate preselection over the store's token
-postings where :func:`~repro.perf.bounds.find_admission` certifies the
-measure (``BW``/``BT``), frontier-pruned top-k for every measure with a
-pruning :class:`~repro.perf.bounds.CertifiedBound` (``MS``, ``PS``, fully
-certified ensembles), cached full scans otherwise, a process pool when
-the policy grants workers.  The
-:class:`~repro.api.results.ExecutionDiagnostics` attached to every
+request down one ordered list of tiers, each bit-identical to the
+sequential reference scan.  A search tries candidate preselection over
+the store's token postings where
+:func:`~repro.perf.bounds.find_admission` certifies the measure
+(``BW``/``BT``), then the process pool when the policy grants workers,
+then the in-process batch — frontier-pruned top-k for every measure
+with a pruning :class:`~repro.perf.bounds.CertifiedBound` (``MS``,
+``PS``, fully certified ensembles), a cached full scan otherwise — and
+last the sequential scan.  Pairwise scoring (and clustering, built on
+it) tries the pool, then the cached scan, then the sequential scan.
+The :class:`~repro.api.results.ExecutionDiagnostics` attached to every
 response records which path actually ran.
 
 Long-lived services keep their repositories *mutable*:
@@ -36,13 +39,13 @@ reopens the persisted snapshot directly and returns bit-identical
 results to the service that wrote it — the warm-start tests pin this.
 
 **Resilience.**  Every acceleration tier is optional: when the store,
-its SQL admission or the process pool faults mid-request, the service
-falls back tier by tier — sql-indexed → parallel → accelerated batch →
-sequential exact scan — and still answers, bit-identically, because
-every tier is pinned equivalent to the sequential seed path.  A store
-that fails verification (on open or mid-query) is *quarantined* to
-``<cache_dir>/quarantine/<timestamp>/`` and rebuilt cold from the live
-repository — corrupted state is never silently trusted and never fatal.
+its SQL admission, the process pool or the in-process batch faults
+mid-request, the service falls to the next tier of the same list and
+still answers, bit-identically, because every tier is pinned equivalent
+to the sequential seed path.  A store that fails verification (on open
+or mid-query) is *quarantined* to ``<cache_dir>/quarantine/<timestamp>/``
+and rebuilt cold from the live repository — corrupted state is never
+silently trusted and never fatal.
 The :class:`~repro.api.results.ExecutionDiagnostics` of the affected
 request records ``degraded``, ``degradation_reason`` and the
 ``retry_attempts`` spent on transient lock contention.
@@ -52,8 +55,9 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.framework import RankedWorkflow, SimilarityFramework
 from ..core.registry import all_configuration_names
@@ -496,196 +500,69 @@ class SimilarityService:
         )
         policy = request.policy
         self._ensure_policy_store(policy)
-        warm_hits_before = self.context.warm_hits_total()
-        retry_before = self._retry_total()
-        mode = policy.mode
-        measure_name = request.measure.name
-        notes: list[str] = []
-        results: list[SearchResultList] | None = None
-        path = "sequential"
-        workers_used: int | None = None
-        prune_stats: dict[str, int] | None = None
-        index_candidates: int | None = None
-        degraded = False
-        degradation_reason: str | None = None
+        mode, measure_name, k, prune = policy.mode, request.measure.name, request.k, policy.prune
+        engine = self.engine
+        auto = mode is ExecutionMode.AUTO and candidates is None
+        admission = self._admission(measure_name) if auto else None
 
-        # The degradation ladder: sql-indexed → parallel → accelerated
-        # batch → sequential exact scan.  Each tier is bit-identical to
-        # the next, so a faulting tier costs time, never correctness; a
-        # request under SEQUENTIAL mode (or one whose every acceleration
-        # tier faulted) lands on the reference scan, which touches no
-        # store and no pool.
-        if mode is not ExecutionMode.SEQUENTIAL:
-            admission: BagOverlapAdmission | None = None
-            if mode is ExecutionMode.AUTO and policy.preselect and candidates is None:
-                try:
-                    instance = self.engine._accelerated_measure(measure_name)
-                    admission = find_admission(instance)
-                except Exception:
-                    # Real configuration errors (unknown measure)
-                    # re-raise identically from the later tiers.
-                    admission = None
-            if admission is not None and self._sql_admission_ready():
-                try:
-                    self._fire_fault("sql")
-                    with get_tracer().span(
-                        "engine.preselect",
-                        attributes={"bound": admission.name, "tier": "sql"},
-                    ) as stage:
-                        planner = SqlAdmissionPlanner(self.store)
-                        admitted_sets = [
-                            planner.admitted(admission.sql_plan(query)) for query in query_list
-                        ]
-                        results, index_candidates, batch_stats = self._indexed_search(
-                            query_list, instance, request.k, admitted_sets, prune=policy.prune
-                        )
-                        stage.set_attribute("candidates", index_candidates)
-                except Exception as error:
-                    results = index_candidates = None
-                    degraded = True
-                    degradation_reason = (
-                        f"sql admission tier failed ({type(error).__name__}: {error})"
-                    )
-                    notes.append(
-                        "sql candidate admission faulted; fell back to the accelerated batch"
-                    )
-                    if (
-                        isinstance(error, sqlite3.DatabaseError)
-                        and self.context.store_fault is None
-                    ):
-                        # A store-level fault — park it for the
-                        # resilience epilogue (keep the store on
-                        # contention, quarantine-and-rebuild on
-                        # corruption), like any other store read.
-                        self.context.store_fault = error
-                else:
-                    path = "sql-indexed"
-                    prune_stats = batch_stats.as_dict()
-                    notes.append(
-                        f"candidates admitted by bound {admission.name!r} (sql pushdown)"
-                    )
-            wants_pool = results is None and (
-                mode is ExecutionMode.PARALLEL
-                or (mode is ExecutionMode.AUTO and policy.workers and policy.workers > 1)
+        def indexed(stage) -> _Answer:
+            planner = SqlAdmissionPlanner(self.store)
+            admitted_sets = [planner.admitted(admission.sql_plan(query)) for query in query_list]
+            results, admitted, stats = self._indexed_search(
+                query_list, engine._accelerated_measure(measure_name), k, admitted_sets, prune=prune
             )
-            if wants_pool:
-                if candidates is None and len(query_list) > 1:
-                    workers = policy.workers or 2
-                    try:
-                        self._fire_fault("parallel")
-                        with get_tracer().span(
-                            "engine.parallel", attributes={"workers": workers}
-                        ):
-                            results = self.engine.parallel_batch(
-                                query_list,
-                                measure_name,
-                                k=request.k,
-                                prune=policy.prune,
-                                workers=workers,
-                                chunk_size=policy.chunk_size,
-                            )
-                    except Exception as error:
-                        degraded = True
-                        if degradation_reason is None:
-                            degradation_reason = (
-                                f"parallel tier failed ({type(error).__name__}: {error})"
-                            )
-                        notes.append(
-                            "process pool faulted mid-run; "
-                            "fell back to the in-process batch"
-                        )
-                        results = None
-                    else:
-                        if results is not None:
-                            path = "parallel"
-                            workers_used = workers
-                        else:
-                            notes.append(
-                                "process pool unavailable; fell back to the in-process batch"
-                            )
-                elif mode is ExecutionMode.PARALLEL:
-                    notes.append(
-                        "request not pool-eligible (needs >1 query and no candidate "
-                        "restriction); used the in-process batch"
-                    )
-            if results is None:
-                prune = policy.prune or mode is ExecutionMode.PRUNED
-                try:
-                    with get_tracer().span(
-                        "engine.scan", attributes={"prune": bool(prune)}
-                    ) as stage:
-                        batch = self.engine.serial_batch(
-                            query_list, measure_name, k=request.k, candidates=candidates, prune=prune
-                        )
-                        scan_stats = self.engine.last_batch_stats
-                        if stage.recording and scan_stats is not None:
-                            stage.set_attributes(scan_stats.as_dict())
-                except Exception as error:
-                    # Real configuration errors (unknown measure, bad k)
-                    # re-raise identically from the sequential tier
-                    # below; only acceleration-layer faults degrade.
-                    degraded = True
-                    if degradation_reason is None:
-                        degradation_reason = (
-                            f"accelerated batch failed ({type(error).__name__}: {error})"
-                        )
-                    notes.append(
-                        "accelerated batch faulted; degraded to the sequential exact path"
-                    )
-                else:
-                    results = batch
-                    instance = self.engine._accelerated_measure(measure_name)
-                    if prune and supports_pruned_top_k(instance):
-                        path = "pruned"
-                        frontier = find_frontier_bound(instance, self.context)
-                        if frontier is not None:
-                            notes.append(
-                                f"frontier pruning certified by bound {frontier.name!r}"
-                            )
-                    else:
-                        path = "cached"
-                        if mode is ExecutionMode.PRUNED:
-                            # An explicit prune request on a measure no
-                            # certified bound covers degrades, visibly:
-                            # the scan that ran is the exact serial one.
-                            path = "serial"
-                            degraded = True
-                            if degradation_reason is None:
-                                degradation_reason = "no-certified-bound"
-                    stats = self.engine.last_batch_stats
-                    if stats is not None:
-                        prune_stats = stats.as_dict()
-        if results is None:
-            with get_tracer().span(
-                "engine.sequential", attributes={"queries": len(query_list)}
-            ):
-                results = [
-                    self.engine.search(query, measure_name, k=request.k, candidates=candidates)
-                    for query in query_list
-                ]
-            path = "sequential"
+            stage.set_attribute("candidates", admitted)
+            return _Answer(
+                results,
+                "sql-indexed",
+                notes=(f"candidates admitted by bound {admission.name!r} (sql pushdown)",),
+                prune=stats.as_dict(),
+                index_candidates=admitted,
+            )
 
-        epilogue_degraded, epilogue_reason = self._resilience_epilogue(notes)
-        degraded = degraded or epilogue_degraded
-        if degradation_reason is None:
-            degradation_reason = epilogue_reason
-        diagnostics = ExecutionDiagnostics(
-            path=path,
-            requested_mode=mode.value,
-            seconds=time.perf_counter() - started,
-            workers=workers_used,
-            prune=prune_stats,
-            # Cache counters are attached on every path (including the
-            # sequential reference scan, which does not consult them but
-            # whose diagnostics should still show the caches' state).
-            caches=self.context.cache_stats(),
-            index_candidates=index_candidates,
-            cache_warm_hits=self.context.warm_hits_total() - warm_hits_before,
-            degraded=degraded,
-            degradation_reason=degradation_reason,
-            retry_attempts=max(0, self._retry_total() - retry_before),
-            notes=tuple(notes),
-        )
+        def batch(stage) -> _Answer:
+            stats = PruneStats()
+            results = engine.serial_batch(
+                query_list, measure_name, k=k, candidates=candidates, prune=prune, stats=stats
+            )
+            if stage.recording:
+                stage.set_attributes(stats.as_dict())
+            instance = engine._accelerated_measure(measure_name)
+            if not (prune and supports_pruned_top_k(instance)):
+                return _Answer(results, "cached", prune=stats.as_dict())
+            frontier = find_frontier_bound(instance, self.context)
+            notes = () if frontier is None else (
+                f"frontier pruning certified by bound {frontier.name!r}",
+            )
+            return _Answer(results, "pruned", notes=notes, prune=stats.as_dict())
+
+        def sequential(stage) -> _Answer:
+            return _Answer(
+                [engine.search(query, measure_name, k=k, candidates=candidates) for query in query_list],
+                "sequential",
+            )
+
+        notes: list[str] = []
+        tiers: list[_Tier] = []
+        if mode is not ExecutionMode.SEQUENTIAL:
+            if admission is not None and self._sql_admission_ready():
+                attributes = {"bound": admission.name, "tier": "sql"}
+                tiers.append(
+                    _Tier("sql admission tier", "engine.preselect", indexed, attributes, seam="sql")
+                )
+            tiers += _pool_tiers(
+                policy,
+                candidates is None and len(query_list) > 1,
+                "needs >1 query and no candidate restriction",
+                notes,
+                lambda workers: engine.parallel_batch(
+                    query_list, measure_name, k=k, prune=prune, workers=workers
+                ),
+            )
+            tiers.append(_Tier("accelerated batch", "engine.scan", batch, {"prune": prune}))
+        size = {"queries": len(query_list)}
+        tiers.append(_Tier("sequential exact scan", "engine.sequential", sequential, size))
+        results, diagnostics = self._ladder(tiers, mode, started, notes)
         return ResultSet(
             kind="search",
             queries=tuple(_query_result(result) for result in results),
@@ -705,104 +582,33 @@ class SimilarityService:
         pool = self._resolve(request.workflows)
         policy = request.policy
         self._ensure_policy_store(policy)
-        warm_hits_before = self.context.warm_hits_total()
-        retry_before = self._retry_total()
-        mode = policy.mode
-        measure_name = request.measure.name
+        measure_name, engine = request.measure.name, self.engine
+
+        def scan(stage) -> _Answer:
+            return _Answer(engine.pairwise_similarity(measure_name, workflows=pool), "cached")
+
+        def sequential(stage) -> _Answer:
+            scores = engine.pairwise_similarity(measure_name, workflows=pool, accelerate=False)
+            return _Answer(scores, "sequential")
+
+        size = {"workflows": len(pool)}
         notes: list[str] = []
-        path = "cached"
-        workers_used: int | None = None
-        similarities = None
-        degraded = False
-        degradation_reason: str | None = None
-
-        # Same degradation ladder as search(): parallel → accelerated
-        # scan → sequential exact scan, every rung bit-identical.
-        if mode is not ExecutionMode.SEQUENTIAL:
-            wants_pool = mode is ExecutionMode.PARALLEL or (
-                mode is ExecutionMode.AUTO and policy.workers and policy.workers > 1
+        tiers: list[_Tier] = []
+        if policy.mode is not ExecutionMode.SEQUENTIAL:
+            tiers += _pool_tiers(
+                policy,
+                request.workflows is None,
+                "pairwise pooling requires the whole repository",
+                notes,
+                lambda workers: engine.parallel_pairwise_scores(pool, measure_name, workers=workers),
             )
-            if wants_pool:
-                if request.workflows is None:
-                    workers = policy.workers or 2
-                    try:
-                        self._fire_fault("parallel")
-                        with get_tracer().span(
-                            "engine.parallel", attributes={"workers": workers}
-                        ):
-                            similarities = self.engine.parallel_pairwise_scores(
-                                pool, measure_name, workers=workers, chunk_size=policy.chunk_size
-                            )
-                    except Exception as error:
-                        degraded = True
-                        degradation_reason = (
-                            f"parallel tier failed ({type(error).__name__}: {error})"
-                        )
-                        notes.append(
-                            "process pool faulted mid-run; "
-                            "fell back to the in-process scan"
-                        )
-                        similarities = None
-                    else:
-                        if similarities is not None:
-                            path = "parallel"
-                            workers_used = workers
-                        else:
-                            notes.append(
-                                "process pool unavailable; fell back to the in-process scan"
-                            )
-                elif mode is ExecutionMode.PARALLEL:
-                    notes.append(
-                        "pairwise pooling requires the whole repository; "
-                        "used the in-process cached scan"
-                    )
-            if similarities is None:
-                try:
-                    with get_tracer().span(
-                        "engine.scan", attributes={"workflows": len(pool)}
-                    ):
-                        similarities = self.engine.pairwise_similarity(
-                            measure_name, workflows=pool, workers=None
-                        )
-                except Exception as error:
-                    degraded = True
-                    if degradation_reason is None:
-                        degradation_reason = (
-                            f"accelerated scan failed ({type(error).__name__}: {error})"
-                        )
-                    notes.append(
-                        "accelerated scan faulted; degraded to the sequential exact path"
-                    )
-                    similarities = None
-        if similarities is None:
-            with get_tracer().span(
-                "engine.sequential", attributes={"workflows": len(pool)}
-            ):
-                similarities = self.engine.pairwise_similarity(
-                    measure_name, workflows=pool, accelerate=False
-                )
-            path = "sequential"
-
-        epilogue_degraded, epilogue_reason = self._resilience_epilogue(notes)
-        degraded = degraded or epilogue_degraded
-        if degradation_reason is None:
-            degradation_reason = epilogue_reason
+            tiers.append(_Tier("accelerated scan", "engine.scan", scan, size))
+        tiers.append(_Tier("sequential exact scan", "engine.sequential", sequential, size))
+        similarities, diagnostics = self._ladder(tiers, policy.mode, started, notes)
         pairs = tuple(
             (first.identifier, second.identifier, similarities[(first.identifier, second.identifier)])
             for i, first in enumerate(pool)
             for second in pool[i + 1:]
-        )
-        diagnostics = ExecutionDiagnostics(
-            path=path,
-            requested_mode=mode.value,
-            seconds=time.perf_counter() - started,
-            workers=workers_used,
-            caches=self.context.cache_stats(),
-            cache_warm_hits=self.context.warm_hits_total() - warm_hits_before,
-            degraded=degraded,
-            degradation_reason=degradation_reason,
-            retry_attempts=max(0, self._retry_total() - retry_before),
-            notes=tuple(notes),
         )
         return ResultSet(kind="pairwise", pairs=pairs, diagnostics=diagnostics)
 
@@ -852,6 +658,86 @@ class SimilarityService:
         )
 
     # -- helpers -------------------------------------------------------------
+
+    def _ladder(
+        self,
+        tiers: "Sequence[_Tier]",
+        mode: ExecutionMode,
+        started: float,
+        notes: list[str],
+    ) -> "tuple[Any, ExecutionDiagnostics]":
+        """Walk ``tiers`` in order and return the first answer with its diagnostics.
+
+        The degradation policy of every operation lives here.  Each tier
+        but the last fires its fault seam and runs inside its span; a
+        fault is caught, named in ``notes`` (the first one also in
+        ``degradation_reason``) and, when it is a store fault, parked
+        for the resilience epilogue, and the next tier runs.  Every tier
+        is bit-identical to the next, so a fault costs time, never
+        correctness.  A tier that returns ``None`` cannot take the
+        request after all (no process pool) and hands over too.  The
+        last tier, the sequential exact scan, touches no store and no
+        pool and runs outside any ``try``: its errors are the request's
+        own (unknown measure, bad ``k``).
+        """
+        warm_hits_before = self.context.warm_hits_total()
+        retry_before = self._retry_total()
+        tracer = get_tracer()
+        degraded = False
+        reason: str | None = None
+        answer: _Answer | None = None
+        for tier, fallback in zip(tiers, tiers[1:]):
+            try:
+                if tier.seam is not None:
+                    self._fire_fault(tier.seam)
+                with tracer.span(tier.span, attributes=tier.attributes) as stage:
+                    answer = tier.run(stage)
+            except Exception as error:
+                answer = None
+                degraded = True
+                reason = reason or f"{tier.name} failed ({type(error).__name__}: {error})"
+                notes.append(f"{tier.name} faulted; fell back to the {fallback.name}")
+                if isinstance(error, sqlite3.DatabaseError) and self.context.store_fault is None:
+                    # A store-level fault: the epilogue keeps the store on
+                    # contention and quarantines and rebuilds it on
+                    # corruption, like any other store read.
+                    self.context.store_fault = error
+                continue
+            if answer is not None:
+                break
+            notes.append(f"{tier.name} unavailable; fell back to the {fallback.name}")
+        if answer is None:
+            last = tiers[-1]
+            with tracer.span(last.span, attributes=last.attributes) as stage:
+                answer = last.run(stage)
+        notes.extend(answer.notes)
+        epilogue_degraded, epilogue_reason = self._resilience_epilogue(notes)
+        return answer.value, ExecutionDiagnostics(
+            path=answer.path,
+            requested_mode=mode.value,
+            seconds=time.perf_counter() - started,
+            workers=answer.workers,
+            prune=answer.prune,
+            # Cache counters are attached on every path (including the
+            # sequential reference scan, which does not consult them but
+            # whose diagnostics should still show the caches' state).
+            caches=self.context.cache_stats(),
+            index_candidates=answer.index_candidates,
+            cache_warm_hits=self.context.warm_hits_total() - warm_hits_before,
+            degraded=degraded or epilogue_degraded,
+            degradation_reason=reason or epilogue_reason,
+            retry_attempts=max(0, self._retry_total() - retry_before),
+            notes=tuple(notes),
+        )
+
+    def _admission(self, measure_name: str) -> BagOverlapAdmission | None:
+        """The measure's admission bound (``BW``/``BT``), if any."""
+        try:
+            return find_admission(self.engine._accelerated_measure(measure_name))
+        except Exception:
+            # Real configuration errors (unknown measure) re-raise
+            # identically from the later tiers.
+            return None
 
     def _observe_operation(self, span, operation: str, result: ResultSet) -> ResultSet:
         """Stamp the operation span + registry counters onto a result.
@@ -1096,6 +982,60 @@ class SimilarityService:
                 self.engine._result_list(query.identifier, measure.name, ranked)
             )
         return results, total_admitted, stats
+
+
+@dataclass(frozen=True)
+class _Tier:
+    """One rung of the degradation ladder (see :meth:`SimilarityService._ladder`).
+
+    ``name`` appears in fallback notes and the degradation reason;
+    ``span`` and ``attributes`` describe the tracing span the tier runs
+    in, and ``seam`` the fault-injection event fired before it.  ``run``
+    receives the open span and returns an :class:`_Answer`, or ``None``
+    when the tier cannot take the request after all.
+    """
+
+    name: str
+    span: str
+    run: Callable[[Any], "_Answer | None"]
+    attributes: Mapping[str, Any]
+    seam: str | None = None
+
+
+@dataclass(frozen=True)
+class _Answer:
+    """A tier's payload and the diagnostics fields that tier decides."""
+
+    value: Any
+    path: str
+    notes: tuple[str, ...] = ()
+    workers: int | None = None
+    prune: dict[str, Any] | None = None
+    index_candidates: int | None = None
+
+
+def _pool_tiers(policy, eligible: bool, requirement: str, notes: list[str], run) -> list[_Tier]:
+    """The process-pool tier, when the policy asks for it and the request fits.
+
+    ``PARALLEL`` always asks, ``AUTO`` when it grants more than one
+    worker; an explicit ``PARALLEL`` request the pool cannot take says
+    why in ``notes``.  ``run(workers)`` returns the pool's payload, or
+    ``None`` when no pool can be created here.
+    """
+    mode = policy.mode
+    if mode is ExecutionMode.AUTO and not (policy.workers and policy.workers > 1):
+        return []
+    if not eligible:
+        if mode is ExecutionMode.PARALLEL:
+            notes.append(f"request not pool-eligible ({requirement}); used the in-process path")
+        return []
+    workers = policy.workers or 2
+
+    def pooled(stage) -> "_Answer | None":
+        value = run(workers)
+        return None if value is None else _Answer(value, "parallel", workers=workers)
+
+    return [_Tier("parallel tier", "engine.parallel", pooled, {"workers": workers}, seam="parallel")]
 
 
 def _query_result(result: SearchResultList) -> QueryResult:

@@ -21,11 +21,9 @@ This package makes batch similarity search and all-pairs clustering fast
 * :mod:`repro.perf.parallel` — an optional ``concurrent.futures``
   process-pool backend for query batches and all-pairs scoring.
 
-The user-facing entry points are
-:meth:`SimilaritySearchEngine.search_batch
-<repro.repository.search.SimilaritySearchEngine.search_batch>` and
-:meth:`SimilaritySearchEngine.pairwise_similarity
-<repro.repository.search.SimilaritySearchEngine.pairwise_similarity>`;
+The user-facing entry point is :class:`repro.api.SimilarityService`,
+whose tiers run on these pieces through
+:class:`~repro.repository.search.SimilaritySearchEngine`;
 ``benchmarks/bench_perf_search.py`` tracks the resulting speed-ups in
 ``BENCH_search.json``.
 """

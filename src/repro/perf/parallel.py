@@ -1,11 +1,11 @@
 """Optional process-pool backend for batch search and all-pairs scoring.
 
-Workers are long-lived: each process receives the pickled workflow pool
-once (via the executor initializer), builds its own
-:class:`~repro.repository.search.SimilaritySearchEngine` with a private
-:class:`~repro.perf.engine.AccelerationContext`, and then answers many
-query chunks, amortising profile construction and cache warm-up the same
-way the serial engine does.
+Workers are long-lived: each process receives the pickled workflow pool,
+importance scorer and GED timeout once (via the executor initializer),
+builds its own :class:`~repro.repository.search.SimilaritySearchEngine`
+with a private :class:`~repro.perf.engine.AccelerationContext`, and then
+answers its groups of queries or pair rows, amortising profile
+construction and cache warm-up the same way the serial engine does.
 
 Only measures addressed *by name* can run in a pool (workers rebuild the
 measure from the registry); measure instances carry caches and callables
@@ -18,7 +18,6 @@ serial path rather than failing the search; callers can check
 from __future__ import annotations
 
 import pickle
-import sys
 from typing import Sequence
 
 from ..obs.logging import get_logger
@@ -38,24 +37,18 @@ def _init_worker(payload: bytes) -> None:
     from ..repository.repository import WorkflowRepository
     from ..repository.search import SimilaritySearchEngine
 
-    workflows, ged_timeout = pickle.loads(payload)
+    workflows, ged_timeout, importance_scorer = pickle.loads(payload)
     repository = WorkflowRepository(workflows, name="pool-worker")
     _WORKER_ENGINE = SimilaritySearchEngine(
-        repository, SimilarityFramework(ged_timeout=ged_timeout)
+        repository,
+        SimilarityFramework(importance_scorer=importance_scorer, ged_timeout=ged_timeout),
     )
 
 
-def _search_chunk(args: tuple[Sequence[str], str, int, bool]) -> list[tuple[str, list[tuple[str, float, int]]]]:
+def _search_chunk(args: tuple[Sequence[str], str, int, bool]) -> list:
     query_ids, measure, k, prune = args
-    results = []
-    for query_id in query_ids:
-        result = _WORKER_ENGINE.search_batch(
-            [query_id], measure, k=k, prune=prune, workers=None
-        )[0]
-        results.append(
-            (query_id, [(hit.workflow_id, hit.similarity, hit.rank) for hit in result.results])
-        )
-    return results
+    queries = [_WORKER_ENGINE.repository.get(query_id) for query_id in query_ids]
+    return _WORKER_ENGINE.serial_batch(queries, measure, k=k, prune=prune)
 
 
 def _pairwise_chunk(args: tuple[Sequence[int], str]) -> list[tuple[str, str, float]]:
@@ -82,8 +75,15 @@ def pool_available(workers: int = 2) -> bool:
         return False
 
 
-def _chunked(items: Sequence, chunk_size: int) -> list[Sequence]:
-    return [items[start:start + chunk_size] for start in range(0, len(items), chunk_size)]
+def _strided(items: Sequence, workers: int) -> list[Sequence]:
+    """``2 × workers`` interleaved groups of ``items`` (empty groups dropped).
+
+    Striding balances uneven work (row ``i`` of the all-pairs triangle
+    pairs with every later workflow, so early rows are the heaviest) and
+    leaves no worker idle while another holds every item.
+    """
+    stride = max(1, workers * 2)
+    return [group for group in (items[offset::stride] for offset in range(stride)) if group]
 
 
 def parallel_search_batch(
@@ -93,29 +93,31 @@ def parallel_search_batch(
     *,
     k: int,
     workers: int,
-    chunk_size: int,
     ged_timeout: float | None,
+    importance_scorer=None,
     prune: bool = True,
-) -> dict[str, list[tuple[str, float, int]]] | None:
+) -> dict | None:
     """Run a search batch across a process pool.
 
-    Returns ``{query_id: [(workflow_id, similarity, rank), ...]}`` or
-    ``None`` when no pool could be created (caller falls back to serial).
+    Returns ``{query_id: SearchResultList}`` — each list exactly what
+    :meth:`~repro.repository.search.SimilaritySearchEngine.serial_batch`
+    returns for that query — or ``None`` when no pool could be created
+    or the scorer could not be pickled (caller falls back to serial).
     """
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = pickle.dumps((list(workflows), ged_timeout))
-        chunks = _chunked(list(query_ids), max(1, chunk_size))
-        results: dict[str, list[tuple[str, float, int]]] = {}
+        payload = pickle.dumps((list(workflows), ged_timeout, importance_scorer))
+        chunks = _strided(list(query_ids), workers)
+        results = {}
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(payload,)
         ) as executor:
             for chunk_result in executor.map(
                 _search_chunk, [(chunk, measure, k, prune) for chunk in chunks]
             ):
-                for query_id, hits in chunk_result:
-                    results[query_id] = hits
+                for result in chunk_result:
+                    results[result.query_id] = result
         return results
     except Exception as error:  # pragma: no cover - environment dependent
         _log.warning(
@@ -130,23 +132,18 @@ def parallel_pairwise(
     measure: str,
     *,
     workers: int,
-    chunk_size: int,
     ged_timeout: float | None,
+    importance_scorer=None,
 ) -> dict[tuple[str, str], float] | None:
     """All unordered pairs across a process pool (``None`` on failure).
 
-    Rows are interleaved across chunks (row ``i`` pairs with all later
-    workflows, so early rows are much heavier than late ones; striding
-    balances the load).
+    Rows are interleaved across groups (see :func:`_strided`).
     """
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = pickle.dumps((list(workflows), ged_timeout))
-        count = len(workflows)
-        stride = max(1, workers * 2)
-        row_groups = [list(range(offset, count, stride)) for offset in range(stride)]
-        row_groups = [group for group in row_groups if group]
+        payload = pickle.dumps((list(workflows), ged_timeout, importance_scorer))
+        row_groups = _strided(range(len(workflows)), workers)
         similarities: dict[tuple[str, str], float] = {}
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(payload,)

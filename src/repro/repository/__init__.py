@@ -3,7 +3,6 @@
 from .clustering import (
     DuplicatePair,
     agglomerative_clusters,
-    cluster_repository,
     find_duplicates,
     pairwise_similarities,
     threshold_clusters,
@@ -15,7 +14,6 @@ from .search import SearchResult, SearchResultList, SimilaritySearchEngine
 __all__ = [
     "DuplicatePair",
     "agglomerative_clusters",
-    "cluster_repository",
     "find_duplicates",
     "pairwise_similarities",
     "threshold_clusters",

@@ -13,19 +13,20 @@ measure:
   graph above a threshold (single-link flat clustering);
 * :func:`agglomerative_clusters` — average-link hierarchical clustering
   cut at a similarity threshold, for finer-grained functional groups.
+
+To cluster a whole repository on the fast paths, call
+:meth:`SimilarityService.cluster
+<repro.api.service.SimilarityService.cluster>`, which feeds these helpers
+the service's pairwise scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.base import WorkflowSimilarityMeasure
 from ..workflow.model import Workflow
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..core.framework import SimilarityFramework
-    from .repository import WorkflowRepository
 
 __all__ = [
     "DuplicatePair",
@@ -33,7 +34,6 @@ __all__ = [
     "threshold_clusters",
     "agglomerative_clusters",
     "pairwise_similarities",
-    "cluster_repository",
 ]
 
 
@@ -111,50 +111,6 @@ def threshold_clusters(
     for workflow in workflows:
         clusters.setdefault(find(workflow.identifier), set()).add(workflow.identifier)
     return sorted(clusters.values(), key=lambda cluster: (-len(cluster), sorted(cluster)[0]))
-
-
-def cluster_repository(
-    repository: "WorkflowRepository",
-    measure: str | WorkflowSimilarityMeasure = "MS_ip_te_pll",
-    *,
-    threshold: float = 0.7,
-    linkage: str = "single",
-    workers: int | None = None,
-    framework: "SimilarityFramework | None" = None,
-) -> list[set[str]]:
-    """Cluster a whole repository on the batch similarity fast path.
-
-    Thin delegating shim over the :class:`repro.api.SimilarityService`
-    facade (kept for callers of the pre-facade API): builds a one-shot
-    service, issues a :class:`repro.api.ClusterRequest` and unpacks the
-    :class:`repro.api.ResultSet` into the classic list-of-sets shape.
-    New code should hold a long-lived service and call
-    :meth:`~repro.api.service.SimilarityService.cluster` directly — it
-    reuses the acceleration caches across requests and reports execution
-    diagnostics.
-    """
-    from ..api import ClusterRequest, ExecutionPolicy, SimilarityService
-
-    if not isinstance(measure, str):
-        # Measure instances cannot ride a declarative request; score the
-        # pairs directly and reuse the clustering helpers.  (Matches the
-        # pre-facade behaviour: instance comparators are never swapped,
-        # and the pool path requires a named measure.)
-        if linkage not in ("single", "average"):
-            raise ValueError(f"unknown linkage {linkage!r}; use 'single' or 'average'")
-        similarities = pairwise_similarities(repository.workflows(), measure)
-        cluster_fn = agglomerative_clusters if linkage == "average" else threshold_clusters
-        return cluster_fn(
-            repository.workflows(), measure, threshold=threshold, similarities=similarities
-        )
-    service = SimilarityService(repository, framework=framework)
-    policy = (
-        ExecutionPolicy.parallel(workers) if workers and workers > 1 else ExecutionPolicy.auto()
-    )
-    result = service.cluster(
-        ClusterRequest(measure=measure, threshold=threshold, linkage=linkage, policy=policy)
-    )
-    return result.cluster_sets()
 
 
 def agglomerative_clusters(

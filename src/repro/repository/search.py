@@ -14,20 +14,19 @@ Two execution paths coexist:
   scan, kept as the reference ("seed") implementation that the
   equivalence tests and ``benchmarks/bench_perf_search.py`` compare
   against.
-* :meth:`SimilaritySearchEngine.search_batch` /
+* :meth:`SimilaritySearchEngine.serial_batch`,
+  :meth:`SimilaritySearchEngine.parallel_batch` and
   :meth:`SimilaritySearchEngine.pairwise_similarity` — the
-  repository-scale batch paths built on :mod:`repro.perf`: precomputed
-  module profiles, cross-query score caches, certified-bound
-  frontier-pruned top-k and an optional process-pool backend.  Results are
-  bit-identical to the reference path; only the work per query shrinks.
+  repository-scale paths built on :mod:`repro.perf`: precomputed module
+  profiles, cross-query score caches, certified-bound frontier-pruned
+  top-k and an optional process-pool backend.  Results are bit-identical
+  to the reference path; only the work per query shrinks.
 
-.. deprecated::
-    As a *public* entry point this engine is superseded by the
-    :class:`repro.api.SimilarityService` facade, which routes declarative
-    requests to the fastest bit-identical path itself (no caller-visible
-    ``search`` vs ``search_batch`` choice) and keeps repositories mutable
-    with precise cache invalidation.  The engine remains the execution
-    layer underneath the facade and is kept stable for that purpose.
+The engine is the execution layer underneath the
+:class:`repro.api.SimilarityService` facade, which routes declarative
+requests over these paths, falls back from one to the next on a fault,
+and keeps repositories mutable with precise cache invalidation.  Call
+the service, not the engine.
 """
 
 from __future__ import annotations
@@ -119,8 +118,6 @@ class SimilaritySearchEngine:
         #: Deliberately separate from ``framework._measures`` so the
         #: reference :meth:`search` path stays untouched by acceleration.
         self._accelerated: dict[str, WorkflowSimilarityMeasure] = {}
-        #: Pruning statistics of the most recent :meth:`search_batch`.
-        self.last_batch_stats: PruneStats | None = None
 
     # -- reference path ------------------------------------------------------
 
@@ -207,68 +204,6 @@ class SimilaritySearchEngine:
             self._accelerated[measure] = instance
         return instance
 
-    def search_batch(
-        self,
-        queries: Iterable[Workflow | str] | None,
-        measure: str | WorkflowSimilarityMeasure,
-        *,
-        k: int = 10,
-        candidates: Sequence[Workflow] | None = None,
-        prune: bool = True,
-        workers: int | None = None,
-        chunk_size: int = 16,
-    ) -> list[SearchResultList]:
-        """Top-``k`` search for many queries, sharing all per-repository work.
-
-        Bit-identical to calling :meth:`search` per query — same hits,
-        same scores, same tie-breaking — but built for repository scale:
-
-        * module attributes are profiled once (per repository) and
-          module-pair scores are cached across queries, with symmetric
-          pairs folded into one entry;
-        * measures covered by a certified bound (``MS``, ``PS`` and
-          fully certified ensembles) run a frontier-pruned scan that
-          skips candidates whose certified upper bound cannot reach the
-          current top-k (``prune=False`` forces exhaustive scoring);
-        * ``workers=N`` with a *named* measure fans the queries out over
-          a process pool (each worker amortises its own caches across
-          its chunk); unavailable pools degrade to the serial path.
-
-        Parameters
-        ----------
-        queries:
-            Workflows or identifiers; ``None`` searches with every
-            repository workflow as the query (the all-queries batch of
-            the paper's retrieval experiment).
-        candidates:
-            Restrict the searched pool (serial path only); defaults to
-            the whole repository.
-
-        Returns the result lists in query order.
-        """
-        query_list: list[Workflow] = [
-            self.repository.get(query) if isinstance(query, str) else query
-            for query in (queries if queries is not None else self.repository.workflows())
-        ]
-
-        if (
-            workers
-            and workers > 1
-            and isinstance(measure, str)
-            and candidates is None
-            and len(query_list) > 1
-        ):
-            parallel = self.parallel_batch(
-                query_list, measure, k=k, prune=prune, workers=workers, chunk_size=chunk_size
-            )
-            if parallel is not None:
-                self.last_batch_stats = PruneStats()
-                return parallel
-
-        return self.serial_batch(
-            query_list, measure, k=k, candidates=candidates, prune=prune
-        )
-
     def parallel_batch(
         self,
         query_list: Sequence[Workflow],
@@ -277,13 +212,12 @@ class SimilaritySearchEngine:
         k: int,
         prune: bool,
         workers: int,
-        chunk_size: int = 16,
     ) -> list[SearchResultList] | None:
-        """Attempt the process-pool batch; ``None`` when no pool exists.
+        """The batch over a process pool; ``None`` when no pool exists.
 
-        Exposed separately so callers that need to *know* whether the
-        pool ran (the :class:`repro.api.SimilarityService` diagnostics)
-        can attempt it themselves and fall back explicitly.
+        Each worker rebuilds the repository and the named measure under
+        this engine's importance scorer and GED timeout, so its answers
+        are :meth:`serial_batch`'s.
         """
         by_id = parallel_search_batch(
             self.repository.workflows(),
@@ -291,32 +225,13 @@ class SimilaritySearchEngine:
             measure,
             k=k,
             workers=workers,
-            chunk_size=chunk_size,
             ged_timeout=self.framework.ged_timeout,
+            importance_scorer=self.framework.importance_scorer,
             prune=prune,
         )
         if by_id is None:
             return None
-        # Workers report hits under the instance's canonical name
-        # (e.g. the default mapping code is omitted), matching
-        # what the serial paths produce.
-        canonical = self._accelerated_measure(measure).name
-        return [
-            SearchResultList(
-                query_id=query.identifier,
-                measure=canonical,
-                results=tuple(
-                    SearchResult(
-                        workflow_id=workflow_id,
-                        similarity=similarity,
-                        rank=rank,
-                        measure=canonical,
-                    )
-                    for workflow_id, similarity, rank in by_id[query.identifier]
-                ),
-            )
-            for query in query_list
-        ]
+        return [by_id[query.identifier] for query in query_list]
 
     def serial_batch(
         self,
@@ -326,10 +241,20 @@ class SimilaritySearchEngine:
         k: int,
         candidates: Sequence[Workflow] | None = None,
         prune: bool = True,
+        stats: PruneStats | None = None,
     ) -> list[SearchResultList]:
-        """The in-process batch path (cached comparators, pruned top-k)."""
-        stats = PruneStats()
-        self.last_batch_stats = stats
+        """Top-``k`` search for many queries, sharing all per-repository work.
+
+        Bit-identical to calling :meth:`search` per query — same hits,
+        same scores, same tie-breaking.  Module attributes are profiled
+        once per repository and module-pair scores are cached across
+        queries; measures covered by a certified bound (``MS``, ``PS``
+        and fully certified ensembles) run the frontier-pruned scan
+        (``prune=False`` scores every candidate).  ``candidates``
+        restricts the searched pool; ``stats`` accumulates the pruning
+        counters of the whole batch.  Returns the result lists in query
+        order.
+        """
         instance = self._accelerated_measure(measure)
         pool = list(candidates) if candidates is not None else self.repository.workflows()
         use_pruned = prune and supports_pruned_top_k(instance)
@@ -385,30 +310,16 @@ class SimilaritySearchEngine:
         *,
         workflows: Sequence[Workflow] | None = None,
         accelerate: bool = True,
-        workers: int | None = None,
-        chunk_size: int = 64,
     ) -> dict[tuple[str, str], float]:
         """Similarity of every unordered workflow pair (used for clustering).
 
         Each pair is scored exactly once in ``(earlier, later)`` pool
         order — and with an accelerated measure the symmetric module-pair
         cache means the underlying attribute comparisons are shared with
-        any previous search batch as well.  ``workers=N`` distributes the
-        pair rows over a process pool for named measures over the whole
-        repository.
+        any previous search batch as well.  ``accelerate=False`` scores
+        with the reference measure instance.
         """
         pool = list(workflows) if workflows is not None else self.repository.workflows()
-        if (
-            workers
-            and workers > 1
-            and isinstance(measure, str)
-            and workflows is None
-        ):
-            parallel = self.parallel_pairwise_scores(
-                pool, measure, workers=workers, chunk_size=chunk_size
-            )
-            if parallel is not None:
-                return parallel
         instance = (
             self._accelerated_measure(measure) if accelerate else self.framework.measure(measure)
         )
@@ -425,21 +336,19 @@ class SimilaritySearchEngine:
         measure: str,
         *,
         workers: int,
-        chunk_size: int = 64,
     ) -> dict[tuple[str, str], float] | None:
-        """Attempt the all-pairs process pool; ``None`` when unavailable.
+        """All pairs over a process pool; ``None`` when no pool exists.
 
-        Like :meth:`parallel_batch`, exposed so the service facade can
-        report in its diagnostics whether the pool actually ran.  ``pool``
-        must be the whole repository in its iteration order — workers
-        rebuild the repository from that pool and score all of it.
+        ``pool`` must be the whole repository in its iteration order —
+        workers rebuild the repository from that pool and score all of
+        it, under this engine's importance scorer and GED timeout.
         """
         parallel = parallel_pairwise(
             list(pool),
             measure,
             workers=workers,
-            chunk_size=chunk_size,
             ged_timeout=self.framework.ged_timeout,
+            importance_scorer=self.framework.importance_scorer,
         )
         if parallel is None:
             return None

@@ -58,7 +58,7 @@ def fold_key(request: SearchRequest) -> tuple:
 
     The key covers everything that shapes execution: the measure spec,
     ``k``, and the full execution policy (mode, workers, prune,
-    preselect, retry knobs).  Two requests under different measure specs
+    cache dir, retry knobs).  Two requests under different measure specs
     therefore *never* fold — the engine batch call takes one measure.
     """
     policy = tuple(sorted(request.policy.to_dict().items()))

@@ -95,25 +95,31 @@ class TestMeasureBuilder:
 
 class TestExecutionPolicy:
     def test_mode_coercion_from_string(self):
-        assert ExecutionPolicy(mode="pruned").mode is ExecutionMode.PRUNED
+        assert ExecutionPolicy(mode="parallel").mode is ExecutionMode.PARALLEL
+        assert [mode.value for mode in ExecutionMode] == ["auto", "sequential", "parallel"]
 
     def test_constructors(self):
         assert ExecutionPolicy.sequential().mode is ExecutionMode.SEQUENTIAL
-        parallel = ExecutionPolicy.parallel(4, chunk_size=8)
-        assert (parallel.workers, parallel.chunk_size) == (4, 8)
+        parallel = ExecutionPolicy.parallel(4)
+        assert (parallel.mode, parallel.workers) == (ExecutionMode.PARALLEL, 4)
         assert ExecutionPolicy.auto(prune=False).prune is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutionPolicy(workers=0)
-        with pytest.raises(ValueError):
-            ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ValueError):
-            ExecutionPolicy(mode="warp-speed")
+        for mode in ("warp-speed", "pruned"):
+            with pytest.raises(ValueError):
+                ExecutionPolicy(mode=mode)
+            with pytest.raises(ValueError):
+                ExecutionPolicy.from_dict({"mode": mode})
 
     def test_round_trip(self):
         policy = ExecutionPolicy.parallel(3, prune=False)
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
+        assert len(policy.to_dict()) == 7
+        # Clients that still send a retired knob keep working.
+        retired = ExecutionPolicy.from_dict({"workers": 3, "preselect": False})
+        assert retired == ExecutionPolicy(workers=3)
 
 
 class TestRequestRoundTrips:
@@ -123,7 +129,7 @@ class TestRequestRoundTrips:
             queries=["wf-1", "wf-2"],
             k=5,
             candidates=["wf-3"],
-            policy=ExecutionPolicy.pruned(),
+            policy=ExecutionPolicy.parallel(3, prune=False),
         )
         assert SearchRequest.from_json(request.to_json()) == request
         assert request.measure == MeasureSpec("MS_ip_te_pll")

@@ -48,11 +48,13 @@ class TestPolicyEquivalence:
             )
 
         sequential = run(ExecutionPolicy.sequential())
-        pruned = run(ExecutionPolicy.pruned())
+        pruned = run(ExecutionPolicy.auto())
+        assert pruned.diagnostics.path in ("pruned", "cached")
         assert sequential == pruned
         assert sequential.result_tuples() == pruned.result_tuples()
         if pool_available():
-            parallel = run(ExecutionPolicy.parallel(2, chunk_size=2))
+            parallel = run(ExecutionPolicy.parallel(2))
+            assert parallel.diagnostics.path == "parallel"
             assert parallel == sequential
 
     def test_auto_equals_sequential_with_prune_disabled(self, service, small_corpus):

@@ -1,20 +1,28 @@
 """Fast-path / slow-path score equivalence.
 
 The perf layer's contract is that it changes *nothing* about the scores:
-``search_batch``, the cached similarity matrices and the pruned top-k
-scan must return bit-identical results to the reference per-query path
-on any corpus.  These tests pin that property on the shared synthetic
-corpus and on generated micro-corpora.
+the service's accelerated tiers (the in-process batch, the cached
+similarity matrices, the pruned top-k scan and the process pool) must
+return bit-identical results to the reference per-query path on any
+corpus.  These tests pin that property on the shared synthetic corpus
+and on generated micro-corpora.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import (
+    ClusterRequest,
+    ExecutionPolicy,
+    PairwiseRequest,
+    SearchRequest,
+    SimilarityService,
+)
 from repro.core.framework import SimilarityFramework
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.perf import AccelerationContext, accelerate_measure, pool_available
-from repro.repository import SimilaritySearchEngine
+from repro.repository import RepositoryKnowledge, SimilaritySearchEngine, WorkflowRepository
 
 MEASURES = [
     "MS_ip_te_pll",  # the paper's best structural configuration
@@ -29,6 +37,17 @@ def result_tuples(result_list):
     return [(hit.workflow_id, hit.similarity, hit.rank) for hit in result_list]
 
 
+def fast_search(service, query_ids, measure, *, k, prune=True):
+    """The service's in-process batch answer (one result list per query)."""
+    result = service.search(
+        SearchRequest(
+            measure=measure, queries=query_ids, k=k, policy=ExecutionPolicy.auto(prune=prune)
+        )
+    )
+    assert result.diagnostics.path in ("pruned", "cached")
+    return result
+
+
 @pytest.fixture()
 def engines(small_corpus):
     repository = small_corpus.repository
@@ -38,74 +57,84 @@ def engines(small_corpus):
     )
 
 
+@pytest.fixture()
+def seed_engine(small_corpus):
+    return SimilaritySearchEngine(small_corpus.repository, SimilarityFramework())
+
+
+@pytest.fixture()
+def service(small_corpus):
+    return SimilarityService(small_corpus.repository)
+
+
 class TestSearchBatchEquivalence:
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_identical_to_sequential_search(self, engines, small_corpus, measure):
-        seed_engine, fast_engine = engines
+    def test_identical_to_sequential_search(self, seed_engine, service, small_corpus, measure):
         query_ids = small_corpus.repository.identifiers()[:6]
         seed = [seed_engine.search(qid, measure, k=10) for qid in query_ids]
-        fast = fast_engine.search_batch(query_ids, measure, k=10)
+        fast = fast_search(service, query_ids, measure, k=10)
         assert [r.query_id for r in fast] == query_ids
         for seed_result, fast_result in zip(seed, fast):
             assert fast_result.measure == seed_result.measure
             assert result_tuples(fast_result) == result_tuples(seed_result)
 
-    def test_identical_for_annotation_and_ensemble_measures(self, engines, small_corpus):
-        seed_engine, fast_engine = engines
+    def test_identical_for_annotation_and_ensemble_measures(
+        self, seed_engine, service, small_corpus
+    ):
         query_ids = small_corpus.repository.identifiers()[:4]
         for measure in ("BW", "BW+MS_ip_te_pll"):
             seed = [seed_engine.search(qid, measure, k=10) for qid in query_ids]
-            fast = fast_engine.search_batch(query_ids, measure, k=10)
+            fast = fast_search(service, query_ids, measure, k=10)
             for seed_result, fast_result in zip(seed, fast):
                 assert result_tuples(fast_result) == result_tuples(seed_result)
 
-    def test_identical_with_small_k_and_large_k(self, engines, small_corpus):
-        seed_engine, fast_engine = engines
+    def test_identical_with_small_k_and_large_k(self, seed_engine, service, small_corpus):
         query_id = small_corpus.repository.identifiers()[7]
         for k in (1, 3, 500):
             seed = seed_engine.search(query_id, "MS_ip_te_pll", k=k)
-            fast = fast_engine.search_batch([query_id], "MS_ip_te_pll", k=k)[0]
+            fast = fast_search(service, [query_id], "MS_ip_te_pll", k=k).for_query(query_id)
             assert result_tuples(fast) == result_tuples(seed)
 
-    def test_prune_disabled_still_identical(self, engines, small_corpus):
-        seed_engine, fast_engine = engines
+    def test_prune_disabled_still_identical(self, seed_engine, service, small_corpus):
         query_id = small_corpus.repository.identifiers()[2]
         seed = seed_engine.search(query_id, "MS_ip_te_pll", k=10)
-        fast = fast_engine.search_batch([query_id], "MS_ip_te_pll", k=10, prune=False)[0]
-        assert result_tuples(fast) == result_tuples(seed)
+        fast = fast_search(service, [query_id], "MS_ip_te_pll", k=10, prune=False)
+        assert fast.diagnostics.path == "cached"
+        assert result_tuples(fast.for_query(query_id)) == result_tuples(seed)
 
-    def test_queries_none_searches_all(self, engines, small_corpus):
-        _, fast_engine = engines
-        results = fast_engine.search_batch(None, "BW", k=3)
+    def test_queries_none_searches_all(self, service, small_corpus):
+        results = fast_search(service, None, "BW", k=3)
         assert len(results) == len(small_corpus.repository)
 
-    def test_pruning_actually_prunes(self, engines, small_corpus):
-        _, fast_engine = engines
+    def test_pruning_actually_prunes(self, service, small_corpus):
         query_ids = small_corpus.repository.identifiers()[:6]
-        fast_engine.search_batch(query_ids, "MS_ip_te_pll", k=5)
-        stats = fast_engine.last_batch_stats
-        assert stats.candidates > 0
-        assert stats.pruned > 0
-        assert stats.exact_comparisons + stats.pruned == stats.candidates
+        stats = fast_search(service, query_ids, "MS_ip_te_pll", k=5).diagnostics.prune
+        pruned = stats["pruned_char_bag"] + stats["pruned_banded"]
+        assert stats["candidates"] > 0
+        assert pruned > 0
+        assert stats["exact_comparisons"] + pruned == stats["candidates"]
 
     @pytest.mark.parametrize("measure", ["PS_ip_te_pll", "BW+MS_ip_te_pll"])
-    def test_ps_and_ensemble_prune_and_stay_identical(self, engines, small_corpus, measure):
+    def test_ps_and_ensemble_prune_and_stay_identical(
+        self, seed_engine, service, small_corpus, measure
+    ):
         """PS and certified ensembles now ride the pruned frontier: the
         scan must actually skip work and still match the reference."""
-        seed_engine, fast_engine = engines
         query_ids = small_corpus.repository.identifiers()[:6]
         seed = [seed_engine.search(qid, measure, k=5) for qid in query_ids]
-        fast = fast_engine.search_batch(query_ids, measure, k=5)
+        fast = fast_search(service, query_ids, measure, k=5)
+        assert fast.diagnostics.path == "pruned"
         for seed_result, fast_result in zip(seed, fast):
             assert result_tuples(fast_result) == result_tuples(seed_result)
-        stats = fast_engine.last_batch_stats
-        assert stats.pruned > 0, f"{measure} never pruned"
-        assert sum(stats.pruned_by_bound.values()) == stats.pruned
+        stats = fast.diagnostics.prune
+        pruned = stats["pruned_char_bag"] + stats["pruned_banded"]
+        assert pruned > 0, f"{measure} never pruned"
+        assert sum(stats["pruned_by_bound"].values()) == pruned
         expected_bound = (
             "ps-path-matching" if measure == "PS_ip_te_pll"
             else "ensemble(bw-token-bag+ms-char-bag)"
         )
-        assert expected_bound in stats.pruned_by_bound
+        assert expected_bound in stats["pruned_by_bound"]
 
     def test_profile_store_clear_does_not_corrupt_scores(self, small_corpus):
         # Regression: fingerprints memoised by id() must not survive a
@@ -114,13 +143,13 @@ class TestSearchBatchEquivalence:
         import gc
 
         repository = small_corpus.repository
-        engine = SimilaritySearchEngine(repository, SimilarityFramework())
+        service = SimilarityService(repository)
         query_id = repository.identifiers()[0]
-        before = engine.search_batch([query_id], "MS_ip_te_pll", k=10)[0]
+        before = fast_search(service, [query_id], "MS_ip_te_pll", k=10)
         repository.profile_store.clear()
         gc.collect()
-        after = engine.search_batch([query_id], "MS_ip_te_pll", k=10)[0]
-        assert result_tuples(after) == result_tuples(before)
+        after = fast_search(service, [query_id], "MS_ip_te_pll", k=10)
+        assert after.result_tuples() == before.result_tuples()
 
     def test_generated_micro_corpora(self):
         # Property-style: several tiny corpora with different seeds, the
@@ -131,11 +160,11 @@ class TestSearchBatchEquivalence:
             )
             repository = corpus.repository
             seed_engine = SimilaritySearchEngine(repository, SimilarityFramework())
-            fast_engine = SimilaritySearchEngine(repository, SimilarityFramework())
+            service = SimilarityService(repository)
             for measure in ("MS_ip_te_pll", "MS_np_te_pw0"):
                 query_ids = repository.identifiers()
                 seed = [seed_engine.search(qid, measure, k=5) for qid in query_ids]
-                fast = fast_engine.search_batch(query_ids, measure, k=5)
+                fast = fast_search(service, query_ids, measure, k=5)
                 for seed_result, fast_result in zip(seed, fast):
                     assert result_tuples(fast_result) == result_tuples(seed_result)
 
@@ -161,30 +190,30 @@ class TestPairwiseEquivalence:
 
 class TestClusterRepository:
     def test_matches_slow_path_clusters(self, small_corpus):
-        from repro.repository.clustering import cluster_repository, threshold_clusters
-        from repro.repository.repository import WorkflowRepository
+        from repro.repository.clustering import threshold_clusters
 
         pool = small_corpus.repository.workflows()[:20]
-        repository = WorkflowRepository(pool, name="slice")
-        fast = cluster_repository(repository, "MS_ip_te_pll", threshold=0.6)
+        service = SimilarityService(WorkflowRepository(pool, name="slice"))
+        fast = service.cluster(ClusterRequest(measure="MS_ip_te_pll", threshold=0.6))
         reference = threshold_clusters(
             pool, SimilarityFramework().measure("MS_ip_te_pll"), threshold=0.6
         )
-        assert fast == reference
+        assert fast.cluster_sets() == reference
 
     def test_average_linkage_and_validation(self, small_corpus):
-        from repro.repository.clustering import agglomerative_clusters, cluster_repository
-        from repro.repository.repository import WorkflowRepository
+        from repro.repository.clustering import agglomerative_clusters
 
         pool = small_corpus.repository.workflows()[:12]
-        repository = WorkflowRepository(pool, name="slice")
-        fast = cluster_repository(repository, "MS_ip_te_pll", threshold=0.6, linkage="average")
+        service = SimilarityService(WorkflowRepository(pool, name="slice"))
+        fast = service.cluster(
+            ClusterRequest(measure="MS_ip_te_pll", threshold=0.6, linkage="average")
+        )
         reference = agglomerative_clusters(
             pool, SimilarityFramework().measure("MS_ip_te_pll"), threshold=0.6
         )
-        assert fast == reference
+        assert fast.cluster_sets() == reference
         with pytest.raises(ValueError):
-            cluster_repository(repository, linkage="complete")
+            service.cluster({"measure": {"name": "MS_ip_te_pll"}, "linkage": "complete"})
 
 
 class TestStructuralMeasureAcceleration:
@@ -201,32 +230,77 @@ class TestStructuralMeasureAcceleration:
                     ), measure_name
 
 
+def frequency_scored(repository):
+    """A framework under the automatic ``ip`` scorer of ``repository``."""
+    knowledge = RepositoryKnowledge.from_repository(repository)
+    scorer = knowledge.frequency_importance_scorer(max_frequency=0.05)
+    return SimilarityFramework(importance_scorer=scorer)
+
+
+@pytest.fixture(scope="module")
+def scored_repository():
+    return generate_myexperiment_corpus(CorpusSpec(workflow_count=40, seed=3)).repository
+
+
 class TestParallelBackend:
-    def test_worker_results_identical(self, small_corpus):
+    @pytest.fixture(autouse=True)
+    def _needs_pool(self):
         if not pool_available():
             pytest.skip("process pools unavailable in this environment")
+
+    def test_worker_results_identical(self, small_corpus):
         repository = small_corpus.repository
-        serial_engine = SimilaritySearchEngine(repository, SimilarityFramework())
-        parallel_engine = SimilaritySearchEngine(repository, SimilarityFramework())
         query_ids = repository.identifiers()[:4]
-        serial = serial_engine.search_batch(query_ids, "MS_ip_te_pll", k=5)
-        parallel = parallel_engine.search_batch(
-            query_ids, "MS_ip_te_pll", k=5, workers=2, chunk_size=2
+        serial = fast_search(SimilarityService(repository), query_ids, "MS_ip_te_pll", k=5)
+        parallel = SimilarityService(repository).search(
+            SearchRequest(
+                measure="MS_ip_te_pll",
+                queries=query_ids,
+                k=5,
+                policy=ExecutionPolicy.parallel(2),
+            )
         )
-        assert [result_tuples(r) for r in parallel] == [result_tuples(r) for r in serial]
+        assert parallel.diagnostics.path == "parallel"
+        assert parallel.result_tuples() == serial.result_tuples()
         assert [r.measure for r in parallel] == [r.measure for r in serial]
 
     def test_parallel_pairwise_identical(self, small_corpus):
-        if not pool_available():
-            pytest.skip("process pools unavailable in this environment")
-        # Use a small corpus slice via a dedicated repository so workers
+        # A small corpus slice via a dedicated repository, so workers
         # score the same pool the serial path does.
-        from repro.repository.repository import WorkflowRepository
-
         pool = small_corpus.repository.workflows()[:12]
         repository = WorkflowRepository(pool, name="slice")
-        serial_engine = SimilaritySearchEngine(repository, SimilarityFramework())
-        parallel_engine = SimilaritySearchEngine(repository, SimilarityFramework())
-        serial = serial_engine.pairwise_similarity("MS_ip_te_pll")
-        parallel = parallel_engine.pairwise_similarity("MS_ip_te_pll", workers=2)
+        serial = SimilarityService(repository).pairwise(PairwiseRequest(measure="MS_ip_te_pll"))
+        parallel = SimilarityService(repository).pairwise(
+            PairwiseRequest(measure="MS_ip_te_pll", policy=ExecutionPolicy.parallel(2))
+        )
+        assert parallel.diagnostics.path == "parallel"
         assert parallel == serial
+        assert list(parallel.pair_scores()) == list(serial.pair_scores())
+
+    def test_search_pool_keeps_the_importance_scorer(self, scored_repository):
+        """Workers rebuild measures under the service's importance
+        scorer, not the default one."""
+        query_ids = scored_repository.identifiers()[:6]
+
+        def run(policy):
+            service = SimilarityService(
+                scored_repository, framework=frequency_scored(scored_repository)
+            )
+            return service.search(
+                SearchRequest(measure="MS_ip_te_pll", queries=query_ids, k=10, policy=policy)
+            )
+
+        parallel = run(ExecutionPolicy.parallel(2))
+        assert parallel.diagnostics.path == "parallel"
+        assert parallel.result_tuples() == run(ExecutionPolicy.sequential()).result_tuples()
+
+    def test_pairwise_pool_keeps_the_importance_scorer(self, scored_repository):
+        def run(policy):
+            service = SimilarityService(
+                scored_repository, framework=frequency_scored(scored_repository)
+            )
+            return service.pairwise(PairwiseRequest(measure="MS_ip_te_pll", policy=policy))
+
+        parallel = run(ExecutionPolicy.parallel(2))
+        assert parallel.diagnostics.path == "parallel"
+        assert parallel.pair_scores() == run(ExecutionPolicy.sequential()).pair_scores()

@@ -15,8 +15,14 @@ import sqlite3
 
 import pytest
 
-from repro.api import ExecutionPolicy, PairwiseRequest, SearchRequest, SimilarityService
-from repro.repository import WorkflowRepository
+from repro.api import (
+    ClusterRequest,
+    ExecutionPolicy,
+    PairwiseRequest,
+    SearchRequest,
+    SimilarityService,
+)
+from repro.repository import SimilaritySearchEngine, WorkflowRepository
 from repro.store import FaultInjector
 
 MEASURE = "MS_ip_te_pll"
@@ -269,6 +275,50 @@ class TestExecutionTierFaults:
         assert result.diagnostics.degraded
         assert "parallel tier failed" in result.diagnostics.degradation_reason
         assert len(pool_ids) == 10  # (pool fixture sanity)
+
+    def test_in_process_fault_lands_on_the_sequential_scan(
+        self, workflows, query_ids, reference, monkeypatch
+    ):
+        """The last rung: when the in-process batch or scan itself faults,
+        search, pairwise and cluster all answer from the sequential exact
+        scan, bit-identically, and say why."""
+        scan = SimilaritySearchEngine.pairwise_similarity
+
+        def broken_batch(self, *args, **kwargs):
+            raise RuntimeError("batch kernel crashed")
+
+        def broken_scan(self, measure, *, workflows=None, accelerate=True):
+            if accelerate:
+                raise RuntimeError("scan kernel crashed")
+            return scan(self, measure, workflows=workflows, accelerate=False)
+
+        monkeypatch.setattr(SimilaritySearchEngine, "serial_batch", broken_batch)
+        monkeypatch.setattr(SimilaritySearchEngine, "pairwise_similarity", broken_scan)
+        service = SimilarityService(fresh_repository(workflows))
+        pool_ids = [workflow.identifier for workflow in workflows[:12]]
+        sequential = ExecutionPolicy.sequential()
+
+        def cluster(policy=ExecutionPolicy()):
+            return service.cluster(
+                ClusterRequest(measure=MEASURE, threshold=0.5, workflows=pool_ids, policy=policy)
+            )
+
+        def pairwise(policy=ExecutionPolicy()):
+            return service.pairwise(
+                PairwiseRequest(measure=MEASURE, workflows=pool_ids, policy=policy)
+            )
+
+        cases = (
+            (service.search(auto_request(query_ids)), reference, "accelerated batch failed ("),
+            (pairwise(), pairwise(sequential), "accelerated scan failed ("),
+            (cluster(), cluster(sequential), "accelerated scan failed ("),
+        )
+        for answer, expected, prefix in cases:
+            assert answer.diagnostics.path == "sequential"
+            assert answer == expected
+            assert answer.diagnostics.degraded
+            assert answer.diagnostics.degradation_reason.startswith(prefix)
+            assert not expected.diagnostics.degraded
 
     def test_every_fault_everywhere_still_bit_identical(
         self, workflows, warm_cache, query_ids, reference

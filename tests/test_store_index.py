@@ -128,18 +128,28 @@ class TestIndexedRouting:
         assert result.diagnostics.path == "sql-indexed"
         assert result.diagnostics.index_candidates < len(indexed_service)
 
-    def test_preselect_false_bypasses_index(self, indexed_service):
-        query_id = indexed_service.repository.identifiers()[0]
-        result = indexed_service.search(
+    def test_policy_store_attaches_before_routing(self, small_corpus, tmp_path):
+        """A storeless service attaches the policy's ``cache_dir`` before
+        it picks a tier, so the request that brings an indexed store
+        already runs on it."""
+        workflows = small_corpus.repository.workflows()[:40]
+        indexed(workflows, tmp_path / "store").close()
+        service = SimilarityService(fresh_repository(workflows))
+        assert service.store is None
+        query_id = workflows[0].identifier
+        policy = ExecutionPolicy.auto(cache_dir=str(tmp_path / "store"))
+        first = service.search(
+            SearchRequest(measure="BW", queries=[query_id], k=10, policy=policy)
+        )
+        assert first.diagnostics.path == "sql-indexed"
+        assert first.diagnostics.index_candidates < len(service)
+        sequential = service.search(
             SearchRequest(
-                measure="BW",
-                queries=[query_id],
-                k=5,
-                policy=ExecutionPolicy.auto(preselect=False),
+                measure="BW", queries=[query_id], k=10, policy=ExecutionPolicy.sequential()
             )
         )
-        assert result.diagnostics.path == "cached"
-        assert result.diagnostics.index_candidates is None
+        assert first == sequential
+        service.close()
 
     def test_without_index_auto_uses_cached_scan(self, small_corpus, tmp_path):
         workflows = small_corpus.repository.workflows()[:15]
