@@ -10,6 +10,11 @@ equivalence tests pin this).
 
 Every request round-trips through plain JSON (``to_json``/``from_json``)
 so requests can be queued, logged, or shipped over a wire unchanged.
+Decoding a payload that is not a well-formed request raises
+``ValueError``, ``TypeError`` or ``KeyError`` (the server answers each
+with a 400): a ``policy`` or ``measure`` that is not a JSON object, a
+string or object where a list of identifiers belongs, or a number that
+is NaN, infinite or out of range.
 Measures are described by :class:`MeasureSpec`, either directly from a
 paper-style name (``"MS_ip_te_pll"``, ``"BW+MS_ip_te_pll"``) or through
 the fluent :class:`MeasureBuilder`::
@@ -26,9 +31,10 @@ the fluent :class:`MeasureBuilder`::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 __all__ = [
     "ExecutionMode",
@@ -39,6 +45,26 @@ __all__ = [
     "PairwiseRequest",
     "ClusterRequest",
 ]
+
+
+T = TypeVar("T")
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    """``value`` if it is a JSON object; a ``ValueError`` otherwise."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
+    """``convert(value)`` (``int`` or ``float``), raising ``ValueError``
+    where the conversion overflows (``int`` of an infinity, ``float`` of
+    an integer beyond the double range)."""
+    try:
+        return convert(value)
+    except OverflowError as error:
+        raise ValueError(f"{what} is out of range ({error})") from error
 
 
 class ExecutionMode(str, Enum):
@@ -94,8 +120,9 @@ class ExecutionPolicy:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
         if self.retry_attempts < 1:
             raise ValueError(f"retry_attempts must be >= 1, got {self.retry_attempts}")
-        if self.retry_base_delay < 0 or self.retry_max_delay < 0:
-            raise ValueError("retry delays must be non-negative")
+        for delay in (self.retry_base_delay, self.retry_max_delay):
+            if not 0 <= delay < math.inf:
+                raise ValueError(f"retry delays must be finite and non-negative, got {delay}")
 
     def retry_policy(self):
         """The :class:`~repro.store.resilience.RetryPolicy` these knobs describe."""
@@ -144,15 +171,17 @@ class ExecutionPolicy:
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
         """Rebuild a policy; unknown keys are ignored, so payloads that
         still carry since-removed knobs load unchanged."""
+        data = _mapping(data, "policy")
         cache_dir = data.get("cache_dir")
+        workers = data.get("workers")
         return cls(
             mode=ExecutionMode(data.get("mode", "auto")),
-            workers=data.get("workers"),
+            workers=_number(int, workers, "workers") if workers is not None else None,
             prune=bool(data.get("prune", True)),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
-            retry_attempts=int(data.get("retry_attempts", 5)),
-            retry_base_delay=float(data.get("retry_base_delay", 0.02)),
-            retry_max_delay=float(data.get("retry_max_delay", 0.5)),
+            retry_attempts=_number(int, data.get("retry_attempts", 5), "retry_attempts"),
+            retry_base_delay=_number(float, data.get("retry_base_delay", 0.02), "retry_base_delay"),
+            retry_max_delay=_number(float, data.get("retry_max_delay", 0.5), "retry_max_delay"),
         )
 
 
@@ -247,7 +276,7 @@ class MeasureSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MeasureSpec":
-        return cls(name=str(data["name"]))
+        return cls(name=str(_mapping(data, "measure")["name"]))
 
 
 class MeasureBuilder:
@@ -352,9 +381,14 @@ class MeasureBuilder:
         return MeasureSpec(self.name())
 
 
-def _identifier_tuple(value: Iterable[str] | None) -> tuple[str, ...] | None:
+def _identifier_tuple(value: Iterable[str] | None, what: str) -> tuple[str, ...] | None:
     if value is None:
         return None
+    # Iterating these would yield characters, bytes or keys, not identifiers.
+    if isinstance(value, (str, bytes, bytearray, Mapping)):
+        raise ValueError(
+            f"{what} must be a list of workflow identifiers, got {type(value).__name__}"
+        )
     return tuple(str(item) for item in value)
 
 
@@ -375,8 +409,8 @@ class SearchRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measure", MeasureSpec.of(self.measure))
-        object.__setattr__(self, "queries", _identifier_tuple(self.queries))
-        object.__setattr__(self, "candidates", _identifier_tuple(self.candidates))
+        object.__setattr__(self, "queries", _identifier_tuple(self.queries, "queries"))
+        object.__setattr__(self, "candidates", _identifier_tuple(self.candidates, "candidates"))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.queries is not None and not self.queries:
@@ -394,10 +428,11 @@ class SearchRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SearchRequest":
+        data = _mapping(data, "request")
         return cls(
             measure=MeasureSpec.from_dict(data["measure"]),
             queries=data.get("queries"),
-            k=int(data.get("k", 10)),
+            k=_number(int, data.get("k", 10), "k"),
             candidates=data.get("candidates"),
             policy=ExecutionPolicy.from_dict(data.get("policy", {})),
         )
@@ -424,7 +459,7 @@ class PairwiseRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measure", MeasureSpec.of(self.measure))
-        object.__setattr__(self, "workflows", _identifier_tuple(self.workflows))
+        object.__setattr__(self, "workflows", _identifier_tuple(self.workflows, "workflows"))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -436,6 +471,7 @@ class PairwiseRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PairwiseRequest":
+        data = _mapping(data, "request")
         return cls(
             measure=MeasureSpec.from_dict(data["measure"]),
             workflows=data.get("workflows"),
@@ -462,11 +498,13 @@ class ClusterRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measure", MeasureSpec.of(self.measure))
-        object.__setattr__(self, "workflows", _identifier_tuple(self.workflows))
+        object.__setattr__(self, "workflows", _identifier_tuple(self.workflows, "workflows"))
         if self.linkage not in ("single", "average"):
             raise ValueError(f"unknown linkage {self.linkage!r}; use 'single' or 'average'")
         # No upper bound: unnormalized (nonorm) measures score above 1,
         # and thresholds in that range are the meaningful ones for them.
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be a finite number, got {self.threshold}")
         if self.threshold < 0.0:
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
 
@@ -482,9 +520,10 @@ class ClusterRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterRequest":
+        data = _mapping(data, "request")
         return cls(
             measure=MeasureSpec.from_dict(data["measure"]),
-            threshold=float(data.get("threshold", 0.7)),
+            threshold=_number(float, data.get("threshold", 0.7), "threshold"),
             linkage=str(data.get("linkage", "single")),
             workflows=data.get("workflows"),
             policy=ExecutionPolicy.from_dict(data.get("policy", {})),
@@ -508,7 +547,7 @@ _REQUEST_KINDS = {
 
 def request_from_dict(data: Mapping[str, Any]):
     """Rebuild any request from its ``to_dict`` payload (``kind``-tagged)."""
-    kind = data.get("kind")
+    kind = _mapping(data, "request").get("kind")
     request_class = _REQUEST_KINDS.get(str(kind))
     if request_class is None:
         raise ValueError(f"unknown request kind {kind!r}; expected one of {sorted(_REQUEST_KINDS)}")

@@ -163,7 +163,9 @@ class SimilarityService:
         corpus is salvaged from it and the store rebuilt (the first
         request's diagnostics report the degradation), otherwise a
         :exc:`~repro.store.StoreCorruptionError` explains how to rebuild
-        from a corpus source.
+        from a corpus source.  Either way the corpus is the one that
+        verification's payload-decode check decoded: each snapshot row
+        is decoded once per open.
         """
         if source is None:
             if cache_dir is None:
@@ -179,7 +181,7 @@ class SimilarityService:
                     raise
                 reason = str(error)
             if report is not None and report.ok:
-                repository = store.load_repository()
+                repository = report._snapshot
                 if repository is None:
                     raise ValueError(
                         f"no persisted repository snapshot in {str(cache_dir)!r}; "
@@ -190,14 +192,10 @@ class SimilarityService:
                 return service
             # Corruption: quarantine, then salvage the snapshot if its
             # table (checksum + full payload decode) verified clean.
+            salvaged = None
             if report is not None:
                 reason = report.summary()
-            salvaged = None
-            if report is not None and report.table_ok("workflows"):
-                try:
-                    salvaged = store.load_repository()
-                except Exception:
-                    salvaged = None
+                salvaged = report._snapshot
             if store is not None:
                 store.close()
             quarantine_dir = quarantine_store(

@@ -57,8 +57,6 @@ from .api import ExecutionPolicy, SearchRequest, SimilarityService
 from .core.framework import SimilarityFramework
 from .obs import console
 from .core.registry import all_configuration_names
-from .corpus.galaxy import GalaxyCorpusSpec, generate_galaxy_corpus
-from .corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from .repository.repository import WorkflowRepository
 from .workflow.galaxy import parse_galaxy_file
 from .workflow.model import Workflow
@@ -254,6 +252,10 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_corpus(args: argparse.Namespace) -> int:
+    # Imported here: no other command needs the corpus generators.
+    from .corpus.galaxy import GalaxyCorpusSpec, generate_galaxy_corpus
+    from .corpus.generator import CorpusSpec, generate_myexperiment_corpus
+
     if args.format == "galaxy":
         corpus = generate_galaxy_corpus(
             GalaxyCorpusSpec(workflow_count=args.workflows, seed=args.seed)

@@ -5,7 +5,9 @@ ranking correctness of two algorithms.  A pure-Python implementation of
 the paired t-test is provided (with the p-value from the incomplete beta
 function via SciPy when available, or a normal approximation otherwise),
 so significance statements in the benchmarks do not silently depend on
-optional packages.
+optional packages.  ``scipy.stats`` is imported by the first p-value
+computed, not when this module loads, so importing the evaluation
+package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -13,11 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-try:
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - SciPy is normally present
-    _scipy_stats = None
 
 __all__ = ["PairedTTestResult", "paired_t_test"]
 
@@ -44,11 +41,13 @@ def _two_sided_p_from_t(t_statistic: float, dof: int) -> float:
     approximation (adequate for dof >= 8, which all experiments satisfy)
     otherwise.
     """
-    if _scipy_stats is not None:
-        return float(2.0 * _scipy_stats.t.sf(abs(t_statistic), dof))
-    # Normal approximation with a light dof correction.
-    adjusted = abs(t_statistic) * (1.0 - 1.0 / (4.0 * dof))
-    return float(2.0 * 0.5 * math.erfc(adjusted / math.sqrt(2.0)))
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover - SciPy is normally present
+        # Normal approximation with a light dof correction.
+        adjusted = abs(t_statistic) * (1.0 - 1.0 / (4.0 * dof))
+        return float(2.0 * 0.5 * math.erfc(adjusted / math.sqrt(2.0)))
+    return float(2.0 * stats.t.sf(abs(t_statistic), dof))
 
 
 def paired_t_test(first: Sequence[float], second: Sequence[float]) -> PairedTTestResult:

@@ -15,18 +15,22 @@ This module provides all three as pure functions over a dense similarity
 matrix (a list of rows).  A pure-Python Hungarian (Kuhn-Munkres)
 implementation is included so the library has no hard dependency on
 SciPy; when SciPy is importable its ``linear_sum_assignment`` is used as
-a faster backend for larger matrices.
+a faster backend for matrices with more than 6 rows or columns.
+
+SciPy (and NumPy with it) is imported by the first matching that
+dispatches to it, not when this module loads: the import costs a
+process about 0.5 s and 60 MB, and only ``mw`` matchings larger than
+6×6 use it.  The dispatch rule does not depend on when SciPy loads, so
+every matching runs on the same backend either way.  That matters: the
+two backends can pick different optimal assignments, whose weights then
+differ in the last bits, so the rule is part of every score.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
-
-try:  # SciPy is an optional accelerator, not a requirement.
-    from scipy.optimize import linear_sum_assignment as _scipy_assignment
-except ImportError:  # pragma: no cover - exercised only without SciPy
-    _scipy_assignment = None
 
 __all__ = [
     "MatchedPair",
@@ -41,6 +45,21 @@ __all__ = [
 #: matched; this mirrors the intuition that mapping two entirely dissimilar
 #: modules onto each other adds no information about workflow similarity.
 _EPSILON = 1e-12
+
+
+@functools.cache
+def _scipy_assignment():
+    """SciPy's ``linear_sum_assignment``, imported on the first call.
+
+    ``None`` when SciPy is not installed (SciPy is an optional
+    accelerator, not a requirement).  The process pool calls this
+    before it forks, so its workers inherit the import.
+    """
+    try:
+        from scipy.optimize import linear_sum_assignment
+    except ImportError:
+        return None
+    return linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -185,18 +204,20 @@ def maximum_weight_matching(
     use_scipy:
         Force (``True``)/forbid (``False``) the SciPy backend.  By
         default SciPy is used when available and the matrix has more
-        than a handful of rows.
+        than 6 rows or columns.  Without SciPy the pure-Python backend
+        runs either way.
     """
     n_rows, n_cols = _validate_matrix(weights)
     if n_rows == 0 or n_cols == 0:
         return []
     if use_scipy is None:
-        use_scipy = _scipy_assignment is not None and max(n_rows, n_cols) > 6
-    if use_scipy and _scipy_assignment is not None:
+        use_scipy = max(n_rows, n_cols) > 6
+    assignment = _scipy_assignment() if use_scipy else None
+    if assignment is not None:
         import numpy as np
 
         matrix = np.asarray(weights, dtype=float)
-        rows, cols = _scipy_assignment(matrix, maximize=True)
+        rows, cols = assignment(matrix, maximize=True)
         pairs = list(zip(rows.tolist(), cols.tolist()))
     else:
         pairs = hungarian_maximum_weight(weights)

@@ -27,7 +27,10 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+
+if TYPE_CHECKING:
+    from ..repository.repository import WorkflowRepository
 
 __all__ = [
     "RetryPolicy",
@@ -138,6 +141,10 @@ class StoreVerification:
     ok: bool = True
     problems: list[str] = field(default_factory=list)
     tables: dict[str, str] = field(default_factory=dict)
+    #: The snapshot the payload-decode check produced, in pool order, or
+    #: ``None`` unless the ``workflows`` table verified and holds rows.
+    #: Opening a service builds on it instead of decoding every row again.
+    _snapshot: "WorkflowRepository | None" = field(default=None, compare=False, repr=False)
 
     def fail(self, problem: str, *, table: str | None = None) -> None:
         self.ok = False

@@ -496,6 +496,11 @@ class WorkflowStore:
         :class:`~repro.store.resilience.StoreVerification`; per-table
         status lets recovery salvage an intact snapshot out of a store
         whose score or posting tables are damaged.
+
+        The decode check reads the snapshot in pool order and keeps the
+        repository it decoded on the report (a private field), so
+        ``SimilarityService.open(cache_dir=...)`` decodes each row once
+        per open instead of again in :meth:`load_repository`.
         """
         report = StoreVerification()
         try:
@@ -538,16 +543,22 @@ class WorkflowStore:
                 report.fail(f"{table}: content checksum mismatch", table=table)
         if report.table_ok("workflows"):
             try:
+                workflows = []
                 for (identifier, payload) in connection.execute(
-                    "SELECT identifier, payload FROM workflows"
+                    "SELECT identifier, payload FROM workflows ORDER BY position"
                 ):
                     workflow = workflow_from_dict(json.loads(payload))
                     if workflow.identifier != identifier:
                         raise ValueError(
                             f"row {identifier!r} decodes to {workflow.identifier!r}"
                         )
+                    workflows.append(workflow)
+                name = self._repository_name()
             except Exception as error:
                 report.fail(f"workflows: undecodable payload ({error})", table="workflows")
+            else:
+                if workflows:
+                    report._snapshot = WorkflowRepository(workflows, name=name)
         if report.table_ok("pair_scores"):
             try:
                 # Few distinct fingerprints recur across many rows: each
@@ -659,13 +670,15 @@ class WorkflowStore:
         ).fetchall()
         if not rows:
             return None
-        name_row = self.connection.execute(
+        return WorkflowRepository.from_dicts(
+            (json.loads(payload) for (payload,) in rows), name=self._repository_name()
+        )
+
+    def _repository_name(self) -> str:
+        row = self.connection.execute(
             "SELECT value FROM meta WHERE key = 'repository_name'"
         ).fetchone()
-        return WorkflowRepository.from_dicts(
-            (json.loads(payload) for (payload,) in rows),
-            name=name_row[0] if name_row else "repository",
-        )
+        return row[0] if row else "repository"
 
     def fingerprint(self) -> str | None:
         """The snapshot's corpus fingerprint (``None`` without a snapshot).

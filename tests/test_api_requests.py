@@ -174,6 +174,71 @@ class TestRequestRoundTrips:
             request_from_dict({"kind": "teleport"})
 
 
+class TestMalformedFields:
+    """Payload fields of the wrong JSON shape are a ``ValueError`` (an HTTP
+    400), never an ``AttributeError``, an iterated string or a NaN that
+    decodes into a meaningless request."""
+
+    @pytest.mark.parametrize("policy", [None, "sequential", ["auto"], 3])
+    def test_policy_must_be_an_object(self, policy):
+        with pytest.raises(ValueError, match="policy must be a JSON object"):
+            ExecutionPolicy.from_dict(policy)
+        for request_class in (SearchRequest, PairwiseRequest, ClusterRequest):
+            with pytest.raises(ValueError, match="policy must be a JSON object"):
+                request_class.from_dict({"measure": {"name": "BW"}, "policy": policy})
+
+    @pytest.mark.parametrize("value", ["1000", b"1000", {"1000": True}])
+    @pytest.mark.parametrize(
+        "request_class, field",
+        [
+            (SearchRequest, "queries"),
+            (SearchRequest, "candidates"),
+            (PairwiseRequest, "workflows"),
+            (ClusterRequest, "workflows"),
+        ],
+    )
+    def test_identifier_lists_reject_strings_and_objects(self, request_class, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a list of workflow identifiers"):
+            request_class.from_dict({"measure": {"name": "BW"}, field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a list of workflow identifiers"):
+            request_class(measure="BW", **{field: value})
+        # Any other iterable of identifiers is still accepted.
+        accepted = request_class(measure="BW", **{field: iter(["1000", "1001"])})
+        assert getattr(accepted, field) == ("1000", "1001")
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), "NaN", "Infinity"])
+    def test_cluster_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            ClusterRequest.from_dict({"measure": {"name": "BW"}, "threshold": threshold})
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            ClusterRequest(measure="BW", threshold=float(threshold))
+
+    def test_out_of_range_numbers_are_value_errors(self):
+        body = {"measure": {"name": "BW"}}
+        for payload in (
+            {**body, "k": float("inf")},
+            {**body, "k": float("nan")},
+            {**body, "policy": {"retry_attempts": float("-inf")}},
+            {**body, "policy": {"workers": float("inf")}},
+            {**body, "policy": {"retry_max_delay": float("nan")}},
+            {**body, "policy": {"retry_base_delay": 10**400}},
+        ):
+            with pytest.raises(ValueError):
+                SearchRequest.from_dict(payload)
+        with pytest.raises(ValueError):
+            ClusterRequest.from_dict({**body, "threshold": 10**400})
+
+    @pytest.mark.parametrize("body", [None, "search", ["search"], 7])
+    def test_body_must_be_an_object(self, body):
+        with pytest.raises(ValueError, match="request must be a JSON object"):
+            request_from_dict(body)
+        for request_class in (SearchRequest, PairwiseRequest, ClusterRequest):
+            with pytest.raises(ValueError, match="request must be a JSON object"):
+                request_class.from_dict(body)
+        with pytest.raises(ValueError, match="measure must be a JSON object"):
+            SearchRequest.from_dict({"measure": "BW"})
+
+
 class TestDiagnosticsRoundTrip:
     """The serving layer ships diagnostics over the wire and back; every
     serve-relevant field must survive ``from_dict(to_dict())`` — and a

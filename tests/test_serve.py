@@ -452,6 +452,38 @@ class TestOperations:
         # missing measure in an empty body is a 400, not a crash
         assert statuses == [404, 400, 404, 400, 400, 404]
 
+    @pytest.mark.parametrize(
+        "operation, payload",
+        [
+            ("search", {"measure": {"name": "BW"}, "policy": None}),
+            ("search", {"measure": {"name": "BW"}, "policy": "sequential"}),
+            ("search", {"measure": {"name": "BW"}, "queries": "1000"}),
+            ("search", {"measure": {"name": "BW"}, "candidates": "1000"}),
+            ("pairwise", {"measure": {"name": "BW"}, "workflows": "1000"}),
+            ("cluster", {"measure": {"name": "BW"}, "threshold": float("nan")}),
+            ("cluster", {"measure": {"name": "BW"}, "threshold": float("inf")}),
+            ("search", {"measure": {"name": "BW"}, "k": float("inf")}),
+        ],
+        ids=[
+            "null-policy", "string-policy", "string-queries", "string-candidates",
+            "string-workflows", "nan-threshold", "infinite-threshold", "infinite-k",
+        ],
+    )
+    def test_malformed_fields_are_400(self, serve_root, operation, payload):
+        """A field of the wrong JSON shape is the client's error: never a
+        500, a 404 for the characters of a string, or a 200 for a NaN."""
+
+        async def scenario(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                return await client.post(f"/v1/alpha/{operation}", payload)
+            finally:
+                await client.close()
+
+        status, _headers, body = run_serve(serve_root, scenario)
+        assert status == 400, body
+        assert body["error"].startswith("bad request: ValueError"), body
+
     def test_lru_bound_evicts_idle_tenant(self, serve_root):
         async def scenario(server):
             client = ServeClient("127.0.0.1", server.port)
