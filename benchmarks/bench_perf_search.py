@@ -47,7 +47,6 @@ from repro.api import (  # noqa: E402
 )
 from repro.core.framework import SimilarityFramework  # noqa: E402
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus  # noqa: E402
-from repro.graphs.matching import maximum_weight_matching  # noqa: E402
 from repro.text.levenshtein import levenshtein_similarity  # noqa: E402
 
 
@@ -69,11 +68,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         f"top-k search benchmark: {len(query_ids)} queries over "
         f"{len(repository)} workflows, k={args.k}, measure={args.measure}"
     )
-
-    # SciPy's assignment solver loads on the first mw matching larger
-    # than 6x6.  Load it here, outside every timed region, so the one-time
-    # import does not land in the reference path's time (and the speedup).
-    maximum_weight_matching([[1.0] * 7] * 7)
 
     # -- reference path (per-query sequential scan, cold caches) ------------
     levenshtein_similarity.cache_clear()

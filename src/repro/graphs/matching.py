@@ -12,18 +12,22 @@ similarities are known:
   paths.
 
 This module provides all three as pure functions over a dense similarity
-matrix (a list of rows).  A pure-Python Hungarian (Kuhn-Munkres)
-implementation is included so the library has no hard dependency on
-SciPy; when SciPy is importable its ``linear_sum_assignment`` is used as
-a faster backend for matrices with more than 6 rows or columns.
+matrix (a list of rows), with no dependency on SciPy or NumPy.  ``mw``
+runs one of two pure-Python assignment solvers, chosen by size:
 
-SciPy (and NumPy with it) is imported by the first matching that
-dispatches to it, not when this module loads: the import costs a
-process about 0.5 s and 60 MB, and only ``mw`` matchings larger than
-6×6 use it.  The dispatch rule does not depend on when SciPy loads, so
-every matching runs on the same backend either way.  That matters: the
-two backends can pick different optimal assignments, whose weights then
-differ in the last bits, so the rule is part of every score.
+* matrices with at most 6 rows and 6 columns: a Hungarian
+  (Kuhn-Munkres) solver, :func:`hungarian_maximum_weight`;
+* larger matrices: a port of the rectangular shortest-augmenting-path
+  solver (Crouse) behind SciPy's ``linear_sum_assignment``.  It repeats
+  SciPy's operations in SciPy's order, so it returns SciPy's pairs and
+  the ``use_scipy`` switch does not change any score above 6.
+
+The size rule is part of every score: two optimal assignments can
+differ, and so can their weights in the last bits, and the Hungarian
+picks a different assignment from SciPy's on many small matrices.
+``use_scipy=True`` runs SciPy's own C solver when SciPy is installed
+(it is imported on that first call) and the port otherwise; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ def _scipy_assignment():
     """SciPy's ``linear_sum_assignment``, imported on the first call.
 
     ``None`` when SciPy is not installed (SciPy is an optional
-    accelerator, not a requirement).  The process pool calls this
-    before it forks, so its workers inherit the import.
+    reference backend, not a requirement).
     """
     try:
         from scipy.optimize import linear_sum_assignment
@@ -186,6 +189,94 @@ def hungarian_maximum_weight(
     return assignment
 
 
+def _shortest_augmenting_path(
+    weights: Sequence[Sequence[float]], n_rows: int, n_cols: int
+) -> list[tuple[int, int]]:
+    """Maximum-weight assignment by SciPy's ``linear_sum_assignment``.
+
+    A port of the rectangular shortest-augmenting-path solver (Crouse,
+    "On implementing 2D rectangular assignment algorithms", 2016) in
+    SciPy's ``rectangular_lsap.cpp``, kept operation for operation so it
+    returns SciPy's pairs: costs are the negated weights, a tall matrix
+    is solved transposed, every floating-point expression is evaluated
+    in SciPy's order, and a tie on the shortest path prefers a column
+    with no row yet.  Returns one pair per row of the smaller side,
+    rows ascending.
+    """
+    transpose = n_cols < n_rows
+    if transpose:
+        cost = [[-float(row[j]) for row in weights] for j in range(n_cols)]
+        n_rows, n_cols = n_cols, n_rows
+    else:
+        cost = [[-float(w) for w in row] for row in weights]
+    INF = float("inf")
+    for row in cost:
+        # A NaN or -inf entry makes its row's sum NaN or -inf.
+        total = sum(row)
+        if (total != total or total == -INF) and any(c != c or c == -INF for c in row):
+            raise ValueError("matrix contains invalid numeric entries")
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        # Find the shortest augmenting path from cur_row.  Filling
+        # `remaining` in reverse makes a constant matrix's answer the
+        # identity, as in SciPy.
+        remaining = list(range(n_cols - 1, -1, -1))
+        shortest = [INF] * n_cols
+        visited_rows = []
+        visited_cols = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            cost_i = cost[i]
+            u_i = u[i]
+            index = -1
+            lowest = INF
+            for it, j in enumerate(remaining):
+                r = min_val + cost_i[j] - u_i - v[j]
+                reduced = shortest[j]
+                if r < reduced:
+                    path[j] = i
+                    shortest[j] = reduced = r
+                if reduced < lowest or (reduced == lowest and row4col[j] == -1):
+                    lowest = reduced
+                    index = it
+            min_val = lowest
+            if min_val == INF:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the dual variables.
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        # Augment the previous solution along the path.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        return sorted((row, col) for col, row in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
 def maximum_weight_matching(
     weights: Sequence[Sequence[float]],
     *,
@@ -202,25 +293,30 @@ def maximum_weight_matching(
         Pairs whose weight falls below this threshold are dropped from
         the result (they contribute nothing to workflow similarity).
     use_scipy:
-        Force (``True``)/forbid (``False``) the SciPy backend.  By
-        default SciPy is used when available and the matrix has more
-        than 6 rows or columns.  Without SciPy the pure-Python backend
-        runs either way.
+        ``None`` (default): the Hungarian solver for matrices with at
+        most 6 rows and columns, SciPy's algorithm in pure Python above.
+        ``False``: the Hungarian solver at every size.  ``True``:
+        SciPy's C solver when SciPy is installed, otherwise the
+        pure-Python port (same pairs).
     """
     n_rows, n_cols = _validate_matrix(weights)
     if n_rows == 0 or n_cols == 0:
         return []
     if use_scipy is None:
-        use_scipy = max(n_rows, n_cols) > 6
+        hungarian = max(n_rows, n_cols) <= 6
+    else:
+        hungarian = not use_scipy
     assignment = _scipy_assignment() if use_scipy else None
-    if assignment is not None:
+    if hungarian:
+        pairs = hungarian_maximum_weight(weights)
+    elif assignment is None:
+        pairs = _shortest_augmenting_path(weights, n_rows, n_cols)
+    else:
         import numpy as np
 
         matrix = np.asarray(weights, dtype=float)
         rows, cols = assignment(matrix, maximize=True)
         pairs = list(zip(rows.tolist(), cols.tolist()))
-    else:
-        pairs = hungarian_maximum_weight(weights)
     return [
         MatchedPair(i, j, weights[i][j])
         for i, j in pairs

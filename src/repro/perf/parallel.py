@@ -8,9 +8,7 @@ answers its groups of queries or pair rows, amortising profile
 construction and cache warm-up the same way the serial engine does.
 
 Each call starts a new pool with the platform's default start method
-(``fork`` on Linux).  The parent loads the SciPy matching backend (see
-:mod:`repro.graphs.matching`) before the pool starts, so forked workers
-inherit it instead of each importing SciPy again on every call.
+(``fork`` on Linux).
 
 Only measures addressed *by name* can run in a pool (workers rebuild the
 measure from the registry); measure instances carry caches and callables
@@ -25,7 +23,6 @@ from __future__ import annotations
 import pickle
 from typing import Sequence
 
-from ..graphs.matching import _scipy_assignment
 from ..obs.logging import get_logger
 from ..workflow.model import Workflow
 
@@ -115,7 +112,6 @@ def parallel_search_batch(
 
         payload = pickle.dumps((list(workflows), ged_timeout, importance_scorer))
         chunks = _strided(list(query_ids), workers)
-        _scipy_assignment()
         results = {}
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(payload,)
@@ -151,7 +147,6 @@ def parallel_pairwise(
 
         payload = pickle.dumps((list(workflows), ged_timeout, importance_scorer))
         row_groups = _strided(range(len(workflows)), workers)
-        _scipy_assignment()
         similarities: dict[tuple[str, str], float] = {}
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(payload,)

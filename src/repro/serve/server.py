@@ -27,12 +27,13 @@ rebuild ladder answers exactly (the response's diagnostics carry
 ``degraded`` instead).
 
 Malformed HTTP is answered, never dropped: a request or header line
-over the stream limit (64 KiB), a malformed or negative
-``Content-Length`` and a garbled request line each get a protocol-level
-400 that carries an ``X-Request-Id`` and closes the connection.  A
-client's ``X-Request-Id`` is echoed only when it is a short token
-(1–64 letters, digits or ``._:-``); anything else gets a generated id,
-so a client cannot inject header lines into the response.
+over the stream limit (64 KiB), a ``Content-Length`` that is not ASCII
+digits, two differing ``Content-Length`` headers, any
+``Transfer-Encoding`` and a garbled request line each get a
+protocol-level 400 that carries an ``X-Request-Id`` and closes the
+connection.  A client's ``X-Request-Id`` is echoed only when it is a
+short token (1–64 letters, digits or ``._:-``); anything else gets a
+generated id, so a client cannot inject header lines into the response.
 
 Graceful shutdown (:meth:`SimilarityServer.stop`): stop accepting, wait
 for admitted work — executing or queued on a search lane — to drain
@@ -86,6 +87,9 @@ _REASONS = {
 
 #: Client request ids echoed back verbatim; anything else is replaced.
 _REQUEST_ID = re.compile(r"[A-Za-z0-9._:-]{1,64}")
+#: A Content-Length value: ASCII digits only (``str.isdigit`` and
+#: ``int`` also accept ``²``, ``+5`` and ``1_0``).
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _HttpError(Exception):
@@ -109,7 +113,8 @@ class _TextPayload:
 async def _read_request(
     reader: asyncio.StreamReader, max_body: int
 ) -> "tuple[str, str, dict[str, str], bytes] | None":
-    """One HTTP/1.1 request, or ``None`` when the peer closed cleanly."""
+    """One HTTP/1.1 request, or ``None`` when the peer closed (before a
+    request line or inside a body)."""
     try:
         line = await _read_line(reader, "request line")
     except ConnectionResetError:
@@ -126,17 +131,32 @@ async def _read_request(
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
+    # Only Content-Length frames a body here; a chunked body would
+    # otherwise be read as the next request.
+    if "transfer-encoding" in headers:
+        raise _HttpError(400, "Transfer-Encoding is not supported")
+    length = _content_length(headers.get("content-length", "0"), max_body)
     try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError as error:
-        raise _HttpError(400, "malformed Content-Length") from error
-    if length < 0:
-        raise _HttpError(400, "negative Content-Length")
-    if length > max_body:
-        raise _HttpError(413, f"request body exceeds {max_body} bytes")
-    body = await reader.readexactly(length) if length > 0 else b""
+        body = await reader.readexactly(length) if length > 0 else b""
+    except asyncio.IncompleteReadError:
+        return None  # the peer closed inside the body
     return method, target, headers, body
+
+
+def _content_length(value: str, max_body: int) -> int:
+    """A ``Content-Length`` value as a byte count of at most ``max_body``."""
+    if not _DIGITS.fullmatch(value):
+        negative = value[:1] == "-" and _DIGITS.fullmatch(value[1:])
+        raise _HttpError(400, f"{'negative' if negative else 'malformed'} Content-Length")
+    # int() refuses strings over 4300 digits, so compare lengths first.
+    value = value.lstrip("0") or "0"
+    if len(value) > len(str(max_body)) or int(value) > max_body:
+        raise _HttpError(413, f"request body exceeds {max_body} bytes")
+    return int(value)
 
 
 async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:

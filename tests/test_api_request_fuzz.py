@@ -7,12 +7,13 @@ exceptions the server answers with a 400 (``ValueError``, ``TypeError``,
 ``KeyError``); anything else would surface as a 500.  Valid requests
 must survive ``to_dict``/``from_dict`` (and JSON) unchanged.
 
-The seed is fixed so the suite stays deterministic.
+The seed is fixed (1483) unless ``REPRO_FUZZ_SEED`` sets another one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from repro.api import (
 DECODE_ERRORS = (ValueError, TypeError, KeyError)
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
-FUZZ_SEED = 1483
+FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "1483"))
 
 MEASURES = ("BW", "BT", "MS_ip_te_pll", "PS_np_ta_pll", "BW+MS_ip_te_pll")
 #: Strings a field may legitimately hold, so fuzzing also reaches the

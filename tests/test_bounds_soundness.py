@@ -10,7 +10,10 @@ also pin the best-first top-k built on those bounds: its tie rule, and
 the per-query column memo that refinements write back into.
 
 The corpus seed is overridable via ``REPRO_BOUNDS_SEED`` so CI can run
-the same sweep on a corpus no other test has ever seen.
+the same sweep on a corpus no other test has ever seen.  A second sweep
+runs over adversarial workflows no generator produces: empty, unicode
+and duplicate labels, single-module, trivial-only and 20–40-module
+workflows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
 from repro.core.ensemble import MeanEnsemble, WeightedEnsemble
 from repro.core.framework import SimilarityFramework
 from repro.core.registry import create_measure, paper_approach_matrix
@@ -33,6 +37,8 @@ from repro.perf.bounds import (
 )
 from repro.perf.cache import ModulePairScoreCache
 from repro.perf.engine import AccelerationContext, PruneStats, accelerate_measure, bounded_top_k
+from repro.repository import WorkflowRepository
+from repro.workflow.model import DataLink, Workflow
 
 SEED = int(os.environ.get("REPRO_BOUNDS_SEED", "13"))
 
@@ -275,6 +281,105 @@ def test_each_distinct_column_is_bounded_once_per_query(corpus, monkeypatch):
     for cs in summaries:
         bound.upper_bound(qs, cs)
     assert lookups == qs.size * len(distinct), "a second pass re-bounded memoised columns"
+
+
+#: Labels no generated corpus has: CJK, an arrow, a combining accent, an
+#: emoji, a zero-width space alone, a ligature and a dotted capital I.
+UNICODE_LABELS = ("数据清洗", "α→β", "e\u0301tape", "🧬 align", "\u200b", "ﬁlter", "İSTANBUL")
+
+#: Structural measures (and an ensemble) under both projections and
+#: every preselection the bounds certify.
+ADVERSARIAL_CONFIGURATIONS = [
+    "MS_ip_te_pll",
+    "MS_np_ta_pll",
+    "MS_np_ta_pw0",
+    "PS_ip_te_pll",
+    "PS_np_ta_pll",
+    "BW+MS_ip_te_pll",
+]
+
+
+def _large(donors, size: int, identifier: str):
+    """A ``size``-module workflow of two chains from one source; its
+    modules (types and labels, duplicates included) come from ``donors``."""
+    borrowed = [module for workflow in donors for module in workflow.modules]
+    modules = [
+        borrowed[i % len(borrowed)].with_values(identifier=f"{identifier}:{i}")
+        for i in range(size)
+    ]
+    half = size // 2
+    links = [DataLink(f"{identifier}:0", f"{identifier}:{half}")] + [
+        DataLink(f"{identifier}:{i}", f"{identifier}:{i + 1}")
+        for i in range(size - 1)
+        if i + 1 != half
+    ]
+    return Workflow(identifier=identifier, modules=tuple(modules), datalinks=tuple(links))
+
+
+@pytest.fixture(scope="module")
+def adversarial_pool(corpus):
+    base = corpus[:6]
+    unicode = [
+        _relabelled(workflow, "-unicode", [UNICODE_LABELS[(i + n) % 7] for i in range(workflow.size)])
+        for n, workflow in enumerate(base[2:4])
+    ]
+    trivial = [module for workflow in corpus for module in workflow.modules if module.is_trivial]
+    return (
+        list(base)
+        + [_relabelled(workflow, "-empty", [""] * workflow.size) for workflow in base[:2]]
+        + unicode
+        + [_relabelled(w, "-dup", [w.modules[0].label] * w.size) for w in base[4:6]]
+        + [w.with_modules(w.modules[:1], (), suffix="-single") for w in base[:3]]
+        + [base[3].with_modules([base[3].modules[0].with_values(label="")], (), suffix="-blank")]
+        + [base[0].with_modules(trivial[:5], (), suffix="-trivial")]
+        + [_large(corpus[6:], size, f"large-{size}") for size in (20, 29, 40)]
+    )
+
+
+@pytest.mark.parametrize("configuration", ADVERSARIAL_CONFIGURATIONS)
+def test_adversarial_bounds_never_below_exact(configuration, adversarial_pool):
+    """Every bound, initial and refined, stays at or above the exact
+    score on every ordered pair of the adversarial pool."""
+    cold = AccelerationContext()
+    measure = create_measure(configuration)
+    accelerate_measure(measure, cold)
+    reference = create_measure(configuration)
+    bound = find_bound(measure, cold)
+    assert bound is not None
+    summaries = [bound.summary(workflow) for workflow in adversarial_pool]
+    for query, qs in zip(adversarial_pool, summaries):
+        for candidate, cs in zip(adversarial_pool, summaries):
+            if candidate is query:
+                continue
+            exact = reference.similarity(query, candidate)
+            value = bound.upper_bound(qs, cs)
+            pair = f"{configuration} ({query.identifier}, {candidate.identifier})"
+            assert value >= exact, f"{pair}: bound {value!r} < exact {exact!r}"
+            for threshold in (exact, value):
+                refined = bound.refine(qs, cs, threshold)
+                assert refined is None or refined >= exact, (
+                    f"{pair}: refined {refined!r} < exact {exact!r} at {threshold!r}"
+                )
+
+
+@pytest.mark.parametrize(
+    "configuration", ["MS_ip_te_pll", "MS_np_ta_pll", "PS_ip_te_pll", "PS_np_ta_pll"]
+)
+def test_adversarial_pruned_search_equals_sequential(configuration, adversarial_pool):
+    service = SimilarityService(WorkflowRepository(adversarial_pool, name="adversarial"))
+    queries = [workflow.identifier for workflow in adversarial_pool]
+    for k in (1, 3, len(queries)):
+        pruned = service.search(SearchRequest(measure=configuration, queries=queries, k=k))
+        sequential = service.search(
+            SearchRequest(
+                measure=configuration,
+                queries=queries,
+                k=k,
+                policy=ExecutionPolicy.sequential(),
+            )
+        )
+        assert pruned.diagnostics.path == "pruned"
+        assert pruned.result_tuples() == sequential.result_tuples(), f"k={k}"
 
 
 class TestEnsembleComposition:

@@ -1,12 +1,12 @@
 """Cold start: what a process loads at import, and what an open decodes.
 
-SciPy (and NumPy) back only the ``mw`` matchings larger than 6×6, so
-importing the serving surface must not load them; the first matching
-that dispatches to SciPy does, and the process pool loads it before it
-forks.  The dispatch rule itself must not move — the two backends can
-return different optimal assignments, so it is part of every score.
-Opening a service over a persisted store decodes each snapshot row once
-(in verification's payload-decode check), salvage included.
+No search loads SciPy or NumPy: ``mw`` matchings larger than 6×6 run a
+pure-Python port of SciPy's assignment solver, and only an explicit
+``use_scipy=True`` imports SciPy itself.  The size rule must not move —
+at or below 6 the Hungarian solver can return a different optimal
+assignment from SciPy's, so the rule is part of every score.  Opening a
+service over a persisted store decodes each snapshot row once (in
+verification's payload-decode check), salvage included.
 """
 
 from __future__ import annotations
@@ -53,19 +53,26 @@ class TestImportGuard:
             """
             import json, sys
             import repro, repro.api, repro.cli, repro.serve, repro.store
-            before = sorted(m for m in ("scipy", "numpy", "repro.corpus") if m in sys.modules)
+            heavy = ("scipy", "numpy")
+            before = sorted(m for m in heavy + ("repro.corpus",) if m in sys.modules)
             from repro.graphs.matching import _scipy_assignment, maximum_weight_matching
-            maximum_weight_matching([[float(i * j % 5) for j in range(7)] for i in range(7)])
+            matrix = [[float(i * j % 5) for j in range(7)] for i in range(7)]
+            maximum_weight_matching(matrix)
+            after_default = sorted(m for m in heavy if m in sys.modules)
+            maximum_weight_matching(matrix, use_scipy=True)
             print(json.dumps({
                 "before": before,
+                "after_default": after_default,
                 "scipy_installed": _scipy_assignment() is not None,
-                "after": "scipy.optimize" in sys.modules,
+                "after_forced": "scipy.optimize" in sys.modules,
             }))
             """
         )
         assert loaded["before"] == []
-        # One 7x7 matching dispatches to SciPy, which loads it.
-        assert loaded["after"] == loaded["scipy_installed"]
+        # A 7x7 default matching runs the pure-Python port ...
+        assert loaded["after_default"] == []
+        # ... and only an explicit use_scipy=True loads SciPy.
+        assert loaded["after_forced"] == loaded["scipy_installed"]
 
 
 def random_matrices(seed: int):
@@ -86,17 +93,26 @@ class TestDispatchUnchanged:
                 matrix, use_scipy=larger
             )
 
-    def test_without_scipy_default_falls_back_and_ms_search_stays_exact(self):
+    def test_without_scipy_default_is_the_port(self):
         outcome = run_python(
             """
             import json, sys
             sys.modules["scipy"] = None  # SciPy is not installed
             from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
             from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
-            from repro.graphs.matching import _scipy_assignment, maximum_weight_matching
+            from repro.graphs.matching import (
+                MatchedPair,
+                _scipy_assignment,
+                _shortest_augmenting_path,
+                maximum_weight_matching,
+            )
 
             matrix = [[((i + 1) * (j + 3)) % 7 / 7.0 for j in range(9)] for i in range(8)]
-            pure = maximum_weight_matching(matrix, use_scipy=False)
+            port = [
+                MatchedPair(i, j, matrix[i][j])
+                for i, j in _shortest_augmenting_path(matrix, 8, 9)
+                if matrix[i][j] > 0
+            ]
             corpus = generate_myexperiment_corpus(CorpusSpec(workflow_count=40, seed=3))
             service = SimilarityService(corpus.repository)
             queries = corpus.repository.identifiers()[:4]
@@ -107,8 +123,8 @@ class TestDispatchUnchanged:
             ))
             print(json.dumps({
                 "backend": _scipy_assignment() is None,
-                "default": maximum_weight_matching(matrix) == pure,
-                "forced": maximum_weight_matching(matrix, use_scipy=True) == pure,
+                "default": maximum_weight_matching(matrix) == port,
+                "forced": maximum_weight_matching(matrix, use_scipy=True) == port,
                 "exact": fast == exact and fast.result_tuples() == exact.result_tuples(),
                 "path": fast.diagnostics.path,
                 "numpy": "numpy" in sys.modules,
@@ -125,51 +141,61 @@ class TestDispatchUnchanged:
         }
 
 
-class TestPoolLoadsScipyBeforeForking:
-    def test_parallel_ms_search_loads_scipy_in_the_parent_first(self):
-        pytest.importorskip("scipy.optimize")
+class TestSearchesLoadNoScipy:
+    def test_default_and_parallel_searches(self):
+        """Default-policy MS and PS searches and a parallel(2) MS search
+        run matchings larger than 6x6, yet load neither SciPy nor NumPy."""
         outcome = run_python(
             """
             import json, sys
-            from concurrent.futures import ProcessPoolExecutor
+            import repro.graphs.matching as matching
             from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
             from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
             from repro.perf import pool_available
 
-            if not pool_available():
-                print(json.dumps({"skip": True}))
-                raise SystemExit(0)
-            at_start = []
-            original = ProcessPoolExecutor.__init__
+            port = matching._shortest_augmenting_path
+            large = []
 
-            def recording(self, *args, **kwargs):
-                at_start.append("scipy.optimize" in sys.modules)
-                original(self, *args, **kwargs)
+            def counting(weights, n_rows, n_cols):
+                large.append((n_rows, n_cols))
+                return port(weights, n_rows, n_cols)
 
-            ProcessPoolExecutor.__init__ = recording
+            matching._shortest_augmenting_path = counting
             corpus = generate_myexperiment_corpus(CorpusSpec(workflow_count=40, seed=3))
             service = SimilarityService(corpus.repository)
-            before = "scipy" in sys.modules
             queries = corpus.repository.identifiers()[:4]
-            result = service.search(SearchRequest(
-                measure="MS_ip_te_pll", queries=queries, k=5,
-                policy=ExecutionPolicy.parallel(2),
-            ))
-            exact = service.search(SearchRequest(
-                measure="MS_ip_te_pll", queries=queries, k=5,
-                policy=ExecutionPolicy.sequential(),
-            ))
+            paths = {}
+            for measure in ("MS_ip_te_pll", "MS_np_ta_pll", "PS_np_ta_pll"):
+                result = service.search(SearchRequest(measure=measure, queries=queries, k=5))
+                paths[measure] = result.diagnostics.path
+            parallel = None
+            if pool_available():
+                result = service.search(SearchRequest(
+                    measure="MS_ip_te_pll", queries=queries, k=5,
+                    policy=ExecutionPolicy.parallel(2),
+                ))
+                exact = service.search(SearchRequest(
+                    measure="MS_ip_te_pll", queries=queries, k=5,
+                    policy=ExecutionPolicy.sequential(),
+                ))
+                parallel = [result.diagnostics.path, result == exact]
             print(json.dumps({
-                "before": before,
-                "at_start": at_start,
-                "path": result.diagnostics.path,
-                "exact": result == exact,
+                "loaded": sorted(m for m in ("scipy", "numpy") if m in sys.modules),
+                "large_matchings": len(large),
+                "paths": paths,
+                "parallel": parallel,
             }))
             """
         )
-        if outcome.get("skip"):
-            pytest.skip("no process pool in this environment")
-        assert outcome == {"before": False, "at_start": [True], "path": "parallel", "exact": True}
+        assert outcome["loaded"] == []
+        assert outcome["large_matchings"] > 0  # matchings larger than 6x6 ran
+        assert outcome["paths"] == {
+            "MS_ip_te_pll": "pruned",
+            "MS_np_ta_pll": "pruned",
+            "PS_np_ta_pll": "pruned",
+        }
+        # None only where this environment has no process pool.
+        assert outcome["parallel"] in (None, ["parallel", True])
 
 
 @pytest.fixture()

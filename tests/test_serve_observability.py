@@ -229,8 +229,35 @@ class TestRequestCorrelation:
                 b"GET /healthz HTTP/1.1\r\n\r\n",
                 "negative Content-Length",
             ),
+            (
+                b"POST /v1/alpha/search HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                "Transfer-Encoding is not supported",
+            ),
+            (
+                b"POST /v1/alpha/search HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+                b'{"k": 100}',
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/alpha/search HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/alpha/search HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 3\r\n\r\n{} ",
+                "conflicting Content-Length headers",
+            ),
         ],
-        ids=["long-request-line", "long-header-line", "negative-content-length"],
+        ids=[
+            "long-request-line",
+            "long-header-line",
+            "negative-content-length",
+            "chunked",
+            "underscore-content-length",
+            "signed-content-length",
+            "differing-content-lengths",
+        ],
     )
     def test_malformed_input_gets_a_protocol_400(self, obs_root, serve_lanes, raw, reason):
         loop_errors = []
@@ -263,6 +290,35 @@ class TestRequestCorrelation:
         # parsed as a second request.
         assert response.count(b"HTTP/1.1 ") == 1
         assert loop_errors == []
+
+    def test_chunked_request_gets_exactly_one_response(self, obs_root, expected):
+        """A chunked body is refused as a whole: its chunk lines are
+        never answered as a second request on the kept-alive connection."""
+        query_ids, _ = expected
+        body = json.dumps(search_payload(query_ids[0])).encode()
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    b"POST /v1/alpha/search HTTP/1.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                    + f"{len(body):x}\r\n".encode()
+                    + body
+                    + b"\r\n0\r\n\r\n"
+                )
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), timeout=10.0)
+            finally:
+                writer.close()
+
+        response = run_serve(obs_root, scenario)
+        assert response.count(b"HTTP/1.1 ") == 1, response
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert b"400" in head.split(b"\r\n")[0]
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "Transfer-Encoding" in json.loads(body)["error"]
 
     def test_protocol_errors_are_correlatable_too(self, obs_root):
         async def scenario(server):
