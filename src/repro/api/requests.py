@@ -89,8 +89,9 @@ class ExecutionPolicy:
     in-process batch — never the slow sequential scan.  ``PARALLEL``
     asks for the pool (``workers`` defaults to 2 there) and
     ``SEQUENTIAL`` runs the reference scan, bypassing every fast tier.
-    ``prune`` toggles the frontier-pruned top-k on the accelerated
-    paths.  ``cache_dir`` names a warm-start store directory
+    ``repro serve`` runs no pool: it answers a policy that asks for one
+    with a 400.
+    ``cache_dir`` names a warm-start store directory
     (:mod:`repro.store`) — the service attaches it on first use, so
     even a service opened without one can be warmed per request.
 
@@ -105,7 +106,6 @@ class ExecutionPolicy:
 
     mode: ExecutionMode = ExecutionMode.AUTO
     workers: int | None = None
-    prune: bool = True
     cache_dir: str | None = None
     retry_attempts: int = 5
     retry_base_delay: float = 0.02
@@ -141,18 +141,17 @@ class ExecutionPolicy:
         cls,
         *,
         workers: int | None = None,
-        prune: bool = True,
         cache_dir: str | None = None,
     ) -> "ExecutionPolicy":
-        return cls(mode=ExecutionMode.AUTO, workers=workers, prune=prune, cache_dir=cache_dir)
+        return cls(mode=ExecutionMode.AUTO, workers=workers, cache_dir=cache_dir)
 
     @classmethod
     def sequential(cls) -> "ExecutionPolicy":
         return cls(mode=ExecutionMode.SEQUENTIAL)
 
     @classmethod
-    def parallel(cls, workers: int = 2, *, prune: bool = True) -> "ExecutionPolicy":
-        return cls(mode=ExecutionMode.PARALLEL, workers=workers, prune=prune)
+    def parallel(cls, workers: int = 2) -> "ExecutionPolicy":
+        return cls(mode=ExecutionMode.PARALLEL, workers=workers)
 
     # -- serialization -------------------------------------------------------
 
@@ -160,7 +159,6 @@ class ExecutionPolicy:
         return {
             "mode": self.mode.value,
             "workers": self.workers,
-            "prune": self.prune,
             "cache_dir": self.cache_dir,
             "retry_attempts": self.retry_attempts,
             "retry_base_delay": self.retry_base_delay,
@@ -177,7 +175,6 @@ class ExecutionPolicy:
         return cls(
             mode=ExecutionMode(data.get("mode", "auto")),
             workers=_number(int, workers, "workers") if workers is not None else None,
-            prune=bool(data.get("prune", True)),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             retry_attempts=_number(int, data.get("retry_attempts", 5), "retry_attempts"),
             retry_base_delay=_number(float, data.get("retry_base_delay", 0.02), "retry_base_delay"),

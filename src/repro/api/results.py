@@ -105,6 +105,12 @@ class ExecutionDiagnostics:
     echoes the policy; when the two differ, ``notes`` says why (e.g. the
     pool was unavailable and the service fell back).
 
+    ``prune`` carries the top-k kernel's counters
+    (:class:`~repro.perf.engine.PruneStats`, summed over the queries) on
+    the ``pruned``, ``cached`` and ``sql-indexed`` paths.  On
+    ``sql-indexed`` the exact ``BW``/``BT`` bound ends each scan after
+    ``min(k, corpus - 1)`` exact comparisons; the other candidates count
+    as pruned under the bound's name.
     ``index_candidates`` counts the candidates admitted by the store's
     postings across the request's queries (``None`` off the
     ``sql-indexed`` path); on a preselected search it is at most
@@ -142,7 +148,6 @@ class ExecutionDiagnostics:
     workers: int | None = None
     prune: dict[str, int] | None = None
     caches: list[dict[str, Any]] = field(default_factory=list)
-    invalidations: dict[str, int] | None = None
     index_candidates: int | None = None
     cache_warm_hits: int | None = None
     degraded: bool = False
@@ -159,7 +164,6 @@ class ExecutionDiagnostics:
             "workers": self.workers,
             "prune": dict(self.prune) if self.prune is not None else None,
             "caches": [dict(entry) for entry in self.caches],
-            "invalidations": dict(self.invalidations) if self.invalidations is not None else None,
             "index_candidates": self.index_candidates,
             "cache_warm_hits": self.cache_warm_hits,
             "degraded": self.degraded,
@@ -181,7 +185,6 @@ class ExecutionDiagnostics:
             workers=data.get("workers"),
             prune=_normalized_counters(data.get("prune")),
             caches=[dict(entry) for entry in data.get("caches", [])],
-            invalidations=_normalized_counters(data.get("invalidations")),
             index_candidates=int(index_candidates) if index_candidates is not None else None,
             cache_warm_hits=int(cache_warm_hits) if cache_warm_hits is not None else None,
             degraded=bool(data.get("degraded", False)),

@@ -7,15 +7,19 @@ caller never picks an engine method or manages an
 :class:`~repro.perf.engine.AccelerationContext`: the service owns the
 context (bound to the repository's profile store) and routes every
 request down one ordered list of tiers, each bit-identical to the
-sequential reference scan.  A search tries candidate preselection over
-the store's token postings where
-:func:`~repro.perf.bounds.find_admission` certifies the measure
+sequential reference scan.  A search tries candidate admission over the
+store's token postings where the measure's
+:class:`~repro.perf.bounds.CertifiedBound` names a postings field
 (``BW``/``BT``), then the process pool when the policy grants workers,
 then the in-process batch — frontier-pruned top-k for every measure
-with a pruning :class:`~repro.perf.bounds.CertifiedBound` (``MS``,
-``PS``, fully certified ensembles), a cached full scan otherwise — and
-last the sequential scan.  Pairwise scoring (and clustering, built on
-it) tries the pool, then the cached scan, then the sequential scan.
+with a pruning bound (``MS``, ``PS``, fully certified ensembles), a
+cached full scan otherwise — and last the sequential scan.  Every fast
+search ranks through one kernel,
+:func:`~repro.perf.engine.bounded_top_k`: the admission tier hands it
+the whole pool, the measure's exact bound and the ids SQL admitted, so
+every other candidate is bounded by 0.0 and only ``k`` candidates are
+scored.  Pairwise scoring (and clustering, built on it) tries the pool,
+then the cached scan, then the sequential scan.
 The :class:`~repro.api.results.ExecutionDiagnostics` attached to every
 response records which path actually ran.
 
@@ -59,17 +63,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..core.framework import RankedWorkflow, SimilarityFramework
+from ..core.framework import SimilarityFramework
 from ..core.registry import all_configuration_names
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
-from ..perf.bounds import BagOverlapAdmission, find_admission, find_frontier_bound
-from ..perf.engine import (
-    AccelerationContext,
-    PruneStats,
-    bounded_top_k,
-    supports_pruned_top_k,
-)
+from ..perf.bounds import CertifiedBound, find_bound, find_frontier_bound
+from ..perf.engine import AccelerationContext, PruneStats, bounded_top_k
 from ..repository.repository import RepositoryStatistics, WorkflowRepository
 from ..repository.search import SearchResultList, SimilaritySearchEngine
 from ..store import (
@@ -79,6 +78,7 @@ from ..store import (
     corpus_fingerprint,
     quarantine_store,
 )
+from ..store.inverted_index import InvertedAnnotationIndex
 from ..store.resilience import is_locked_error
 from ..store.sql_admission import SqlAdmissionPlanner
 from ..store.workflow_store import STORE_FILENAME
@@ -498,40 +498,48 @@ class SimilarityService:
         )
         policy = request.policy
         self._ensure_policy_store(policy)
-        mode, measure_name, k, prune = policy.mode, request.measure.name, request.k, policy.prune
+        mode, measure_name, k = policy.mode, request.measure.name, request.k
         engine = self.engine
         auto = mode is ExecutionMode.AUTO and candidates is None
         admission = self._admission(measure_name) if auto else None
 
         def indexed(stage) -> _Answer:
             planner = SqlAdmissionPlanner(self.store)
-            admitted_sets = [planner.admitted(admission.sql_plan(query)) for query in query_list]
-            results, admitted, stats = self._indexed_search(
-                query_list, engine._accelerated_measure(measure_name), k, admitted_sets, prune=prune
-            )
-            stage.set_attribute("candidates", admitted)
+            instance = engine._accelerated_measure(measure_name)
+            pool = self.repository.workflows()
+            stats = PruneStats()
+            results: list[SearchResultList] = []
+            total = 0
+            for query in query_list:
+                tokens = InvertedAnnotationIndex.workflow_tokens(admission.postings, query)
+                admitted = planner.admitted(admission.postings, tokens)
+                admitted.discard(query.identifier)
+                total += len(admitted)
+                ranked = bounded_top_k(
+                    query, pool, instance, self.context,
+                    k=k, stats=stats, bound=admission, admitted=admitted,
+                )
+                results.append(engine._result_list(query.identifier, instance.name, ranked))
+            stage.set_attribute("candidates", total)
             return _Answer(
                 results,
                 "sql-indexed",
                 notes=(f"candidates admitted by bound {admission.name!r} (sql pushdown)",),
                 prune=stats.as_dict(),
-                index_candidates=admitted,
+                index_candidates=total,
             )
 
         def batch(stage) -> _Answer:
             stats = PruneStats()
             results = engine.serial_batch(
-                query_list, measure_name, k=k, candidates=candidates, prune=prune, stats=stats
+                query_list, measure_name, k=k, candidates=candidates, stats=stats
             )
             if stage.recording:
                 stage.set_attributes(stats.as_dict())
-            instance = engine._accelerated_measure(measure_name)
-            if not (prune and supports_pruned_top_k(instance)):
+            frontier = find_frontier_bound(engine._accelerated_measure(measure_name), self.context)
+            if frontier is None:
                 return _Answer(results, "cached", prune=stats.as_dict())
-            frontier = find_frontier_bound(instance, self.context)
-            notes = () if frontier is None else (
-                f"frontier pruning certified by bound {frontier.name!r}",
-            )
+            notes = (f"frontier pruning certified by bound {frontier.name!r}",)
             return _Answer(results, "pruned", notes=notes, prune=stats.as_dict())
 
         def sequential(stage) -> _Answer:
@@ -542,6 +550,7 @@ class SimilarityService:
 
         notes: list[str] = []
         tiers: list[_Tier] = []
+        size = {"queries": len(query_list)}
         if mode is not ExecutionMode.SEQUENTIAL:
             if admission is not None and self._sql_admission_ready():
                 attributes = {"bound": admission.name, "tier": "sql"}
@@ -554,11 +563,10 @@ class SimilarityService:
                 "needs >1 query and no candidate restriction",
                 notes,
                 lambda workers: engine.parallel_batch(
-                    query_list, measure_name, k=k, prune=prune, workers=workers
+                    query_list, measure_name, k=k, workers=workers
                 ),
             )
-            tiers.append(_Tier("accelerated batch", "engine.scan", batch, {"prune": prune}))
-        size = {"queries": len(query_list)}
+            tiers.append(_Tier("accelerated batch", "engine.scan", batch, size))
         tiers.append(_Tier("sequential exact scan", "engine.sequential", sequential, size))
         results, diagnostics = self._ladder(tiers, mode, started, notes)
         return ResultSet(
@@ -728,14 +736,17 @@ class SimilarityService:
             notes=tuple(notes),
         )
 
-    def _admission(self, measure_name: str) -> BagOverlapAdmission | None:
-        """The measure's admission bound (``BW``/``BT``), if any."""
+    def _admission(self, measure_name: str) -> CertifiedBound | None:
+        """The measure's bound when store postings certify its zeros
+        (``BW``/``BT``; see :attr:`CertifiedBound.postings
+        <repro.perf.bounds.CertifiedBound.postings>`)."""
         try:
-            return find_admission(self.engine._accelerated_measure(measure_name))
+            bound = find_bound(self.engine._accelerated_measure(measure_name), self.context)
         except Exception:
             # Real configuration errors (unknown measure) re-raise
             # identically from the later tiers.
             return None
+        return bound if bound is not None and bound.postings is not None else None
 
     def _observe_operation(self, span, operation: str, result: ResultSet) -> ResultSet:
         """Stamp the operation span + registry counters onto a result.
@@ -900,86 +911,6 @@ class SimilarityService:
             # An unreadable store is simply not a tier; the resilience
             # epilogue handles it once a real read faults.
             return False
-
-    def _indexed_search(
-        self,
-        query_list: Sequence[Workflow],
-        measure,
-        k: int,
-        admitted_sets: "list[set[str]]",
-        *,
-        prune: bool = True,
-    ) -> "tuple[list[SearchResultList], int, PruneStats]":
-        """Top-``k`` search via certified admission + frontier pruning.
-
-        Admission is score-safe by the
-        :class:`~repro.perf.bounds.BagOverlapAdmission` contract: every
-        workflow outside the admitted postings union shares no token with
-        the query and has a true score of exactly ``0.0``.
-        ``admitted_sets`` (one set per query, resolved in SQL) names the
-        candidates that may score above zero.  The admitted subpool
-        (kept in global pool order, so tie-breaks survive) runs through
-        :func:`bounded_top_k` — exact scores from the measure itself,
-        frontier-pruned when a pruning
-        :class:`~repro.perf.bounds.CertifiedBound` certifies the measure
-        — and the result merges with the first ``k`` non-admitted zeros
-        in pool order, of which only the first ``k`` can ever rank.
-        Sorting by ``(-score, global position)`` then reproduces
-        :meth:`SimilarityFramework.rank`'s ordering — scores, ranks and
-        tie-breaks — bit for bit, while only the admitted candidates pay
-        for a comparison.
-        """
-        pool = self.repository.workflows()
-        position_of = {
-            workflow.identifier: position for position, workflow in enumerate(pool)
-        }
-        stats = PruneStats()
-        results: list[SearchResultList] = []
-        total_admitted = 0
-        for query, admitted in zip(query_list, admitted_sets):
-            admitted.discard(query.identifier)
-            total_admitted += len(admitted)
-            subpool = [
-                candidate for candidate in pool if candidate.identifier in admitted
-            ]
-            top = bounded_top_k(
-                query,
-                subpool,
-                measure,
-                self.context,
-                k=k,
-                exclude_query=False,
-                prune=prune,
-                stats=stats,
-            )
-            merged = [
-                (entry.similarity, position_of[entry.workflow.identifier], entry.workflow)
-                for entry in top
-            ]
-            zero_budget = k
-            for position, candidate in enumerate(pool):
-                if zero_budget == 0:
-                    break
-                if (
-                    candidate.identifier == query.identifier
-                    or candidate.identifier in admitted
-                ):
-                    continue
-                merged.append((0.0, position, candidate))
-                zero_budget -= 1
-            # Same ordering as SimilarityFramework.rank: descending
-            # score, then pool position.
-            merged.sort(key=lambda item: (-item[0], item[1]))
-            ranked = [
-                RankedWorkflow(workflow=workflow, similarity=similarity, rank=rank)
-                for rank, (similarity, _position, workflow) in enumerate(
-                    merged[:k], start=1
-                )
-            ]
-            results.append(
-                self.engine._result_list(query.identifier, measure.name, ranked)
-            )
-        return results, total_admitted, stats
 
 
 @dataclass(frozen=True)

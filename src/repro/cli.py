@@ -166,7 +166,7 @@ def _cmd_search_batch(args: argparse.Namespace) -> int:
         queries = args.queries
     else:
         queries = None  # every repository workflow queries itself against the rest
-    policy = ExecutionPolicy.auto(workers=args.workers, prune=not args.no_prune)
+    policy = ExecutionPolicy.auto(workers=args.workers)
     result_set = service.search(
         SearchRequest(measure=args.measure, queries=queries, k=args.top_k, policy=policy)
     )
@@ -494,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan queries out over a process pool of this size",
-    )
-    search_batch.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable top-k frontier pruning (exhaustive scoring)",
     )
     search_batch.add_argument("--output", help="write results as JSON instead of printing")
     search_batch.add_argument("--ged-timeout", type=float, default=5.0)

@@ -13,11 +13,13 @@ This package makes batch similarity search and all-pairs clustering fast
 * :mod:`repro.perf.bounds` — the unified :class:`CertifiedBound` layer:
   per-measure certified upper bounds (``MS`` char-bag + banded
   refinement, ``PS`` path matching, ensemble composition, ``BW``/``BT``
-  bag overlap) plus the token-postings admission bound powering the
-  sql-indexed tier.
+  bag overlap, the latter naming the store postings field whose token
+  union certifies every other candidate a 0.0 score).
 * :mod:`repro.perf.engine` — comparator acceleration for all structural
   measures plus :func:`bounded_top_k`, the exact best-first,
-  frontier-pruned top-k over any certified measure.
+  frontier-pruned top-k and the only fast top-k ranking: every batch
+  search and the sql-indexed search (exact ``BW``/``BT`` bound plus the
+  ids SQL admits) rank through it.
 * :mod:`repro.perf.parallel` — an optional ``concurrent.futures``
   process-pool backend for query batches and all-pairs scoring.
 
@@ -32,13 +34,10 @@ from .bounds import (
     BOUND_CLASSES,
     BagOfTagsBound,
     BagOfWordsBound,
-    BagOverlapAdmission,
     CertifiedBound,
     EnsembleBound,
     ModuleSetsBound,
     PathSetsBound,
-    certifies_frontier_bound,
-    find_admission,
     find_bound,
     find_frontier_bound,
 )
@@ -49,7 +48,6 @@ from .engine import (
     PruneStats,
     accelerate_measure,
     bounded_top_k,
-    supports_pruned_top_k,
 )
 from .parallel import parallel_pairwise, parallel_search_batch, pool_available
 from .profiles import PROFILE_ATTRIBUTES, ModuleProfile, ProfileStore, WorkflowProfile
@@ -59,7 +57,6 @@ __all__ = [
     "BOUND_CLASSES",
     "BagOfTagsBound",
     "BagOfWordsBound",
-    "BagOverlapAdmission",
     "CachedModuleComparator",
     "CertifiedBound",
     "EnsembleBound",
@@ -73,13 +70,10 @@ __all__ = [
     "WorkflowProfile",
     "accelerate_measure",
     "bounded_top_k",
-    "certifies_frontier_bound",
     "config_signature",
-    "find_admission",
     "find_bound",
     "find_frontier_bound",
     "parallel_pairwise",
     "parallel_search_batch",
     "pool_available",
-    "supports_pruned_top_k",
 ]

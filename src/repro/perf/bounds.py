@@ -1,13 +1,10 @@
 """The unified :class:`CertifiedBound` layer.
 
 Every acceleration tier of this repository skips work only when it can
-*prove* the skip changes nothing: the frontier-pruned top-k discards a
-candidate whose score provably cannot beat the current k-th result, and
-the sql-indexed tier never scores a candidate whose score is provably zero.
-This module collects those proofs behind one interface instead of the
-three ad-hoc implementations that used to live in ``perf/engine.py``
-(char-bag bounds), ``store/inverted_index.py`` (bag-overlap admission)
-and ``api/service.py`` (per-measure AUTO routing).
+*prove* the skip changes nothing: the best-first top-k
+(:func:`repro.perf.engine.bounded_top_k`) discards a candidate whose
+score provably cannot beat the current k-th result.  This module
+collects those proofs behind one interface.
 
 A :class:`CertifiedBound` declares which measure configurations it
 certifies (:meth:`~CertifiedBound.certifies`), computes a cheap
@@ -32,9 +29,15 @@ Registered bounds:
   applicable to both workflows.
 * :class:`BagOfWordsBound` / :class:`BagOfTagsBound` — ``BW``/``BT``:
   the bag-overlap similarity itself (exact, hence trivially an upper
-  bound).  They do not *prune* — a frontier scan would just compute the
-  exact score twice — but they power ensemble composition and the
-  token-postings admission.
+  bound).  They do not *prune* a whole pool — a frontier scan would
+  just compute the exact score twice — but they compose into ensembles,
+  and each names the store ``postings`` field (:attr:`CertifiedBound.postings`)
+  whose token union holds every candidate that can score above 0.0.
+  The sql-indexed search passes the bound with the ids SQL admits from
+  those postings, so every other candidate is bounded by 0.0 and the
+  top-k scores only ``k`` candidates.  Ensembles name no field: a
+  member applicable to only some candidates shifts the ensemble
+  denominator, so one member's zero certifies nothing about the mean.
 
 ``MS`` and ``PS`` read their module-pair bounds through one per-query
 *column memo*.  Under a module-local preselection, a candidate module's
@@ -44,22 +47,11 @@ fingerprint the pair cache compares.  Each distinct column is therefore
 bounded once per query, however many modules of however many candidates
 share it, and a refinement that tightens a pair bound tightens it for
 all of them.
-
-Admission (zero-certification) for the sql-indexed tier lives here too:
-:func:`find_admission` answers whether a token-postings prefilter can
-admit a superset of the non-zero-scoring candidates for a measure —
-bag-overlap postings for ``BW``/``BT``, the only measures whose zero
-scores a postings union certifies.
-
-The perf layer stays import-independent of the store package: an
-admission describes itself as a :class:`SqlAdmissionPlan`, and the store
-resolves it.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
 from ..core.annotations import (
@@ -86,10 +78,6 @@ __all__ = [
     "BOUND_CLASSES",
     "find_bound",
     "find_frontier_bound",
-    "certifies_frontier_bound",
-    "BagOverlapAdmission",
-    "SqlAdmissionPlan",
-    "find_admission",
 ]
 
 
@@ -192,9 +180,15 @@ class CertifiedBound:
     name: str = "certified"
     #: Whether the bound is cheaper than the exact score and therefore
     #: worth a frontier-pruned scan.  Exact bounds (``BW``/``BT``) set
-    #: this to ``False``: they still certify (for ensemble composition
-    #: and admission) but standalone searches keep their cached path.
+    #: this to ``False``: they still certify ensembles, but over a whole
+    #: pool they would cost the exact score twice per candidate.
     prunes: bool = True
+    #: The store's ``postings`` field whose token union certifies every
+    #: candidate outside it to score exactly 0.0, or ``None``.  Only the
+    #: bag-overlap bounds name one: for them a score is positive iff the
+    #: token sets intersect, so the SQL-admitted search ranks with the
+    #: bound and the admitted ids (see :func:`repro.perf.engine.bounded_top_k`).
+    postings: str | None = None
 
     def __init__(self, measure: WorkflowSimilarityMeasure, context) -> None:
         self.measure = measure
@@ -566,13 +560,15 @@ class PathSetsBound(_ModulePairBound):
 class BagOfWordsBound(CertifiedBound):
     """``BW``: the exact bag-overlap score (set operations are the cheap part).
 
-    Exact bounds do not *prune* — a frontier scan over them would pay
-    the full score for every candidate — but they make ``BW`` a valid
-    ensemble component and power the annotation-index admission.
+    Exact bounds do not *prune* a whole pool — a frontier scan over them
+    would pay the full score for every candidate — but they make ``BW``
+    a valid ensemble component, and with the ``text`` postings' admitted
+    ids the top-k scores only ``k`` candidates exactly.
     """
 
     name = "bw-token-bag"
     prunes = False
+    postings = "text"
 
     @classmethod
     def certifies(cls, measure: WorkflowSimilarityMeasure) -> bool:
@@ -590,6 +586,7 @@ class BagOfTagsBound(CertifiedBound):
 
     name = "bt-tag-bag"
     prunes = False
+    postings = "tags"
 
     @classmethod
     def certifies(cls, measure: WorkflowSimilarityMeasure) -> bool:
@@ -739,68 +736,9 @@ def find_bound(measure: WorkflowSimilarityMeasure, context) -> CertifiedBound | 
     return bound
 
 
-def certifies_frontier_bound(measure: WorkflowSimilarityMeasure) -> bool:
-    """Class-level check: does a *pruning* bound certify this measure?"""
-    return any(cls.prunes and cls.certifies(measure) for cls in BOUND_CLASSES)
-
-
 def find_frontier_bound(measure: WorkflowSimilarityMeasure, context) -> CertifiedBound | None:
     """Like :func:`find_bound`, restricted to bounds worth a pruned scan."""
     bound = find_bound(measure, context)
     if bound is not None and bound.prunes:
         return bound
-    return None
-
-
-# -- admission (zero-certification) for the sql-indexed tier -----------------
-
-
-@dataclass(frozen=True)
-class SqlAdmissionPlan:
-    """The in-database execution plan of one admission query.
-
-    Produced by :meth:`BagOverlapAdmission.sql_plan` and executed by
-    :class:`repro.store.sql_admission.SqlAdmissionPlanner` against the
-    persisted ``postings`` table: the admitted candidates are the
-    workflows holding any of ``tokens`` under ``field``.
-    """
-
-    field: str
-    tokens: frozenset[str]
-
-
-class BagOverlapAdmission:
-    """``BW``/``BT``: candidates sharing no annotation token score 0.0.
-
-    ``similarity(A, B) > 0`` iff the token sets intersect, so the union
-    of the postings of the query's tokens under :attr:`field` contains
-    every workflow with a positive score.
-    """
-
-    def __init__(self, name: str, field: str) -> None:
-        self.name = name
-        self.field = field
-
-    def sql_plan(self, workflow: Workflow) -> SqlAdmissionPlan:
-        # Deliberately the postings' own tokenizer (a lazy import — the
-        # perf layer stays store-free at module load): the SQL tier must
-        # admit exactly the tokens the store persisted.
-        from ..store.inverted_index import InvertedAnnotationIndex
-
-        tokens = InvertedAnnotationIndex.workflow_tokens(self.field, workflow)
-        return SqlAdmissionPlan(field=self.field, tokens=tokens)
-
-
-def find_admission(measure: WorkflowSimilarityMeasure) -> BagOverlapAdmission | None:
-    """The admission bound able to prefilter candidates for ``measure``.
-
-    Only the bag-overlap measures have one.  Ensembles are deliberately
-    uncovered: a member applicable to only some candidates shifts the
-    ensemble denominator, so a zero bound of one member certifies
-    nothing about the ensemble score.
-    """
-    if type(measure) is BagOfWordsSimilarity:
-        return BagOverlapAdmission(BagOfWordsBound.name, "text")
-    if type(measure) is BagOfTagsSimilarity:
-        return BagOverlapAdmission(BagOfTagsBound.name, "tags")
     return None

@@ -11,28 +11,31 @@ Two cooperating layers, both exact (no score changes):
   runs unchanged, so ``MS``/``PS``/``GE`` all produce bit-identical
   scores, only faster.
 
-* :func:`bounded_top_k` is a drop-in replacement for
-  :meth:`SimilarityFramework.top_k
-  <repro.core.framework.SimilarityFramework.top_k>` for every measure a
-  :class:`~repro.perf.bounds.CertifiedBound` certifies (``MS``, ``PS``
-  and fully certified ensembles).  It bounds every candidate, verifies
-  candidates best-first (descending *certified upper bound*, ties in
-  pool order) against the current top-k frontier, and stops at the
-  first candidate whose bound cannot reach the k-th entry; candidates
-  before that point may face the bound's refinement stage (e.g. the
-  matching bound and banded-Levenshtein pass of the ``MS`` bound, whose
-  per-row distance budget is derived from the frontier score).  Only
-  candidates surviving both filters pay for an exact comparison — which
-  the measure itself performs, so selected scores, tie-breaks and ranks
-  match the sequential scan exactly.  The bound machinery itself lives
-  in :mod:`repro.perf.bounds`.
+* :func:`bounded_top_k` is the one fast top-k ranking, a drop-in
+  replacement for :meth:`SimilarityFramework.top_k
+  <repro.core.framework.SimilarityFramework.top_k>` for every measure.
+  With a :class:`~repro.perf.bounds.CertifiedBound` (the pruning bounds
+  of ``MS``, ``PS`` and fully certified ensembles, or the exact
+  ``BW``/``BT`` bounds the SQL-admitted search passes together with its
+  admitted ids) it bounds every candidate, verifies candidates
+  best-first (descending *certified upper bound*, ties in pool order)
+  against the current top-k frontier, and stops at the first candidate
+  whose bound cannot reach the k-th entry; candidates before that point
+  may face the bound's refinement stage (e.g. the matching bound and
+  banded-Levenshtein pass of the ``MS`` bound, whose per-row distance
+  budget is derived from the frontier score).  Only candidates
+  surviving both filters pay for an exact comparison — which the
+  measure itself performs, so selected scores, tie-breaks and ranks
+  match the sequential scan exactly.  Without a bound it scores every
+  candidate in pool order.  The bound machinery itself lives in
+  :mod:`repro.perf.bounds`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from ..core.base import WorkflowSimilarityMeasure
 from ..core.ensemble import MeanEnsemble
@@ -40,7 +43,7 @@ from ..core.framework import RankedWorkflow
 from ..core.module_similarity import ModuleComparator, ModuleComparisonConfig
 from ..core.topological import StructuralMeasure
 from ..workflow.model import Module, Workflow
-from .bounds import CertifiedBound, certifies_frontier_bound, find_frontier_bound
+from .bounds import CertifiedBound, find_frontier_bound
 from .cache import ModulePairScoreCache
 from .profiles import ProfileStore
 
@@ -48,7 +51,6 @@ __all__ = [
     "AccelerationContext",
     "CachedModuleComparator",
     "accelerate_measure",
-    "supports_pruned_top_k",
     "bounded_top_k",
     "PruneStats",
 ]
@@ -326,16 +328,6 @@ class PruneStats:
         }
 
 
-def supports_pruned_top_k(measure: WorkflowSimilarityMeasure) -> bool:
-    """Whether :func:`bounded_top_k` can prune for this measure.
-
-    True when a registered pruning :class:`~repro.perf.bounds.CertifiedBound`
-    certifies the measure — plain ``MS`` and ``PS`` instances and
-    mean/weighted ensembles whose members are all certified.
-    """
-    return certifies_frontier_bound(measure)
-
-
 def bounded_top_k(
     query: Workflow,
     pool: Sequence[Workflow],
@@ -343,35 +335,39 @@ def bounded_top_k(
     context: AccelerationContext,
     *,
     k: int = 10,
-    exclude_query: bool = True,
-    prune: bool = True,
     stats: PruneStats | None = None,
     bound: CertifiedBound | None = None,
+    admitted: AbstractSet[str] | None = None,
 ) -> list[RankedWorkflow]:
     """Exact top-k with best-first certified-bound frontier pruning.
 
-    Every candidate first gets its certified upper bound; candidates are
-    then verified in order of descending bound, ties in pool order (the
-    threshold algorithm of Fagin, Lotem and Naor over certified bounds).
-    The ranking order of :meth:`SimilarityFramework.rank` is descending
-    score, then pool position, so a candidate is skipped iff its bound is
-    below the k-th score, or equal to it with a pool position after the
-    k-th entry's.  Before the exact comparison a surviving candidate
-    faces the bound's refinement under the same test.  The first
-    candidate whose summary bound fails the test ends the scan: every
-    candidate after it in bound order fails it too.  Scores come from
-    ``measure.similarity`` itself, so returned scores, ranks and
-    tie-breaks are the sequential scan's, bit for bit.  Without a
-    pruning bound (or with ``prune=False``) every candidate is scored,
-    in pool order.
+    The query itself is never a candidate.  Every candidate first gets
+    its certified upper bound; candidates are then verified in order of
+    descending bound, ties in pool order (the threshold algorithm of
+    Fagin, Lotem and Naor over certified bounds).  The ranking order of
+    :meth:`SimilarityFramework.rank` is descending score, then pool
+    position, so a candidate is skipped iff its bound is below the k-th
+    score, or equal to it with a pool position after the k-th entry's.
+    Before the exact comparison a surviving candidate faces the bound's
+    refinement under the same test.  The first candidate whose summary
+    bound fails the test ends the scan: every candidate after it in
+    bound order fails it too.  Scores come from ``measure.similarity``
+    itself, so returned scores, ranks and tie-breaks are the sequential
+    scan's, bit for bit.  Without a pruning bound every candidate is
+    scored, in pool order, which is :meth:`SimilarityFramework.top_k`.
+
+    ``bound`` defaults to the measure's pruning bound.  With ``admitted``
+    (an id set certified to hold every candidate that can score above
+    0.0, such as a token-postings union) a candidate outside it is
+    bounded by 0.0 without a summary: its refinement receives ``None``,
+    so admission suits bounds that do not refine, such as the exact
+    ``BW``/``BT`` bounds.
     """
     if stats is None:
         stats = PruneStats()
     if k <= 0:
         return []
-    if not prune:
-        bound = None
-    elif bound is None:
+    if bound is None:
         bound = find_frontier_bound(measure, context)
 
     # (-bound, position, candidate, summary); positions are unique, so
@@ -382,9 +378,9 @@ def bounded_top_k(
         upper_bound = bound.upper_bound
         query_summary = summary(query)
     for position, candidate in enumerate(pool):
-        if exclude_query and candidate.identifier == query.identifier:
+        if candidate.identifier == query.identifier:
             continue
-        if bound is None:
+        if bound is None or (admitted is not None and candidate.identifier not in admitted):
             order.append((0.0, position, candidate, None))
         else:
             candidate_summary = summary(candidate)

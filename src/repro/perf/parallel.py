@@ -48,10 +48,10 @@ def _init_worker(payload: bytes) -> None:
     )
 
 
-def _search_chunk(args: tuple[Sequence[str], str, int, bool]) -> list:
-    query_ids, measure, k, prune = args
+def _search_chunk(args: tuple[Sequence[str], str, int]) -> list:
+    query_ids, measure, k = args
     queries = [_WORKER_ENGINE.repository.get(query_id) for query_id in query_ids]
-    return _WORKER_ENGINE.serial_batch(queries, measure, k=k, prune=prune)
+    return _WORKER_ENGINE.serial_batch(queries, measure, k=k)
 
 
 def _pairwise_chunk(args: tuple[Sequence[int], str]) -> list[tuple[str, str, float]]:
@@ -98,7 +98,6 @@ def parallel_search_batch(
     workers: int,
     ged_timeout: float | None,
     importance_scorer=None,
-    prune: bool = True,
 ) -> dict | None:
     """Run a search batch across a process pool.
 
@@ -117,7 +116,7 @@ def parallel_search_batch(
             max_workers=workers, initializer=_init_worker, initargs=(payload,)
         ) as executor:
             for chunk_result in executor.map(
-                _search_chunk, [(chunk, measure, k, prune) for chunk in chunks]
+                _search_chunk, [(chunk, measure, k) for chunk in chunks]
             ):
                 for result in chunk_result:
                     results[result.query_id] = result

@@ -44,7 +44,6 @@ from ..perf import (
     bounded_top_k,
     parallel_pairwise,
     parallel_search_batch,
-    supports_pruned_top_k,
 )
 from ..workflow.model import Workflow
 from .repository import WorkflowRepository
@@ -210,7 +209,6 @@ class SimilaritySearchEngine:
         measure: str,
         *,
         k: int,
-        prune: bool,
         workers: int,
     ) -> list[SearchResultList] | None:
         """The batch over a process pool; ``None`` when no pool exists.
@@ -227,7 +225,6 @@ class SimilaritySearchEngine:
             workers=workers,
             ged_timeout=self.framework.ged_timeout,
             importance_scorer=self.framework.importance_scorer,
-            prune=prune,
         )
         if by_id is None:
             return None
@@ -240,7 +237,6 @@ class SimilaritySearchEngine:
         *,
         k: int,
         candidates: Sequence[Workflow] | None = None,
-        prune: bool = True,
         stats: PruneStats | None = None,
     ) -> list[SearchResultList]:
         """Top-``k`` search for many queries, sharing all per-repository work.
@@ -248,26 +244,23 @@ class SimilaritySearchEngine:
         Bit-identical to calling :meth:`search` per query — same hits,
         same scores, same tie-breaking.  Module attributes are profiled
         once per repository and module-pair scores are cached across
-        queries; measures covered by a certified bound (``MS``, ``PS``
-        and fully certified ensembles) run the frontier-pruned scan
-        (``prune=False`` scores every candidate).  ``candidates``
-        restricts the searched pool; ``stats`` accumulates the pruning
-        counters of the whole batch.  Returns the result lists in query
-        order.
+        queries; every query ranks through :func:`bounded_top_k`, which
+        prunes for measures a certified bound covers (``MS``, ``PS`` and
+        fully certified ensembles) and scores every candidate otherwise.
+        ``candidates`` restricts the searched pool; ``stats`` accumulates
+        the pruning counters of the whole batch.  Returns the result
+        lists in query order.
         """
         instance = self._accelerated_measure(measure)
         pool = list(candidates) if candidates is not None else self.repository.workflows()
-        use_pruned = prune and supports_pruned_top_k(instance)
-        results: list[SearchResultList] = []
-        for query in query_list:
-            if use_pruned:
-                ranked = bounded_top_k(
-                    query, pool, instance, self.context, k=k, stats=stats
-                )
-            else:
-                ranked = self.framework.top_k(query, pool, instance, k=k)
-            results.append(self._result_list(query.identifier, instance.name, ranked))
-        return results
+        return [
+            self._result_list(
+                query.identifier,
+                instance.name,
+                bounded_top_k(query, pool, instance, self.context, k=k, stats=stats),
+            )
+            for query in query_list
+        ]
 
     def search_all_measures(
         self,

@@ -18,13 +18,15 @@ adds no wire format of its own.  Search requests flow through the
 search at once when the tenant is idle and folds same-spec searches that
 queue while it is busy (bit-identically); everything else runs directly
 on the tenant's worker thread.  Admission control answers 429 with
-``Retry-After`` once a tenant's in-flight cap is hit.  Error mapping:
-invalid tenant names and malformed requests are 400, unknown tenants
-and unknown workflow identifiers 404, unsalvageably corrupt tenant
-stores 503, engine faults 500 — and a *salvageable* store fault never
-surfaces as an error at all, because the service's own quarantine-and-
-rebuild ladder answers exactly (the response's diagnostics carry
-``degraded`` instead).
+``Retry-After`` once a tenant's in-flight cap is hit.  The server runs
+no process pool: a policy asking for one (mode ``parallel``, or
+``workers`` above 1) is a 400.  Error mapping: invalid tenant names and
+malformed requests (JSON nested too deep to decode included) are 400,
+unknown tenants and unknown workflow identifiers 404, unsalvageably
+corrupt tenant stores 503, engine faults 500 — and a *salvageable*
+store fault never surfaces as an error at all, because the service's
+own quarantine-and-rebuild ladder answers exactly (the response's
+diagnostics carry ``degraded`` instead).
 
 Malformed HTTP is answered, never dropped: a request or header line
 over the stream limit (64 KiB), a ``Content-Length`` that is not ASCII
@@ -56,6 +58,7 @@ from typing import Any, Mapping
 
 from ..api import (
     ClusterRequest,
+    ExecutionMode,
     PairwiseRequest,
     ResultSet,
     SearchRequest,
@@ -428,22 +431,18 @@ class SimilarityServer:
         degraded = False
         try:
             runtime = await self.tenants.get(tenant)
-            data = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(data, Mapping):
-                raise _HttpError(400, "request body must be a JSON object")
+            request = _decode_request(operation, body)
             status, payload, extra = 200, None, None
             if operation == "search":
-                result = await self._run_search(runtime, data)
+                result = await self._run_search(runtime, request)
                 degraded = bool(result.diagnostics and result.diagnostics.degraded)
                 payload = result.to_dict()
             elif operation == "pairwise":
-                request = _strip_cache_dir(PairwiseRequest.from_dict(data))
                 self._require_known(runtime, request.workflows)
                 result = await runtime.run(partial(runtime.service.pairwise, request))
                 degraded = bool(result.diagnostics and result.diagnostics.degraded)
                 payload = result.to_dict()
             elif operation == "cluster":
-                request = _strip_cache_dir(ClusterRequest.from_dict(data))
                 self._require_known(runtime, request.workflows)
                 result = await runtime.run(partial(runtime.service.cluster, request))
                 degraded = bool(result.diagnostics and result.diagnostics.degraded)
@@ -475,8 +474,7 @@ class SimilarityServer:
         )
         return status, payload, extra
 
-    async def _run_search(self, runtime, data: Mapping[str, Any]) -> ResultSet:
-        request = _strip_cache_dir(SearchRequest.from_dict(data))
+    async def _run_search(self, runtime, request: SearchRequest) -> ResultSet:
         self._require_known(runtime, request.queries)
         self._require_known(runtime, request.candidates)
         if is_foldable(request):
@@ -502,11 +500,45 @@ def _build_and_persist(service) -> dict[str, Any]:
     return {"index": counters, "persisted": summary}
 
 
-def _strip_cache_dir(request):
-    """Server-side stores are owned by the tenant layout; a client must
-    not be able to point a request at an arbitrary directory."""
-    if request.policy.cache_dir is not None:
-        return replace(request, policy=replace(request.policy, cache_dir=None))
+_REQUEST_TYPES = {
+    "search": SearchRequest,
+    "pairwise": PairwiseRequest,
+    "cluster": ClusterRequest,
+}
+
+
+def _decode_request(operation: str, body: bytes):
+    """The request object of one body (``None`` for ``index/build``).
+
+    A body that is not a JSON object of the operation's request is the
+    client's error, a 400, and so is one nested too deep to decode
+    (``RecursionError``); the engine runs after decoding, so its faults
+    stay 500s.  Two policy rules of the server follow.  A policy that
+    asks for the process pool (mode ``parallel``, or ``workers`` above
+    1) is a 400: the pool forks the serving process once per worker,
+    which a request must not be able to ask for.  Server-side stores are
+    owned by the tenant layout, so a client must not be able to point a
+    request at an arbitrary directory: the policy's ``cache_dir`` is
+    dropped.
+    """
+    try:
+        data = json.loads(body.decode("utf-8")) if body else {}
+        if not isinstance(data, Mapping):
+            raise _HttpError(400, "request body must be a JSON object")
+        if operation not in _REQUEST_TYPES:
+            return None
+        request = _REQUEST_TYPES[operation].from_dict(data)
+    except RecursionError:
+        raise _HttpError(400, "request body nests too deeply") from None
+    policy = request.policy
+    if policy.mode is ExecutionMode.PARALLEL or (policy.workers or 1) > 1:
+        raise _HttpError(
+            400,
+            "the server does not run the process pool; send no 'workers' above 1 "
+            "and a mode other than 'parallel'",
+        )
+    if policy.cache_dir is not None:
+        return replace(request, policy=replace(policy, cache_dir=None))
     return request
 
 

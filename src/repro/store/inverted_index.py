@@ -14,11 +14,12 @@ workflow appears in the postings list of at least one query token.
 
 so the union of the postings lists of the query's tokens contains
 *every* workflow with a positive score; all workflows outside it score
-exactly ``0.0``.  A top-k search can therefore score only the admitted
-candidates and append non-admitted workflows as zeros in pool order —
+exactly ``0.0``.  A top-k search can therefore bound every non-admitted
+workflow by 0.0 and rank with the exact ``BW``/``BT`` bound
+(:func:`repro.perf.engine.bounded_top_k` with ``admitted``) —
 reproducing the reference ranking (descending score, input order) bit
-for bit while the expensive comparisons stay proportional to the
-postings touched, not to the corpus size.
+for bit while the exact comparisons stay at ``k``, not at the corpus
+size.
 
 Two token fields are indexed per workflow:
 
@@ -32,8 +33,10 @@ The postings themselves live only in the ``postings`` table of
 :class:`repro.store.WorkflowStore`, one ``(field, token, workflow_id)``
 row each, kept in step with the snapshot by every store write and
 queried in SQL by :class:`repro.store.SqlAdmissionPlanner`.  This class
-owns what the store and :class:`repro.perf.bounds.BagOverlapAdmission`
-must agree on: the field names and the tokenisation.
+owns what the store and the sql-indexed search must agree on: the field
+names (which :attr:`repro.perf.bounds.CertifiedBound.postings` names
+per measure) and the tokenisation, which tokenises the query of that
+search as it tokenised the rows.
 """
 
 from __future__ import annotations

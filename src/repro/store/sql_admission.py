@@ -1,29 +1,29 @@
 """In-database candidate admission (SQL pushdown).
 
-The ``BW``/``BT`` admission bound of :mod:`repro.perf.bounds` certifies
-that every candidate outside a postings union scores exactly ``0.0``.
-The store already persists those postings (the ``postings`` table), so
-the union runs *inside* SQLite: the bound describes each query as a
-declarative :class:`~repro.perf.bounds.SqlAdmissionPlan` and
-:class:`SqlAdmissionPlanner` resolves it with indexed token lookups on
-the ``postings (field, token, workflow_id)`` primary-key B-tree,
-letting SQLite perform the union/distinct set algebra and returning only
-the surviving candidate ids.  Python never holds more than the admitted
-id set.
+For the bag-overlap measures (``BW``/``BT``) a candidate scores above
+0.0 iff it shares a token with the query, so the union of the query
+tokens' postings holds every such candidate.  The store already
+persists those postings (the ``postings`` table), so the union runs
+*inside* SQLite: :meth:`SqlAdmissionPlanner.admitted` resolves one
+``(field, tokens)`` pair with indexed token lookups on the
+``postings (field, token, workflow_id)`` primary-key B-tree, letting
+SQLite perform the union/distinct set algebra and returning only the
+surviving candidate ids.  Python never holds more than the admitted id
+set.
 
-**Bit-identity contract.**  A plan matches the query's token set —
-tokenised by :meth:`InvertedAnnotationIndex.workflow_tokens
+**Bit-identity contract.**  The caller tokenises the query with
+:meth:`InvertedAnnotationIndex.workflow_tokens
 <repro.store.inverted_index.InvertedAnnotationIndex.workflow_tokens>`,
-the same function that wrote the rows — against the rows of the bound's
-field.  The service's equivalence tests pin SQL-admitted results
+the same function that wrote the rows, and names the field of the
+measure's bound (:attr:`repro.perf.bounds.CertifiedBound.postings`).
+The top-k kernel then bounds every candidate outside the admitted ids
+by 0.0; the service's equivalence tests pin SQL-admitted results
 bit-identical to the sequential seed path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-from ..perf.bounds import SqlAdmissionPlan
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workflow_store import WorkflowStore
@@ -41,7 +41,7 @@ def _chunks(values: Sequence[str], size: int = _IN_BATCH) -> Iterable[Sequence[s
 
 
 class SqlAdmissionPlanner:
-    """Executes :class:`SqlAdmissionPlan`s against a :class:`WorkflowStore`.
+    """Resolves postings unions against a :class:`WorkflowStore`.
 
     Stateless beyond the store handle — safe to construct per request.
     Read-only: every query rides the store's open connection and fires
@@ -52,17 +52,18 @@ class SqlAdmissionPlanner:
     def __init__(self, store: "WorkflowStore") -> None:
         self.store = store
 
-    def admitted(self, plan: SqlAdmissionPlan) -> set[str]:
-        """The admitted candidate ids of one plan (set algebra in SQL)."""
+    def admitted(self, field: str, tokens: AbstractSet[str]) -> set[str]:
+        """The ids of the workflows holding any of ``tokens`` under ``field``
+        (set algebra in SQL)."""
         self.store._fire("load")
         connection = self.store.connection
         admitted: set[str] = set()
-        for batch in _chunks(sorted(plan.tokens)):
+        for batch in _chunks(sorted(tokens)):
             placeholders = ",".join("?" for _ in batch)
             rows = connection.execute(
                 "SELECT DISTINCT workflow_id FROM postings"
                 f" WHERE field = ? AND token IN ({placeholders})",
-                (plan.field, *batch),
+                (field, *batch),
             )
             admitted.update(row[0] for row in rows)
         return admitted

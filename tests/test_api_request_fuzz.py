@@ -66,7 +66,7 @@ REQUEST_FIELDS = (
     "kind", "measure", "queries", "k", "candidates", "workflows", "threshold", "linkage", "policy",
 )
 POLICY_FIELDS = (
-    "mode", "workers", "prune", "cache_dir", "retry_attempts", "retry_base_delay", "retry_max_delay",
+    "mode", "workers", "cache_dir", "retry_attempts", "retry_base_delay", "retry_max_delay",
 )
 
 
@@ -139,7 +139,6 @@ policies = st.builds(
     ExecutionPolicy,
     mode=st.sampled_from(list(ExecutionMode)),
     workers=st.none() | st.integers(min_value=1, max_value=64),
-    prune=st.booleans(),
     cache_dir=st.none() | st.text(max_size=12),
     retry_attempts=st.integers(min_value=1, max_value=20),
     retry_base_delay=finite,

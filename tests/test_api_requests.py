@@ -102,7 +102,6 @@ class TestExecutionPolicy:
         assert ExecutionPolicy.sequential().mode is ExecutionMode.SEQUENTIAL
         parallel = ExecutionPolicy.parallel(4)
         assert (parallel.mode, parallel.workers) == (ExecutionMode.PARALLEL, 4)
-        assert ExecutionPolicy.auto(prune=False).prune is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,12 +113,13 @@ class TestExecutionPolicy:
                 ExecutionPolicy.from_dict({"mode": mode})
 
     def test_round_trip(self):
-        policy = ExecutionPolicy.parallel(3, prune=False)
+        policy = ExecutionPolicy.parallel(3)
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
-        assert len(policy.to_dict()) == 7
+        assert len(policy.to_dict()) == 6
         # Clients that still send a retired knob keep working.
         retired = ExecutionPolicy.from_dict({"workers": 3, "preselect": False})
         assert retired == ExecutionPolicy(workers=3)
+        assert ExecutionPolicy.from_dict({"workers": 3, "prune": False}) == ExecutionPolicy(workers=3)
 
 
 class TestRequestRoundTrips:
@@ -129,7 +129,7 @@ class TestRequestRoundTrips:
             queries=["wf-1", "wf-2"],
             k=5,
             candidates=["wf-3"],
-            policy=ExecutionPolicy.parallel(3, prune=False),
+            policy=ExecutionPolicy.parallel(3),
         )
         assert SearchRequest.from_json(request.to_json()) == request
         assert request.measure == MeasureSpec("MS_ip_te_pll")
@@ -258,7 +258,6 @@ class TestDiagnosticsRoundTrip:
                 "pruned_by_bound": {"size": 60, "overlap": 28},
             },
             caches=[{"name": "pair_scores", "hits": 17, "misses": 3}],
-            invalidations={"pair_scores": 2},
             index_candidates=40,
             cache_warm_hits=9,
             degraded=True,
@@ -291,8 +290,9 @@ class TestDiagnosticsRoundTrip:
 
         original = ExecutionDiagnostics(path="sequential", requested_mode="sequential")
         decoded = ExecutionDiagnostics.from_dict(original.to_dict())
+        # Payloads that still carry the retired "invalidations" key load.
+        assert ExecutionDiagnostics.from_dict({**original.to_dict(), "invalidations": None}) == decoded
         assert decoded.prune is None
-        assert decoded.invalidations is None
         assert decoded.degraded is False
         assert decoded.degradation_reason is None
         assert decoded.retry_attempts == 0

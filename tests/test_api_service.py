@@ -57,27 +57,6 @@ class TestPolicyEquivalence:
             assert parallel.diagnostics.path == "parallel"
             assert parallel == sequential
 
-    def test_auto_equals_sequential_with_prune_disabled(self, service, small_corpus):
-        query_ids = small_corpus.repository.identifiers()[:3]
-        auto = service.search(
-            SearchRequest(
-                measure="MS_ip_te_pll",
-                queries=query_ids,
-                k=10,
-                policy=ExecutionPolicy.auto(prune=False),
-            )
-        )
-        sequential = service.search(
-            SearchRequest(
-                measure="MS_ip_te_pll",
-                queries=query_ids,
-                k=10,
-                policy=ExecutionPolicy.sequential(),
-            )
-        )
-        assert auto == sequential
-        assert auto.diagnostics.path == "cached"
-
     def test_matches_pre_facade_engine(self, service, small_corpus):
         """The facade is a re-routing, not a re-implementation."""
         repository = small_corpus.repository

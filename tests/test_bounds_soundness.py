@@ -6,8 +6,10 @@ on *every* pair, not just the ones a particular frontier happens to
 probe.  These tests sweep all pairs of a generated corpus (plus the
 paper's approach matrix as the configuration source) and assert the
 inequality for the initial bound and for every refinement step.  They
-also pin the best-first top-k built on those bounds: its tie rule, and
-the per-query column memo that refinements write back into.
+also pin the best-first top-k built on those bounds: its tie rule, the
+per-query column memo that refinements write back into, and its
+admission mode, where the exact ``BW``/``BT`` bound and the ids SQL
+admits from the store's postings must reproduce the sequential ranking.
 
 The corpus seed is overridable via ``REPRO_BOUNDS_SEED`` so CI can run
 the same sweep on a corpus no other test has ever seen.  A second sweep
@@ -28,17 +30,12 @@ from repro.core.ensemble import MeanEnsemble, WeightedEnsemble
 from repro.core.framework import SimilarityFramework
 from repro.core.registry import create_measure, paper_approach_matrix
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
-from repro.perf.bounds import (
-    BOUND_CLASSES,
-    EnsembleBound,
-    find_admission,
-    find_bound,
-    find_frontier_bound,
-)
+from repro.perf.bounds import BOUND_CLASSES, EnsembleBound, find_bound, find_frontier_bound
 from repro.perf.cache import ModulePairScoreCache
 from repro.perf.engine import AccelerationContext, PruneStats, accelerate_measure, bounded_top_k
 from repro.repository import WorkflowRepository
-from repro.workflow.model import DataLink, Workflow
+from repro.store import InvertedAnnotationIndex, SqlAdmissionPlanner, WorkflowStore
+from repro.workflow.model import DataLink, Workflow, WorkflowAnnotations
 
 SEED = int(os.environ.get("REPRO_BOUNDS_SEED", "13"))
 
@@ -382,6 +379,60 @@ def test_adversarial_pruned_search_equals_sequential(configuration, adversarial_
         assert pruned.result_tuples() == sequential.result_tuples(), f"k={k}"
 
 
+def _reannotated(workflow, suffix: str, **annotations):
+    """``workflow`` under a new identifier with only ``annotations``."""
+    return replace(
+        workflow,
+        identifier=f"{workflow.identifier}{suffix}",
+        annotations=WorkflowAnnotations(**annotations),
+    )
+
+
+@pytest.mark.parametrize("configuration", ["BW", "BT"])
+@pytest.mark.parametrize("source", ["corpus", "adversarial_pool"])
+def test_admitted_top_k_equals_sequential_ranking(configuration, source, request, tmp_path):
+    """bounded_top_k with the exact BW/BT bound and the ids the planner
+    admits from a store of the pool equals SimilarityFramework.top_k —
+    ids, scores and ranks — including queries whose tokens or tags are
+    empty (nothing admitted) and k above the admitted count.  The exact
+    bound ends every scan after min(k, pool - 1) exact comparisons."""
+    base = request.getfixturevalue(source)
+    pool = list(base) + [
+        _reannotated(base[0], "-bare"),
+        _reannotated(base[1], "-stopwords", title="the of and", tags=("workflow",)),
+        _reannotated(base[2], "-untagged", title=base[2].annotations.title),
+    ]
+    reference = SimilarityFramework()
+    measure = create_measure(configuration)
+    context = AccelerationContext()
+    accelerate_measure(measure, context)
+    bound = find_bound(measure, context)
+    field = bound.postings
+    empty = above = 0
+    with WorkflowStore(tmp_path) as store:
+        store.save_repository(WorkflowRepository(pool), postings=True)
+        planner = SqlAdmissionPlanner(store)
+        for query in pool[:8] + pool[-3:]:
+            admitted = planner.admitted(field, InvertedAnnotationIndex.workflow_tokens(field, query))
+            admitted.discard(query.identifier)
+            empty += not admitted
+            for k in (1, 3, 10, len(pool)):
+                above += k > len(admitted)
+                stats = PruneStats()
+                fast = bounded_top_k(
+                    query, pool, measure, context, k=k, stats=stats, bound=bound, admitted=admitted
+                )
+                expected = reference.top_k(query, pool, configuration, k=k)
+                assert [(entry.identifier, entry.similarity, entry.rank) for entry in fast] == [
+                    (entry.identifier, entry.similarity, entry.rank) for entry in expected
+                ], f"{configuration}, k={k}, query {query.identifier}"
+                assert stats.candidates == len(pool) - 1
+                assert stats.exact_comparisons == min(k, len(pool) - 1)
+                assert stats.exact_comparisons + stats.pruned == stats.candidates
+    assert empty > 0, "no query without tokens; the sweep missed empty admission"
+    assert above > 0
+
+
 class TestEnsembleComposition:
     def test_mean_ensemble_bound_composes_member_bounds(self, corpus, context):
         measure = create_measure("BW+MS_ip_te_pll")
@@ -439,19 +490,18 @@ class TestAdmissionSoundness:
 
     @pytest.mark.parametrize("configuration", ["BW", "BT"])
     def test_non_admitted_candidates_score_zero(self, configuration, corpus, context, tmp_path):
-        from repro.repository import WorkflowRepository
-        from repro.store import SqlAdmissionPlanner, WorkflowStore
-
         measure = create_measure(configuration)
         accelerate_measure(measure, context)
-        admission = find_admission(measure)
-        assert admission is not None
+        field = find_bound(measure, context).postings
+        assert field is not None
         checked = 0
         with WorkflowStore(tmp_path) as store:
             store.save_repository(WorkflowRepository(corpus), postings=True)
             planner = SqlAdmissionPlanner(store)
             for query in corpus[:12]:
-                admitted = planner.admitted(admission.sql_plan(query))
+                admitted = planner.admitted(
+                    field, InvertedAnnotationIndex.workflow_tokens(field, query)
+                )
                 for candidate in corpus:
                     if candidate.identifier == query.identifier:
                         continue
@@ -461,11 +511,12 @@ class TestAdmissionSoundness:
         assert checked > 0, "admission admitted everything; sweep proved nothing"
 
     def test_ensembles_have_no_admission(self):
-        assert find_admission(create_measure("BW+BT")) is None
-        assert find_admission(create_measure("BW+MS_ip_te_pll")) is None
+        for configuration in ("BW+BT", "BW+MS_ip_te_pll"):
+            bound = find_bound(create_measure(configuration), AccelerationContext())
+            assert bound.postings is None, configuration
 
     @pytest.mark.parametrize("configuration", ["MS_ip_te_pll", "MS_np_ta_pll", "PS_ip_te_pll"])
     def test_structural_measures_have_no_admission(self, configuration):
         """Label character overlap admits nearly every candidate on a
         natural-language corpus, so MS/PS prune by frontier bound only."""
-        assert find_admission(create_measure(configuration)) is None
+        assert find_bound(create_measure(configuration), AccelerationContext()).postings is None

@@ -37,12 +37,10 @@ def result_tuples(result_list):
     return [(hit.workflow_id, hit.similarity, hit.rank) for hit in result_list]
 
 
-def fast_search(service, query_ids, measure, *, k, prune=True):
+def fast_search(service, query_ids, measure, *, k):
     """The service's in-process batch answer (one result list per query)."""
     result = service.search(
-        SearchRequest(
-            measure=measure, queries=query_ids, k=k, policy=ExecutionPolicy.auto(prune=prune)
-        )
+        SearchRequest(measure=measure, queries=query_ids, k=k, policy=ExecutionPolicy.auto())
     )
     assert result.diagnostics.path in ("pruned", "cached")
     return result
@@ -94,13 +92,6 @@ class TestSearchBatchEquivalence:
             seed = seed_engine.search(query_id, "MS_ip_te_pll", k=k)
             fast = fast_search(service, [query_id], "MS_ip_te_pll", k=k).for_query(query_id)
             assert result_tuples(fast) == result_tuples(seed)
-
-    def test_prune_disabled_still_identical(self, seed_engine, service, small_corpus):
-        query_id = small_corpus.repository.identifiers()[2]
-        seed = seed_engine.search(query_id, "MS_ip_te_pll", k=10)
-        fast = fast_search(service, [query_id], "MS_ip_te_pll", k=10, prune=False)
-        assert fast.diagnostics.path == "cached"
-        assert result_tuples(fast.for_query(query_id)) == result_tuples(seed)
 
     def test_queries_none_searches_all(self, service, small_corpus):
         results = fast_search(service, None, "BW", k=3)

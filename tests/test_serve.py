@@ -502,6 +502,58 @@ class TestOperations:
         assert evictions == 1
 
 
+@pytest.fixture()
+def pool_constructions(monkeypatch):
+    """Record every process pool construction; none may start a worker."""
+    import concurrent.futures
+
+    constructed: list = []
+
+    class RecordingPool:
+        def __init__(self, *args, **kwargs):
+            constructed.append(kwargs.get("max_workers"))
+            raise RuntimeError("a request constructed a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return constructed
+
+
+class TestNoProcessPool:
+    """A request cannot make the server fork: the pool forks the serving
+    process once per worker, from a process that runs the event loop
+    and the tenant threads."""
+
+    @pytest.mark.parametrize(
+        "operation, payload",
+        [
+            (
+                "search",
+                {
+                    "measure": {"name": "BW"},
+                    "queries": ["1000", "1001"],
+                    "policy": {"mode": "parallel", "workers": 2},
+                },
+            ),
+            ("pairwise", {"measure": {"name": "BW"}, "policy": {"workers": 2}}),
+        ],
+        ids=["search-parallel", "pairwise-auto-workers"],
+    )
+    def test_pool_policy_is_400_and_constructs_no_pool(
+        self, serve_root, pool_constructions, operation, payload
+    ):
+        async def scenario(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                return await client.post(f"/v1/alpha/{operation}", payload)
+            finally:
+                await client.close()
+
+        status, _headers, body = run_serve(serve_root, scenario)
+        assert status == 400, body
+        assert "process pool" in body["error"], body
+        assert pool_constructions == []
+
+
 # -- tenant lifecycle races --------------------------------------------------
 
 

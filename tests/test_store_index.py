@@ -12,7 +12,8 @@ import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
 from repro.core.annotations import BagOfTagsSimilarity, BagOfWordsSimilarity
-from repro.perf.bounds import find_admission
+from repro.perf.bounds import find_bound
+from repro.perf.engine import AccelerationContext
 from repro.repository import WorkflowRepository
 from repro.store import InvertedAnnotationIndex, SqlAdmissionPlanner, WorkflowStore
 
@@ -71,6 +72,12 @@ class TestTokenPipelines:
             InvertedAnnotationIndex.workflow_tokens("label", kegg_workflow)
 
 
+def postings_field(measure):
+    """The postings field of the measure's bound, as the service reads it."""
+    bound = find_bound(measure, AccelerationContext())
+    return None if bound is None else bound.postings
+
+
 class TestAdmissionBound:
     def test_every_positive_scoring_pair_is_admitted(self, small_corpus, tmp_path):
         """Score-safety: similarity > 0 implies SQL admission, for both
@@ -80,28 +87,29 @@ class TestAdmissionBound:
             store.save_repository(fresh_repository(workflows), postings=True)
             planner = SqlAdmissionPlanner(store)
             for measure in (BagOfWordsSimilarity(), BagOfTagsSimilarity()):
-                admission = find_admission(measure)
+                field = postings_field(measure)
                 for query in workflows[:10]:
-                    admitted = planner.admitted(admission.sql_plan(query))
+                    tokens = InvertedAnnotationIndex.workflow_tokens(field, query)
+                    admitted = planner.admitted(field, tokens)
                     for candidate in workflows:
                         if candidate.identifier == query.identifier:
                             continue
                         if measure.similarity(query, candidate) > 0.0:
                             assert candidate.identifier in admitted
 
-    def test_find_admission_covers_exactly_the_certified_measures(self):
+    def test_postings_field_covers_exactly_the_certified_measures(self):
         from repro.core.registry import create_measure
 
-        bw = find_admission(create_measure("BW"))
-        assert bw is not None and (bw.name, bw.field) == ("bw-token-bag", "text")
-        bt = find_admission(create_measure("BT"))
-        assert bt is not None and (bt.name, bt.field) == ("bt-tag-bag", "tags")
+        bw = find_bound(create_measure("BW"), AccelerationContext())
+        assert bw is not None and (bw.name, bw.postings) == ("bw-token-bag", "text")
+        bt = find_bound(create_measure("BT"), AccelerationContext())
+        assert bt is not None and (bt.name, bt.postings) == ("bt-tag-bag", "tags")
         # Structural measures prune by frontier bound instead, and
         # ensembles never admit (member applicability shifts the
         # denominator).
-        assert find_admission(create_measure("MS_ip_te_pll")) is None
-        assert find_admission(create_measure("MS_np_ta_plm")) is None
-        assert find_admission(create_measure("BW+MS_ip_te_pll")) is None
+        assert postings_field(create_measure("MS_ip_te_pll")) is None
+        assert postings_field(create_measure("MS_np_ta_plm")) is None
+        assert postings_field(create_measure("BW+MS_ip_te_pll")) is None
 
 
 class TestIndexedRouting:
@@ -119,6 +127,11 @@ class TestIndexedRouting:
         assert auto.diagnostics.path == "sql-indexed"
         corpus_size = len(indexed_service)
         assert auto.diagnostics.index_candidates < corpus_size * corpus_size
+        # The exact bound ends each scan at the k-th candidate.
+        prune = auto.diagnostics.prune
+        assert prune["candidates"] == corpus_size * (corpus_size - 1)
+        assert prune["exact_comparisons"] == corpus_size * min(10, corpus_size - 1)
+        assert prune["exact_comparisons"] + prune["pruned_char_bag"] == prune["candidates"]
 
     def test_single_query_preselects_below_corpus_size(self, indexed_service):
         query_id = indexed_service.repository.identifiers()[0]
@@ -127,6 +140,7 @@ class TestIndexedRouting:
         )
         assert result.diagnostics.path == "sql-indexed"
         assert result.diagnostics.index_candidates < len(indexed_service)
+        assert result.diagnostics.prune["exact_comparisons"] == min(10, len(indexed_service) - 1)
 
     def test_policy_store_attaches_before_routing(self, small_corpus, tmp_path):
         """A storeless service attaches the policy's ``cache_dir`` before
