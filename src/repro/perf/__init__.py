@@ -4,17 +4,20 @@ This package makes batch similarity search and all-pairs clustering fast
 *without changing a single score*:
 
 * :mod:`repro.perf.profiles` — per-module precomputation (interned
-  attribute strings, lowercase variants, token sets, character bags,
-  type-equivalence categories), cached by object identity so the
-  importance projection's reuse of module instances is exploited.
+  attribute strings, lowercase variants, token sets, type-equivalence
+  categories), cached by object identity so the importance projection's
+  reuse of module instances is exploited.
 * :mod:`repro.perf.cache` — cross-query module-pair score caches keyed
   by (configuration, attribute fingerprints), with symmetric-pair
-  canonicalisation for provably symmetric comparators.
+  canonicalisation for provably symmetric comparators.  They keep exact
+  scores only; a pair's upper bound is computed when asked, with one
+  AND of two memoised character masks per Levenshtein rule.
 * :mod:`repro.perf.bounds` — the unified :class:`CertifiedBound` layer:
-  per-measure certified upper bounds (``MS`` char-bag + banded
+  per-measure certified upper bounds (``MS`` character-multiset + banded
   refinement, ``PS`` path matching, ensemble composition, ``BW``/``BT``
   bag overlap, the latter naming the store postings field whose token
-  union certifies every other candidate a 0.0 score).
+  union certifies every other candidate a 0.0 score).  ``MS`` and
+  ``PS`` bound each distinct module pair once per query.
 * :mod:`repro.perf.engine` — comparator acceleration for all structural
   measures plus :func:`bounded_top_k`, the exact best-first,
   frontier-pruned top-k and the only fast top-k ranking: every batch

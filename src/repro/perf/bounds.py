@@ -46,7 +46,9 @@ with — depends only on its admissibility class and on the attribute
 fingerprint the pair cache compares.  Each distinct column is therefore
 bounded once per query, however many modules of however many candidates
 share it, and a refinement that tightens a pair bound tightens it for
-all of them.
+all of them.  This memo is the only store of non-exact pair bounds (the
+pair cache keeps exact scores only), and it takes each fingerprint from
+the summaries, so a bound pass looks none up.
 """
 
 from __future__ import annotations
@@ -340,11 +342,13 @@ class _ModulePairBound(CertifiedBound):
     def _column(self, key: tuple, profile_b) -> _Column:
         rows = self._rows.get(key[0], ())
         profiles_a = self._query.profile.modules
-        upper_bound = self.cache.upper_bound
+        keys_a = self._query.keys
+        fingerprint_b = key[1]
+        pair_bound = self.cache.pair_bound
         values: list[float] = []
         exact: list[bool] = []
         for i in rows:
-            value, is_exact = upper_bound(profiles_a[i], profile_b)
+            value, is_exact = pair_bound(profiles_a[i], keys_a[i][1], profile_b, fingerprint_b)
             values.append(value)
             exact.append(is_exact)
         return _Column(rows, values, exact)
@@ -436,8 +440,9 @@ class ModuleSetsBound(_ModulePairBound):
         rule = cache.single_levenshtein
         attribute = rule.attribute
         lowercase = rule.lowercase
-        upper_bound = cache.upper_bound
+        pair_bound = cache.pair_bound
         profiles_a = query_summary.profile.modules
+        keys_a = query_summary.keys
         memo = self._columns_by_key
         tightened = False
         for key, profile_b in candidate_summary.representatives.items():
@@ -451,7 +456,7 @@ class ModuleSetsBound(_ModulePairBound):
                 if floor <= 0.0 or exact[t] or value < floor:
                     continue
                 profile_a = profiles_a[i]
-                score, is_exact = upper_bound(profile_a, profile_b)
+                score, is_exact = pair_bound(profile_a, keys_a[i][1], profile_b, key[1])
                 if not is_exact:
                     if lowercase:
                         value_a = profile_a.lowered(attribute)

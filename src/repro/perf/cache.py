@@ -22,6 +22,10 @@ When every rule of a configuration uses a provably symmetric comparator
 (see :data:`repro.core.comparators.SYMMETRIC_COMPARATORS`), ``(a, b)``
 and ``(b, a)`` share one canonical cache entry, halving both memory and
 the number of distances ever computed.
+
+Only exact scores are kept across queries; a non-exact pair bound is
+recomputed when asked for, its Levenshtein part with one AND of two
+character masks memoised per distinct string (:meth:`~ModulePairScoreCache.char_mask`).
 """
 
 from __future__ import annotations
@@ -109,19 +113,6 @@ def _levenshtein_similarity_exact(value_a: str, value_b: str) -> float:
     return 1.0 - (bitparallel_levenshtein_distance(value_a, value_b) / longest)
 
 
-def _char_bag_common(bag_a: dict[str, int], bag_b: dict[str, int]) -> int:
-    """Size of the multiset intersection of two character bags."""
-    if len(bag_b) < len(bag_a):
-        bag_a, bag_b = bag_b, bag_a
-    get = bag_b.get
-    common = 0
-    for char, count in bag_a.items():
-        other = get(char)
-        if other is not None:
-            common += count if count < other else other
-    return common
-
-
 class ModulePairScoreCache:
     """Memoised module-pair scores for one comparison configuration."""
 
@@ -135,8 +126,9 @@ class ModulePairScoreCache:
         "_attributes",
         "_rules",
         "_scores",
-        "_bounds",
         "_fingerprints",
+        "_bits",
+        "_masks",
         "_warm",
         "_persisted",
     )
@@ -159,13 +151,11 @@ class ModulePairScoreCache:
         else:
             self.single_levenshtein = None
         self._scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-        # Non-exact upper bounds, memoised separately: the same label
-        # pairs recur across thousands of candidates, and recomputing a
-        # character-bag bound per occurrence would dominate the pruning
-        # pass.  Exact scores always shadow these (checked first), so
-        # storing an exact score pops its bound, which is never read again.
-        self._bounds: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
         self._fingerprints: dict[int, tuple[ModuleProfile, tuple[str, ...]]] = {}
+        # The bit numbered for each (character, occurrence index) seen so
+        # far, and the mask of each distinct string over those bits.
+        self._bits: dict[tuple[str, int], int] = {}
+        self._masks: dict[str, int] = {}
         # Keys loaded from a persistent store; hits against them are
         # counted separately so diagnostics can show warm-start reuse.
         self._warm: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
@@ -199,6 +189,26 @@ class ModulePairScoreCache:
             return (fingerprint_b, fingerprint_a)
         return (fingerprint_a, fingerprint_b)
 
+    def char_mask(self, value: str) -> int:
+        """The characters of ``value`` as a bit mask, memoised per string.
+
+        The ``n``-th occurrence of a character sets the bit this cache
+        numbered for that (character, ``n``) pair, so
+        ``(char_mask(a) & char_mask(b)).bit_count()`` is the size of the
+        multiset intersection of the two strings' characters: per
+        character, the smaller of its two counts.
+        """
+        mask = self._masks.get(value)
+        if mask is None:
+            bits = self._bits
+            seen: dict[str, int] = {}
+            mask = 0
+            for char in value:
+                occurrence = seen[char] = seen.get(char, -1) + 1
+                mask |= 1 << bits.setdefault((char, occurrence), len(bits))
+            self._masks[value] = mask
+        return mask
+
     # -- scoring -------------------------------------------------------------
 
     def score(self, profile_a: ModuleProfile, profile_b: ModuleProfile) -> float:
@@ -213,7 +223,6 @@ class ModulePairScoreCache:
         self.misses += 1
         value = self._compute(profile_a, profile_b)
         self._scores[key] = value
-        self._bounds.pop(key, None)
         return value
 
     @staticmethod
@@ -288,22 +297,32 @@ class ModulePairScoreCache:
 
         Returns ``(value, exact)``.  Cached pairs return their exact
         score.  For uncached pairs each Levenshtein rule is bounded via
-        the character-bag argument (``distance >= longest - common``,
-        hence ``similarity <= common / longest``); all other built-in
-        rules are cheap enough to evaluate exactly.  When *every* rule
-        could be evaluated exactly the result is the true score and is
-        cached as such.
+        the character-multiset argument (``distance >= longest - common``,
+        hence ``similarity <= common / longest``, with ``common`` counted
+        by :meth:`char_mask`); all other built-in rules are cheap enough
+        to evaluate exactly.  When *every* rule could be evaluated
+        exactly the result is the true score and is cached as such; a
+        non-exact bound is not stored.
         """
-        key = self._key(self.fingerprint(profile_a), self.fingerprint(profile_b))
+        return self.pair_bound(
+            profile_a, self.fingerprint(profile_a), profile_b, self.fingerprint(profile_b)
+        )
+
+    def pair_bound(
+        self,
+        profile_a: ModuleProfile,
+        fingerprint_a: tuple[str, ...],
+        profile_b: ModuleProfile,
+        fingerprint_b: tuple[str, ...],
+    ) -> tuple[float, bool]:
+        """:meth:`upper_bound` for callers that hold both fingerprints."""
+        key = self._key(fingerprint_a, fingerprint_b)
         value = self._scores.get(key)
         if value is not None:
             self.hits += 1
             if self._warm and key in self._warm:
                 self.warm_hits += 1
             return value, True
-        value = self._bounds.get(key)
-        if value is not None:
-            return value, False
         total_score = 0.0
         total_weight = 0.0
         all_exact = True
@@ -321,22 +340,8 @@ class ModulePairScoreCache:
                 if value_a == value_b:
                     similarity = 1.0
                 else:
-                    longest = max(len(value_a), len(value_b))
-                    if kind == _KIND_LEV_CI:
-                        # Character bags are built over the raw values;
-                        # recompute on the lowered strings for tightness.
-                        bag_a: dict[str, int] = {}
-                        for char in value_a:
-                            bag_a[char] = bag_a.get(char, 0) + 1
-                        bag_b: dict[str, int] = {}
-                        for char in value_b:
-                            bag_b[char] = bag_b.get(char, 0) + 1
-                        common = _char_bag_common(bag_a, bag_b)
-                    else:
-                        common = _char_bag_common(
-                            profile_a.char_bag(attribute), profile_b.char_bag(attribute)
-                        )
-                    similarity = common / longest
+                    common = (self.char_mask(value_a) & self.char_mask(value_b)).bit_count()
+                    similarity = common / max(len(value_a), len(value_b))
                     all_exact = False
             elif kind == _KIND_CUSTOM:
                 similarity = 1.0  # custom comparators cannot be bounded cheaply
@@ -353,8 +358,6 @@ class ModulePairScoreCache:
             # ``plm`` exact-match configuration) — promote it to a hit.
             self.misses += 1
             self._scores[key] = value
-        else:
-            self._bounds[key] = value
         return value, all_exact
 
     def score_from_levenshtein(
@@ -380,7 +383,6 @@ class ModulePairScoreCache:
             if key not in self._scores:
                 self.misses += 1
                 self._scores[key] = value
-                self._bounds.pop(key, None)
         return value
 
     # -- persistence ---------------------------------------------------------
@@ -397,8 +399,7 @@ class ModulePairScoreCache:
     def entries(self) -> "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]":
         """Every exact score as ``(fingerprint_a, fingerprint_b, score)``.
 
-        Only the exact-score table is exported; the upper-bound memos
-        are cheap to rebuild and not score-bearing.
+        Only exact scores are kept, so only they are exported.
         """
         for (fingerprint_a, fingerprint_b), value in self._scores.items():
             yield fingerprint_a, fingerprint_b, value
@@ -453,7 +454,6 @@ class ModulePairScoreCache:
         """
         loaded = 0
         scores = self._scores
-        bounds = self._bounds
         # Each distinct fingerprint recurs across many rows; every key
         # holding it shares one interned tuple.
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}
@@ -468,7 +468,6 @@ class ModulePairScoreCache:
             key = (canonical(fingerprint_a), canonical(fingerprint_b))
             if key not in scores:
                 scores[key] = value
-                bounds.pop(key, None)
                 self._warm.add(key)
                 loaded += 1
         return loaded
@@ -487,8 +486,7 @@ class ModulePairScoreCache:
     def stats(self) -> dict[str, float | int | str]:
         """Counters of this cache.
 
-        ``entries`` counts exact scores and ``bound_entries`` the
-        memoised non-exact pair bounds (never evicted; both tables live
+        ``entries`` counts exact scores (never evicted; the table lives
         as long as the cache).  ``hits`` and ``warm_hits`` count
         lookups served from exact scores: the frontier bounds look up
         each distinct module pair once per query (their per-query column
@@ -497,7 +495,6 @@ class ModulePairScoreCache:
         return {
             "config": self.config.name,
             "entries": self.size,
-            "bound_entries": len(self._bounds),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,
@@ -512,7 +509,7 @@ class ModulePairScoreCache:
         Called when workflows leave a repository: the memo table holds a
         strong reference per profile, so without this hook a long-lived
         service would leak one entry per removed module.  The score and
-        bound tables are left untouched — they are keyed by attribute
+        mask tables are left untouched — they are keyed by attribute
         values and remain exact for any workflow still (or later) in the
         corpus.  Returns the number of memos released.
         """
@@ -526,8 +523,9 @@ class ModulePairScoreCache:
 
     def clear(self) -> None:
         self._scores.clear()
-        self._bounds.clear()
         self._fingerprints.clear()
+        self._bits.clear()
+        self._masks.clear()
         self._warm.clear()
         self._persisted = 0
         self.hits = 0

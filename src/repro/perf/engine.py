@@ -62,7 +62,8 @@ class AccelerationContext:
     One context is meant to live as long as the repository it serves:
     the longer it lives, the more cross-query reuse it extracts.  Pair
     caches are shared per configuration (name and rules), so an ensemble
-    whose members agree on the module scheme shares one cache.
+    whose members agree on the module scheme shares one cache.  Non-exact
+    module-pair bounds are not reused: each query recomputes them once.
     """
 
     def __init__(self, profiles: ProfileStore | None = None) -> None:

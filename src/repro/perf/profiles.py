@@ -14,7 +14,8 @@ reuse the very same frozen :class:`~repro.workflow.model.Module`
 instances, so one profile serves both the raw and the projected view of
 a module.  A :class:`ProfileStore` holds strong references to the
 modules it has profiled, which keeps the ``id()`` keys stable for the
-lifetime of the store.
+lifetime of the store, and indexes workflow profiles by identifier, so
+removing a workflow touches only its own raw and projected profiles.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ PROFILE_ATTRIBUTES: tuple[str, ...] = (
 class ModuleProfile:
     """Derived comparison data of one module, computed once.
 
-    ``values`` holds the interned attribute strings; lowercased variants,
-    token sets and character bags are derived lazily per attribute the
-    first time a comparator (or the search engine's upper-bound pruning)
-    asks for them, then memoised for the lifetime of the profile.
+    ``values`` holds the interned attribute strings; lowercased variants
+    and token sets are derived lazily per attribute the first time a
+    comparator (or the search engine's upper-bound pruning) asks for
+    them, then memoised for the lifetime of the profile.
     """
 
-    __slots__ = ("module", "values", "category", "_lowered", "_token_sets", "_label_token_sets", "_char_bags")
+    __slots__ = ("module", "values", "category", "_lowered", "_token_sets", "_label_token_sets")
 
     def __init__(self, module: Module) -> None:
         self.module = module
@@ -61,7 +62,6 @@ class ModuleProfile:
         self._lowered: dict[str, str] = {}
         self._token_sets: dict[str, frozenset[str]] = {}
         self._label_token_sets: dict[str, frozenset[str]] = {}
-        self._char_bags: dict[str, dict[str, int]] = {}
 
     def lowered(self, attribute: str) -> str:
         """The attribute value lowercased (for the ``*_ci`` comparators)."""
@@ -86,23 +86,6 @@ class ModuleProfile:
             tokens = frozenset(tokenize_label(self.values[attribute]))
             self._label_token_sets[attribute] = tokens
         return tokens
-
-    def char_bag(self, attribute: str) -> dict[str, int]:
-        """Character multiset of the attribute value.
-
-        Feeds the cheap Levenshtein upper bound used for candidate
-        pruning: an edit script must delete every character of the longer
-        string that has no counterpart in the other, so the distance is
-        at least ``max(len_a, len_b) - common`` where ``common`` is the
-        size of the multiset intersection.
-        """
-        bag = self._char_bags.get(attribute)
-        if bag is None:
-            bag = {}
-            for char in self.values[attribute]:
-                bag[char] = bag.get(char, 0) + 1
-            self._char_bags[attribute] = bag
-        return bag
 
 
 class WorkflowProfile:
@@ -158,11 +141,14 @@ class ProfileStore:
     :meth:`clear` to drop all derived data at once.
     """
 
-    __slots__ = ("_modules", "_workflows")
+    __slots__ = ("_modules", "_workflows", "_by_identifier")
 
     def __init__(self) -> None:
         self._modules: dict[int, ModuleProfile] = {}
         self._workflows: dict[int, WorkflowProfile] = {}
+        # The ``_workflows`` keys of each workflow identifier: the raw
+        # workflow and its preprocessed copies.
+        self._by_identifier: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._modules)
@@ -180,6 +166,7 @@ class ProfileStore:
             module_profile = self.module_profile
             profile = WorkflowProfile(workflow, (module_profile(m) for m in workflow.modules))
             self._workflows[id(workflow)] = profile
+            self._by_identifier.setdefault(workflow.identifier, []).append(id(workflow))
         return profile
 
     def warm(self, workflows: Iterable[Workflow]) -> int:
@@ -194,21 +181,17 @@ class ProfileStore:
 
         Removes the workflow profiles of the raw workflow *and* of any
         preprocessed copies sharing its identifier (the ``ip`` projection
-        registers projected `Workflow` objects under the same id), then
-        drops the module profiles those workflow profiles reference.
+        registers projected `Workflow` objects under the same id), found
+        through the identifier index without scanning other workflows'
+        profiles, then drops the module profiles they reference.
         Returns the dropped module profiles so pair caches can release
         their fingerprint memos as well.  Scores already memoised from
         these profiles stay valid — they are keyed by attribute *values*,
         not by corpus membership.
         """
-        dropped_workflows = [
-            key
-            for key, profile in self._workflows.items()
-            if profile.workflow.identifier == identifier
-        ]
         dropped_modules: list[ModuleProfile] = []
         seen: set[int] = set()
-        for key in dropped_workflows:
+        for key in self._by_identifier.pop(identifier, ()):
             workflow_profile = self._workflows.pop(key)
             for module_profile in workflow_profile.modules:
                 module_key = id(module_profile.module)
@@ -224,3 +207,4 @@ class ProfileStore:
     def clear(self) -> None:
         self._modules.clear()
         self._workflows.clear()
+        self._by_identifier.clear()

@@ -26,6 +26,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
+from repro.core.configs import get_module_config
 from repro.core.ensemble import MeanEnsemble, WeightedEnsemble
 from repro.core.framework import SimilarityFramework
 from repro.core.registry import create_measure, paper_approach_matrix
@@ -75,17 +76,51 @@ def certified_pairs(measure, context, workflows):
             yield bound, query_summary, bound.summary(candidate), query, candidate
 
 
+def _compares_labels_by_levenshtein(configuration: str) -> bool:
+    """Whether an ``MS`` or ``PS`` part of ``configuration`` has a
+    Levenshtein rule, whose pair bound is not the exact score."""
+    for part in configuration.split("+"):
+        fields = part.split("_")
+        if fields[0] in ("MS", "PS") and any(
+            rule.comparator.startswith("levenshtein")
+            for rule in get_module_config(fields[3]).rules
+        ):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("configuration", CONFIGURATIONS)
-def test_upper_bound_never_below_exact(configuration, corpus, context):
+def test_upper_bound_never_below_exact(configuration, corpus, monkeypatch):
+    """The first-pass bound stays at or above the exact score.
+
+    Runs on a *cold* acceleration context, with exact scores taken from
+    a separate unaccelerated instance: scoring through the accelerated
+    measure first would cache every module pair's exact score, and the
+    sweep would read no structural pair bound at all.
+    """
+    cold = AccelerationContext()
     measure = create_measure(configuration)
-    accelerate_measure(measure, context)
-    for bound, qs, cs, query, candidate in certified_pairs(measure, context, corpus):
-        exact = measure.similarity(query, candidate)
+    accelerate_measure(measure, cold)
+    reference = create_measure(configuration)
+    non_exact = 0
+    original = ModulePairScoreCache.pair_bound
+
+    def counting(cache, *args):
+        nonlocal non_exact
+        value, exact = original(cache, *args)
+        non_exact += not exact
+        return value, exact
+
+    monkeypatch.setattr(ModulePairScoreCache, "pair_bound", counting)
+    for bound, qs, cs, query, candidate in certified_pairs(measure, cold, corpus):
+        exact = reference.similarity(query, candidate)
         value = bound.upper_bound(qs, cs)
         assert value >= exact, (
             f"{bound.name} under {configuration}: bound {value!r} < exact "
             f"{exact!r} for ({query.identifier}, {candidate.identifier})"
         )
+    if _compares_labels_by_levenshtein(configuration):
+        assert non_exact > 0, "the sweep read no non-exact module-pair bound"
 
 
 @pytest.mark.parametrize("configuration", CONFIGURATIONS)
@@ -253,28 +288,37 @@ def test_shared_column_memo_stays_sound_after_refinement(configuration, corpus):
 
 def test_each_distinct_column_is_bounded_once_per_query(corpus, monkeypatch):
     """The MS first pass looks a module pair up once per distinct
-    (admissibility class, fingerprint) column, not once per occurrence."""
+    (admissibility class, fingerprint) column, not once per occurrence,
+    and reads every fingerprint from the summaries."""
     context = AccelerationContext()
     measure = create_measure("MS_np_ta_pll")
     accelerate_measure(measure, context)
     bound = find_bound(measure, context)
-    lookups = 0
-    original = ModulePairScoreCache.upper_bound
+    lookups = fingerprints = 0
+    original = ModulePairScoreCache.pair_bound
+    original_fingerprint = ModulePairScoreCache.fingerprint
 
-    def counting(cache, profile_a, profile_b):
+    def counting(cache, *args):
         nonlocal lookups
         lookups += 1
-        return original(cache, profile_a, profile_b)
+        return original(cache, *args)
 
-    monkeypatch.setattr(ModulePairScoreCache, "upper_bound", counting)
+    def counting_fingerprint(cache, profile):
+        nonlocal fingerprints
+        fingerprints += 1
+        return original_fingerprint(cache, profile)
+
+    monkeypatch.setattr(ModulePairScoreCache, "pair_bound", counting)
     query = corpus[0]
     qs = bound.summary(query)
     summaries = [bound.summary(candidate) for candidate in corpus[1:]]
+    monkeypatch.setattr(ModulePairScoreCache, "fingerprint", counting_fingerprint)
     for cs in summaries:
         bound.upper_bound(qs, cs)
     distinct = {key for cs in summaries for key in cs.keys}
     assert lookups == qs.size * len(distinct)
     assert lookups < qs.size * sum(cs.size for cs in summaries)
+    assert fingerprints == 0, "the bound pass looked fingerprints up"
     for cs in summaries:
         bound.upper_bound(qs, cs)
     assert lookups == qs.size * len(distinct), "a second pass re-bounded memoised columns"

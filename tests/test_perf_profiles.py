@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.configs import get_module_config
 from repro.core.module_similarity import AttributeRule, ModuleComparator, ModuleComparisonConfig
+from repro.core.registry import create_measure
 from repro.perf import (
     AccelerationContext,
     CachedModuleComparator,
@@ -51,10 +52,6 @@ class TestModuleProfile:
         assert profile.lowered("label") is profile.lowered("label")
         assert profile.token_set("description") == profile.token_set("description")
 
-    def test_char_bag_counts_multiplicities(self, store):
-        profile = store.module_profile(make_module(label="aab"))
-        assert profile.char_bag("label") == {"a": 2, "b": 1}
-
     def test_store_is_identity_keyed(self, store):
         module = make_module()
         twin = make_module()  # equal value, different object
@@ -73,6 +70,28 @@ class TestModuleProfile:
     def test_warm_profiles_whole_repository(self, store, small_corpus):
         total = store.warm(small_corpus.repository)
         assert total == sum(workflow.size for workflow in small_corpus.repository)
+
+    def test_invalidation_drops_only_the_workflows_profiles(self, store, small_corpus):
+        measure = create_measure("MS_ip_te_pll")
+        workflows = small_corpus.repository.workflows()[:12]
+        views = [view for w in workflows for view in (w, measure.preprocess(w))]
+        profiles = {id(view): store.workflow_profile(view) for view in views}
+        victim, projected = workflows[3], measure.preprocess(workflows[3])
+        assert projected is not victim and projected.identifier == victim.identifier
+
+        dropped = store.invalidate_workflow(victim.identifier)
+
+        expected = {id(m) for view in (victim, projected) for m in profiles[id(view)].modules}
+        assert {id(profile) for profile in dropped} == expected
+        assert len(dropped) == len(expected)
+        for view in views:
+            if view.identifier == victim.identifier:
+                assert store.workflow_profile(view) is not profiles[id(view)]
+                continue
+            assert store.workflow_profile(view) is profiles[id(view)]
+            for module, profile in zip(view.modules, profiles[id(view)].modules):
+                assert store.module_profile(module) is profile
+        assert store.invalidate_workflow("ghost") == []
 
 
 class TestRepositoryProfileCache:
@@ -127,19 +146,27 @@ class TestPairScoreCache:
                 if exact:
                     assert bound == score
 
-    def test_exact_score_drops_the_bound_it_shadows(self, store):
+    def test_char_mask_counts_multiplicities(self):
+        cache = ModulePairScoreCache(get_module_config("pll"))
+        assert (cache.char_mask("aab") & cache.char_mask("ab")).bit_count() == 2
+        assert (cache.char_mask("aab") & cache.char_mask("aaab")).bit_count() == 3
+        assert (cache.char_mask("aab") & cache.char_mask("")).bit_count() == 0
+
+    def test_non_exact_bound_stores_nothing(self, store):
         cache = ModulePairScoreCache(get_module_config("pll"))
         first = store.module_profile(make_module(label="alpha_beta"))
         second = store.module_profile(make_module("m2", label="beta_gamma"))
-        third = store.module_profile(make_module("m3", label="gamma_delta"))
-        assert not cache.upper_bound(first, second)[1]
-        assert not cache.upper_bound(first, third)[1]
-        assert len(cache._bounds) == 2
-        cache.score(first, second)
-        cache.score_from_levenshtein(first, third, 0.25, exact=True)
-        assert cache._bounds == {}
-        # Reads of the pair now come from the exact score.
-        assert cache.upper_bound(first, second) == (cache.score(first, second), True)
+        bound, exact = cache.upper_bound(first, second)
+        assert not exact
+        # "alpha_beta" and "beta_gamma" share three a's, b, e, t and _.
+        assert bound == 7 / 10
+        assert cache.upper_bound(first, second) == (bound, False)
+        assert cache.size == 0
+        assert "bound_entries" not in cache.stats()
+        # Once the exact score exists, the bound reads it back.
+        score = cache.score(first, second)
+        assert cache.size == 1
+        assert cache.upper_bound(first, second) == (score, True)
 
     def test_new_entries_start_after_the_persisted_mark(self, store):
         cache = ModulePairScoreCache(get_module_config("pll"))
