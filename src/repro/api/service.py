@@ -49,7 +49,8 @@ still answers, bit-identically, because every tier is pinned equivalent
 to the sequential seed path.  A store that fails verification (on open
 or mid-query) is *quarantined* to ``<cache_dir>/quarantine/<timestamp>/``
 and rebuilt cold from the live repository — corrupted state is never
-silently trusted and never fatal.
+silently trusted and never fatal.  A store write that fails and is not
+repaired leaves the store untrusted.
 The :class:`~repro.api.results.ExecutionDiagnostics` of the affected
 request records ``degraded``, ``degradation_reason`` and the
 ``retry_attempts`` spent on transient lock contention.
@@ -158,14 +159,14 @@ class SimilarityService:
         and the store is attached for its caches (its postings only
         serve admission when the snapshot fingerprint matches the corpus).
 
-        The store is verified before it is trusted.  A corrupted store
-        is quarantined; when its snapshot table is still intact the
-        corpus is salvaged from it and the store rebuilt (the first
-        request's diagnostics report the degradation), otherwise a
-        :exc:`~repro.store.StoreCorruptionError` explains how to rebuild
-        from a corpus source.  Either way the corpus is the one that
-        verification's payload-decode check decoded: each snapshot row
-        is decoded once per open.
+        The store is verified before it is trusted.  A corrupted store,
+        or one of another schema version, is quarantined; when its
+        snapshot table is still intact the corpus is salvaged from it and
+        the store rebuilt (the first request's diagnostics report the
+        degradation), otherwise a :exc:`~repro.store.StoreCorruptionError`
+        explains how to rebuild from a corpus source.  Either way the
+        corpus is the one that verification's payload-decode check
+        decoded: each snapshot row is decoded once per open.
         """
         if source is None:
             if cache_dir is None:
@@ -176,7 +177,7 @@ class SimilarityService:
             try:
                 store = WorkflowStore(cache_dir)
                 report = store.verify()
-            except (sqlite3.DatabaseError, ValueError) as error:
+            except sqlite3.DatabaseError as error:
                 if is_locked_error(error):
                     raise
                 reason = str(error)
@@ -206,8 +207,8 @@ class SimilarityService:
                     f"persisted store in {str(cache_dir)!r} is corrupted ({reason}) "
                     "and its snapshot could not be salvaged; the damaged files were "
                     f"moved to {quarantine_dir}; rebuild by reopening with a corpus "
-                    "source (SimilarityService.open(corpus, cache_dir=...)) or "
-                    "'repro index build'",
+                    "source (SimilarityService.open(corpus, cache_dir=...)), "
+                    "'repro store repair --corpus' or 'repro index build'",
                     report=report,
                 )
             service = cls(salvaged, framework=framework)
@@ -289,7 +290,7 @@ class SimilarityService:
         reason = ""
         try:
             store = WorkflowStore(cache_dir, retry=retry)
-        except (sqlite3.DatabaseError, ValueError) as error:
+        except sqlite3.DatabaseError as error:
             if is_locked_error(error):
                 raise
             reason = str(error)
@@ -319,7 +320,8 @@ class SimilarityService:
         corpus mutation and may answer admission from its postings; an
         untrusted one still contributes its (value-keyed, always-safe)
         pair scores.  :meth:`persist` and :meth:`build_index` establish
-        trust by rewriting the snapshot.
+        trust by rewriting the snapshot; a store write that fails and is
+        not repaired (see :meth:`add_workflows`) withdraws it.
         """
         return self.store is not None and self._store_trusted
 
@@ -366,27 +368,41 @@ class SimilarityService:
         return self._store_write(self._persist_once)
 
     def _store_write(self, write):
-        """Run a store write; on corruption, quarantine, rebuild and retry once."""
+        """Run a store write; on corruption, quarantine, rebuild and retry once.
+
+        A write that still fails leaves the store untrusted: it did not
+        land, so the snapshot may no longer describe the live corpus.
+        """
         if self.store is None:
             raise ValueError(
                 "no cache_dir attached; open the service with cache_dir=... "
                 "or call attach_cache_dir() first"
             )
         try:
-            return write()
-        except sqlite3.DatabaseError as error:
-            if is_locked_error(error):
-                # Contention, not corruption: the transaction already
-                # rolled back and retried under the store's RetryPolicy;
-                # exhausting it is the caller's signal to back off.
-                raise
-            # Corruption mid-write: quarantine + rebuild, then write
-            # onto the fresh store (the in-memory caches are the source
-            # of truth, so nothing is lost).
-            self._pending_degradations.append(self._recover_store(error))
-            if self.store is None:
-                raise
-            return write()
+            try:
+                return write()
+            except sqlite3.DatabaseError as error:
+                if is_locked_error(error):
+                    # Contention, not corruption: the transaction already
+                    # rolled back and retried under the store's RetryPolicy;
+                    # exhausting it is the caller's signal to back off.
+                    event = (
+                        f"store write contended ({error}); store no longer trusted "
+                        "until persist() or build_index()"
+                    )
+                    self.degradation_log.append({"event": event, "fault": repr(error)})
+                    self._pending_degradations.append(event)
+                    raise
+                # Corruption mid-write: quarantine + rebuild, then write
+                # onto the fresh store (the in-memory caches are the source
+                # of truth, so nothing is lost).
+                self._pending_degradations.append(self._recover_store(error))
+                if self.store is None:
+                    raise
+                return write()
+        except BaseException:
+            self._store_trusted = False
+            raise
 
     def _persist_once(self) -> dict[str, int]:
         # Skip the snapshot rewrite when it is already current (the
@@ -435,15 +451,20 @@ class SimilarityService:
         is never written through: its snapshot describes some other
         corpus, and upserting rows into it would persist a corpus that
         never existed.
+
+        A write-through that fails never leaves a trusted store behind:
+        corruption quarantines the store and rebuilds it from the live
+        corpus, which holds the mutation (the next response reports it);
+        lock contention beyond the store's retry policy propagates and
+        leaves the store untrusted until :meth:`persist` or :meth:`build_index`.
         """
         added = 0
-        write_through = self.store_trusted
         for workflow in workflows:
             if replace and workflow.identifier in self.repository:
                 self.remove_workflows([workflow.identifier])
             self.repository.add(workflow)
-            if write_through:
-                self.store.add_workflow(workflow)
+            if self.store_trusted:
+                self._store_write(lambda: self.store.add_workflow(workflow))
             added += 1
         return added
 
@@ -458,7 +479,8 @@ class SimilarityService:
         value-keyed pair-score caches are kept, so subsequent requests
         stay warm.  A *trusted* attached store drops the same
         rows (see :meth:`add_workflows` on why an untrusted store is
-        left alone).
+        left alone, and on a write-through that fails).  The removed
+        workflows are invalidated even when their write-through raises.
 
         Identifiers not present in the repository are silently ignored —
         removal is idempotent, so replayed or queued removal requests
@@ -469,14 +491,16 @@ class SimilarityService:
         """
         requested = dict.fromkeys(str(identifier) for identifier in identifiers)
         removed = [identifier for identifier in requested if identifier in self.repository]
-        write_through = self.store_trusted
         for identifier in removed:
             self.repository.remove(identifier)
-            if write_through:
-                self.store.remove_workflow(identifier)
-        summary = self.engine.invalidate_workflows(removed)
-        summary["requested"] = len(requested)
-        self.last_invalidation = summary
+        try:
+            for identifier in removed:
+                if self.store_trusted:
+                    self._store_write(lambda: self.store.remove_workflow(identifier))
+        finally:
+            summary = self.engine.invalidate_workflows(removed)
+            summary["requested"] = len(requested)
+            self.last_invalidation = summary
         return removed
 
     # -- request execution ---------------------------------------------------

@@ -19,8 +19,9 @@ library without writing Python:
   checks (SQLite quick_check, schema version, per-table content
   checksums, full payload decode); exit 0 when clean, 1 when corrupt,
   2 when missing.  ``repro store repair --cache-dir DIR [--corpus C]``
-  quarantines a corrupted store and rebuilds it — from its own salvaged
-  snapshot when possible, from ``--corpus`` otherwise;
+  quarantines a corrupted store, or one of another schema version, and
+  rebuilds it — from its own salvaged snapshot when possible, from
+  ``--corpus`` otherwise (also after an open already quarantined it);
 
 Both search commands route through the :class:`repro.api.SimilarityService`
 facade: the execution strategy (sequential / pruned / cached /
@@ -324,7 +325,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def _open_existing_store(cache_dir: str):
-    """Open a store read-only-ish for inspection commands.
+    """Open an existing store for inspection commands (opening writes nothing).
 
     Returns ``(store, None)`` on success or ``(None, exit_code)`` after
     printing a one-line actionable error: exit 2 for a missing/unreadable
@@ -342,7 +343,7 @@ def _open_existing_store(cache_dir: str):
     except OSError as error:
         console(f"error: cache dir {cache_dir!r} is unreadable: {error}", err=True)
         return None, 2
-    except (sqlite3.DatabaseError, ValueError) as error:
+    except sqlite3.DatabaseError as error:
         console(
             f"error: store in {cache_dir!r} cannot be opened ({error}); "
             "run 'repro store repair' to quarantine and rebuild it",
@@ -398,12 +399,14 @@ def _cmd_store_repair(args: argparse.Namespace) -> int:
     try:
         store = WorkflowStore(args.cache_dir, create=False)
     except FileNotFoundError as error:
-        console(f"error: {error}", err=True)
-        return 2
+        if args.corpus is None:
+            console(f"error: {error}", err=True)
+            return 2
+        store = None  # already quarantined: --corpus rebuilds it below
     except OSError as error:
         console(f"error: cache dir {args.cache_dir!r} is unreadable: {error}", err=True)
         return 2
-    except (sqlite3.DatabaseError, ValueError):
+    except sqlite3.DatabaseError:
         store = None  # unopenable: exactly what the rebuild below repairs
     if store is not None:
         try:

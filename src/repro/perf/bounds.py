@@ -440,7 +440,7 @@ class ModuleSetsBound(_ModulePairBound):
         rule = cache.single_levenshtein
         attribute = rule.attribute
         lowercase = rule.lowercase
-        pair_bound = cache.pair_bound
+        exact_score = cache.exact_score
         profiles_a = query_summary.profile.modules
         keys_a = query_summary.keys
         memo = self._columns_by_key
@@ -449,6 +449,7 @@ class ModuleSetsBound(_ModulePairBound):
             column = memo[key]
             values = column.values
             exact = column.exact
+            fingerprint_b = key[1]
             changed = False
             for t, i in enumerate(column.rows):
                 floor = floors[i]
@@ -456,7 +457,9 @@ class ModuleSetsBound(_ModulePairBound):
                 if floor <= 0.0 or exact[t] or value < floor:
                     continue
                 profile_a = profiles_a[i]
-                score, is_exact = pair_bound(profile_a, keys_a[i][1], profile_b, key[1])
+                fingerprint_a = keys_a[i][1]
+                score = exact_score(fingerprint_a, fingerprint_b)
+                is_exact = score is not None
                 if not is_exact:
                     if lowercase:
                         value_a = profile_a.lowered(attribute)
@@ -468,7 +471,7 @@ class ModuleSetsBound(_ModulePairBound):
                     if stats is not None:
                         stats.banded_calls += 1
                     score = cache.score_from_levenshtein(
-                        profile_a, profile_b, similarity, exact=is_exact
+                        profile_a, fingerprint_a, profile_b, fingerprint_b, similarity, exact=is_exact
                     )
                 exact[t] = is_exact
                 if score < value:

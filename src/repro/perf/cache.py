@@ -213,16 +213,37 @@ class ModulePairScoreCache:
 
     def score(self, profile_a: ModuleProfile, profile_b: ModuleProfile) -> float:
         """The configured pair score, served from cache when possible."""
-        key = self._key(self.fingerprint(profile_a), self.fingerprint(profile_b))
+        return self.pair_score(
+            profile_a, self.fingerprint(profile_a), profile_b, self.fingerprint(profile_b)
+        )
+
+    def pair_score(
+        self,
+        profile_a: ModuleProfile,
+        fingerprint_a: tuple[str, ...],
+        profile_b: ModuleProfile,
+        fingerprint_b: tuple[str, ...],
+    ) -> float:
+        """:meth:`score` for callers that hold both fingerprints."""
+        value = self.exact_score(fingerprint_a, fingerprint_b)
+        if value is None:
+            self.misses += 1
+            value = self._scores[self._key(fingerprint_a, fingerprint_b)] = self._compute(
+                profile_a, profile_b
+            )
+        return value
+
+    def exact_score(
+        self, fingerprint_a: tuple[str, ...], fingerprint_b: tuple[str, ...]
+    ) -> float | None:
+        """The cached exact score of a pair, counted as a hit; ``None`` if
+        no exact score is cached (nothing is counted then)."""
+        key = self._key(fingerprint_a, fingerprint_b)
         value = self._scores.get(key)
         if value is not None:
             self.hits += 1
             if self._warm and key in self._warm:
                 self.warm_hits += 1
-            return value
-        self.misses += 1
-        value = self._compute(profile_a, profile_b)
-        self._scores[key] = value
         return value
 
     @staticmethod
@@ -316,12 +337,8 @@ class ModulePairScoreCache:
         fingerprint_b: tuple[str, ...],
     ) -> tuple[float, bool]:
         """:meth:`upper_bound` for callers that hold both fingerprints."""
-        key = self._key(fingerprint_a, fingerprint_b)
-        value = self._scores.get(key)
+        value = self.exact_score(fingerprint_a, fingerprint_b)
         if value is not None:
-            self.hits += 1
-            if self._warm and key in self._warm:
-                self.warm_hits += 1
             return value, True
         total_score = 0.0
         total_weight = 0.0
@@ -357,11 +374,18 @@ class ModulePairScoreCache:
             # The bound pass happened to be an exact evaluation (e.g. the
             # ``plm`` exact-match configuration) — promote it to a hit.
             self.misses += 1
-            self._scores[key] = value
+            self._scores[self._key(fingerprint_a, fingerprint_b)] = value
         return value, all_exact
 
     def score_from_levenshtein(
-        self, profile_a: ModuleProfile, profile_b: ModuleProfile, similarity: float, *, exact: bool
+        self,
+        profile_a: ModuleProfile,
+        fingerprint_a: tuple[str, ...],
+        profile_b: ModuleProfile,
+        fingerprint_b: tuple[str, ...],
+        similarity: float,
+        *,
+        exact: bool,
     ) -> float:
         """Fold an externally computed Levenshtein similarity into a pair score.
 
@@ -379,7 +403,7 @@ class ModulePairScoreCache:
             return 0.0
         value = (similarity * rule.weight) / rule.weight
         if exact:
-            key = self._key(self.fingerprint(profile_a), self.fingerprint(profile_b))
+            key = self._key(fingerprint_a, fingerprint_b)
             if key not in self._scores:
                 self.misses += 1
                 self._scores[key] = value

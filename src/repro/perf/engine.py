@@ -231,22 +231,23 @@ class CachedModuleComparator(ModuleComparator):
         candidate_pairs: set[tuple[int, int]] | None = None,
     ) -> list[list[float]]:
         module_profile = self.context.profiles.module_profile
-        score = self.cache.score
-        profiles_a = [module_profile(module) for module in first_modules]
-        profiles_b = [module_profile(module) for module in second_modules]
-        width = len(profiles_b)
+        fingerprint, score = self.cache.fingerprint, self.cache.pair_score
+        # Each row's and each column's fingerprint is read once per matrix.
+        rows = [(profile, fingerprint(profile)) for profile in map(module_profile, first_modules)]
+        columns = [(profile, fingerprint(profile)) for profile in map(module_profile, second_modules)]
+        width = len(columns)
         matrix: list[list[float]] = []
         if candidate_pairs is None:
-            for profile_a in profiles_a:
-                matrix.append([score(profile_a, profile_b) for profile_b in profiles_b])
-            self.comparisons_performed += len(profiles_a) * width
+            for profile_a, fingerprint_a in rows:
+                matrix.append([score(profile_a, fingerprint_a, *column) for column in columns])
+            self.comparisons_performed += len(rows) * width
         else:
             performed = 0
-            for i, profile_a in enumerate(profiles_a):
+            for i, (profile_a, fingerprint_a) in enumerate(rows):
                 row = [0.0] * width
                 for j in range(width):
                     if (i, j) in candidate_pairs:
-                        row[j] = score(profile_a, profiles_b[j])
+                        row[j] = score(profile_a, fingerprint_a, *columns[j])
                         performed += 1
                 matrix.append(row)
             self.comparisons_performed += performed

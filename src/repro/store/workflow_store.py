@@ -50,6 +50,13 @@ as on ``COMMIT`` — are retried under a configurable
 exponential backoff + jitter); corruption is never retried — callers
 quarantine and rebuild (see :func:`~repro.store.resilience.quarantine_store`).
 
+**One schema.**  Opening a file that already holds a store writes
+nothing and takes no lock, whatever its schema version; only a new
+file is initialised, in one transaction.  A store of any other
+:data:`SCHEMA_VERSION` is never converted in place: :meth:`WorkflowStore.verify`
+fails it, and the service rebuilds it from its snapshot when that
+snapshot still verifies (see ``SimilarityService.open``).
+
 **Checksums.**  Each data table has one content checksum row in
 ``meta``: an *additive row hash* (AdHash, Bellare–Micciancio 1997), the
 sum modulo ``2**256`` of one sha256 per row.  A sum needs no order and
@@ -61,15 +68,9 @@ keeps the sums exact.  :meth:`WorkflowStore.verify` still recomputes
 every table's sum from scratch and decodes every payload, so torn or
 out-of-band writes are *detected* rather than silently served.  As
 before, the checksum is an unkeyed corruption detector, not a MAC:
-whoever can edit a table can also rewrite ``meta``.  Stores written
-with the older ordered full-table checksums are converted on open,
-table by table, and only when the table still matches its old
-checksum; a table that does not stays unconverted and fails
-verification.
-
-Stores written before the postings became the only admission structure
-also held a ``label_bags`` table and ``label`` postings; opening one
-drops both (see ``WorkflowStore._init_schema``).
+whoever can edit a table can also rewrite ``meta``.  Nothing restores a
+missing sum: a table without one fails verification until a whole-table
+rewrite replaces it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ import hashlib
 import json
 import os
 import sqlite3
-import struct
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -91,7 +91,7 @@ from .resilience import RetryPolicy, StoreVerification, run_with_retry
 
 __all__ = ["WorkflowStore", "corpus_fingerprint"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 STORE_FILENAME = "repro_store.sqlite"
 
 
@@ -111,16 +111,6 @@ _TABLES = {
 }
 _SUM_MODULUS = 1 << 256
 _SUM_KEY = "rowsum:{}"
-
-#: The ordered full-scan checksums of stores written before the additive
-#: sums existed.  Read only once per table, to vouch for such a store
-#: before converting it (see ``WorkflowStore._init_schema``).
-_LEGACY_KEY = "checksum:{}"
-_LEGACY_QUERIES = {
-    "workflows": "SELECT identifier, position, payload FROM workflows ORDER BY position, identifier",
-    "pair_scores": "SELECT config, fp_a, fp_b, score FROM pair_scores ORDER BY config, fp_a, fp_b",
-    "postings": "SELECT field, token, workflow_id FROM postings ORDER BY field, token, workflow_id",
-}
 
 T = TypeVar("T")
 
@@ -149,20 +139,6 @@ def _stored_sum(cursor: sqlite3.Cursor, table: str) -> int | None:
         return None
 
 
-def _legacy_checksum(cursor: sqlite3.Cursor, table: str) -> str:
-    """The ordered sha256 an older store recorded for ``table``."""
-    digest = hashlib.sha256()
-    for row in cursor.execute(_LEGACY_QUERIES[table]):
-        for value in row:
-            if isinstance(value, float):
-                digest.update(struct.pack("<d", value))
-            else:
-                digest.update(str(value).encode("utf-8"))
-            digest.update(b"\x1f")
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
 class _Writer:
     """The row changes of one write transaction, with its running sums.
 
@@ -170,9 +146,9 @@ class _Writer:
     :meth:`delete_rows` or :meth:`insert_rows`, which adjust the table's
     additive hash by exactly those rows; :meth:`flush` stores the
     adjusted sums in the same transaction.  A table whose sum is missing
-    (an older table that failed conversion) is left without one — only a
-    whole-table delete, which leaves nothing unvouched for, starts it
-    again from zero.
+    or unreadable is left without one, so verification keeps failing it
+    — only a whole-table delete, which leaves nothing unvouched for,
+    starts it again from zero.
     """
 
     def __init__(self, cursor: sqlite3.Cursor) -> None:
@@ -210,10 +186,6 @@ class _Writer:
             self.cursor.executemany(f"INSERT INTO {table} ({columns}) VALUES ({marks})", rows)
             self._adjust(table, _rows_sum(row_format, rows))
         return len(rows)
-
-    def rehash(self, table: str) -> None:
-        """Take ``table``'s sum from a full recompute."""
-        self._sums[table] = _table_sum(self.cursor, table)
 
     def flush(self) -> None:
         for table, total in self._sums.items():
@@ -254,6 +226,40 @@ def _posting_rows(workflow) -> list[tuple[str, str, str]]:
 
 def _indexed(connection: "sqlite3.Connection | sqlite3.Cursor") -> bool:
     return connection.execute("SELECT 1 FROM postings LIMIT 1").fetchone() is not None
+
+
+def _holds_store(connection: "sqlite3.Connection | sqlite3.Cursor") -> bool:
+    """Whether the file already holds a store, of any schema version."""
+    return connection.execute("SELECT 1 FROM sqlite_master WHERE name = 'meta'").fetchone() is not None
+
+
+def _create_schema(writer: _Writer) -> None:
+    """Initialise a new store: its tables, its version and a zero sum per table.
+
+    Runs under the writer lock and re-checks there, so when two
+    processes create one store, the second finds the first's and writes
+    nothing.
+    """
+    if _holds_store(writer.cursor):
+        return
+    execute = writer.execute
+    execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+    execute(
+        "CREATE TABLE workflows"
+        " (identifier TEXT PRIMARY KEY, position INTEGER NOT NULL, payload TEXT NOT NULL)"
+    )
+    execute(
+        "CREATE TABLE pair_scores (config TEXT NOT NULL, fp_a TEXT NOT NULL,"
+        " fp_b TEXT NOT NULL, score REAL NOT NULL, PRIMARY KEY (config, fp_a, fp_b))"
+    )
+    execute(
+        "CREATE TABLE postings (field TEXT NOT NULL, token TEXT NOT NULL,"
+        " workflow_id TEXT NOT NULL, PRIMARY KEY (field, token, workflow_id))"
+    )
+    execute("CREATE INDEX postings_by_workflow ON postings (workflow_id)")
+    execute("INSERT INTO meta (key, value) VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
+    for table in _TABLES:
+        writer.delete_rows(table)  # a whole-table delete starts the sum at zero
 
 
 def corpus_fingerprint(repository: WorkflowRepository) -> str:
@@ -301,7 +307,8 @@ class WorkflowStore:
         self._connection: sqlite3.Connection | None = sqlite3.connect(str(self.path))
         try:
             self._apply_pragmas(busy_timeout_ms)
-            self._init_schema()
+            if not _holds_store(self.connection):
+                self._transaction(_create_schema)
         except BaseException:
             # A malformed file must not leak an open connection — the
             # caller's next move is to quarantine (move) the file.
@@ -332,82 +339,6 @@ class WorkflowStore:
     def _fire(self, event: str) -> None:
         if self.fault_injector is not None:
             self.fault_injector.fire(event, store=self)
-
-    def _init_schema(self) -> None:
-        def initialise(writer: _Writer) -> None:
-            cursor = writer.cursor
-            cursor.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
-            cursor.execute(
-                "CREATE TABLE IF NOT EXISTS workflows ("
-                " identifier TEXT PRIMARY KEY,"
-                " position INTEGER NOT NULL,"
-                " payload TEXT NOT NULL)"
-            )
-            cursor.execute(
-                "CREATE TABLE IF NOT EXISTS pair_scores ("
-                " config TEXT NOT NULL,"
-                " fp_a TEXT NOT NULL,"
-                " fp_b TEXT NOT NULL,"
-                " score REAL NOT NULL,"
-                " PRIMARY KEY (config, fp_a, fp_b))"
-            )
-            cursor.execute(
-                "CREATE TABLE IF NOT EXISTS postings ("
-                " field TEXT NOT NULL,"
-                " token TEXT NOT NULL,"
-                " workflow_id TEXT NOT NULL,"
-                " PRIMARY KEY (field, token, workflow_id))"
-            )
-            cursor.execute(
-                "CREATE INDEX IF NOT EXISTS postings_by_workflow ON postings (workflow_id)"
-            )
-            row = cursor.execute("SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
-            if row is None:
-                cursor.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-            elif int(row[0]) != SCHEMA_VERSION:
-                raise ValueError(
-                    f"store {self.path} has schema version {row[0]}, "
-                    f"this build expects {SCHEMA_VERSION}"
-                )
-            # Existing sums are left alone: they are the baseline that
-            # verify() compares against, so an out-of-band modification
-            # made while the store was closed stays detectable.  A table
-            # of an older store is converted only if it still matches the
-            # ordered checksum that store recorded; one that does not
-            # keeps no sum, so verify() fails it.  Stores older than any
-            # checksum are backfilled from their content.
-            for table in _TABLES:
-                present = cursor.execute(
-                    "SELECT 1 FROM meta WHERE key = ?", (_SUM_KEY.format(table),)
-                ).fetchone()
-                if present is not None:
-                    continue
-                legacy_key = _LEGACY_KEY.format(table)
-                legacy = cursor.execute(
-                    "SELECT value FROM meta WHERE key = ?", (legacy_key,)
-                ).fetchone()
-                if legacy is not None:
-                    if legacy[0] != _legacy_checksum(cursor, table):
-                        continue
-                    cursor.execute("DELETE FROM meta WHERE key = ?", (legacy_key,))
-                writer.rehash(table)
-            # Older stores also held label character bags and ``label``
-            # postings, which nothing reads any more.  This runs after
-            # the conversion above, which vouches for the postings with
-            # their label rows still in place; the label rows then leave
-            # through delete_rows, so the postings sum stays exact and an
-            # earlier out-of-band edit stays detectable.
-            cursor.execute("DROP TABLE IF EXISTS label_bags")
-            cursor.execute(
-                "DELETE FROM meta WHERE key IN"
-                " ('rowsum:label_bags', 'checksum:label_bags', 'label_bags_saved')"
-            )
-            writer.delete_rows("postings", "field = ?", ("label",))
-
-        self._transaction(initialise)
 
     def close(self) -> None:
         """Release the connection; safe to call any number of times."""
@@ -495,7 +426,10 @@ class WorkflowStore:
         decodes, every posting names a known index field).  Returns a
         :class:`~repro.store.resilience.StoreVerification`; per-table
         status lets recovery salvage an intact snapshot out of a store
-        whose score or posting tables are damaged.
+        whose score or posting tables are damaged.  A store of another
+        schema version fails the version check but still has every
+        table checked, so its snapshot can be salvaged the same way; a
+        table without a checksum row is never vouched for.
 
         The decode check reads the snapshot in pool order and keeps the
         repository it decoded on the report (a private field), so
@@ -536,9 +470,7 @@ class WorkflowStore:
                 report.fail(f"{table}: unreadable ({error})", table=table)
                 continue
             if stored is None:
-                report.fail(
-                    f"{table}: checksum row missing, unreadable or unconverted", table=table
-                )
+                report.fail(f"{table}: checksum row missing or unreadable", table=table)
             elif stored != actual:
                 report.fail(f"{table}: content checksum mismatch", table=table)
         if report.table_ok("workflows"):

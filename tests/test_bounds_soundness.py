@@ -33,7 +33,13 @@ from repro.core.registry import create_measure, paper_approach_matrix
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.perf.bounds import BOUND_CLASSES, EnsembleBound, find_bound, find_frontier_bound
 from repro.perf.cache import ModulePairScoreCache
-from repro.perf.engine import AccelerationContext, PruneStats, accelerate_measure, bounded_top_k
+from repro.perf.engine import (
+    AccelerationContext,
+    CachedModuleComparator,
+    PruneStats,
+    accelerate_measure,
+    bounded_top_k,
+)
 from repro.repository import WorkflowRepository
 from repro.store import InvertedAnnotationIndex, SqlAdmissionPlanner, WorkflowStore
 from repro.workflow.model import DataLink, Workflow, WorkflowAnnotations
@@ -322,6 +328,45 @@ def test_each_distinct_column_is_bounded_once_per_query(corpus, monkeypatch):
     for cs in summaries:
         bound.upper_bound(qs, cs)
     assert lookups == qs.size * len(distinct), "a second pass re-bounded memoised columns"
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["all-pairs", "candidate-pairs"])
+def test_similarity_matrix_reads_each_fingerprint_once(corpus, monkeypatch, restricted):
+    """A cached similarity matrix reads each row's and each column's
+    fingerprint once, not both per cell, and scores and counts exactly
+    as scoring every cell on its own does."""
+    config = get_module_config("pll")
+    first, second = corpus[0].modules, corpus[1].modules
+    pairs = None
+    if restricted:
+        pairs = {(i, j) for i in range(len(first)) for j in range(len(second)) if (i + j) % 2}
+    per_cell = CachedModuleComparator(config, AccelerationContext())
+    expected = [
+        [
+            per_cell.compare(a, b) if pairs is None or (i, j) in pairs else 0.0
+            for j, b in enumerate(second)
+        ]
+        for i, a in enumerate(first)
+    ]
+    calls = 0
+    original = ModulePairScoreCache.fingerprint
+
+    def counting_fingerprint(cache, profile):
+        nonlocal calls
+        calls += 1
+        return original(cache, profile)
+
+    monkeypatch.setattr(ModulePairScoreCache, "fingerprint", counting_fingerprint)
+    matrix = CachedModuleComparator(config, AccelerationContext())
+    assert matrix.similarity_matrix(first, second, candidate_pairs=pairs) == expected
+    assert calls == len(first) + len(second) < 2 * len(first) * len(second)
+    assert matrix.comparisons_performed == per_cell.comparisons_performed
+    assert matrix.cache.stats() == per_cell.cache.stats()
+    # A second matrix is served from the cache, still at one read per module.
+    calls = 0
+    assert matrix.similarity_matrix(first, second, candidate_pairs=pairs) == expected
+    assert calls == len(first) + len(second)
+    assert matrix.cache.misses == per_cell.cache.misses
 
 
 #: Labels no generated corpus has: CJK, an arrow, a combining accent, an

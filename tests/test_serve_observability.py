@@ -10,7 +10,7 @@ What the tracing + metrics PR promises, asserted end to end:
 * a traced request's ``X-Trace-Id`` equals its diagnostics
   ``trace_id`` and resolves through ``Tracer.export_trace`` into a span
   tree that follows the request across every layer: server → tenant
-  open → micro-batch fold → service → engine → store transaction;
+  open → micro-batch fold → service → engine;
 * N concurrent same-spec requests fold into ONE ``batch.fold`` span
   linked to all N request spans, every request's trace resolves the
   shared subtree, and the answers stay bit-identical to the sequential
@@ -347,7 +347,8 @@ class TestTracing:
     def test_trace_header_resolves_across_every_layer(self, obs_root, expected):
         """One cold search: the exported tree follows the request from
         the HTTP handler through tenant open, the batch fold, the
-        service, the engine stage and the store transaction."""
+        service and the engine stage (a cold read writes nothing, so
+        it opens no store transaction)."""
         query_ids, truth = expected
 
         async def scenario(server):
@@ -372,7 +373,6 @@ class TestTracing:
         for expected_name in (
             "serve.request",
             "tenant.open",
-            "store.transaction",
             "batch.fold",
             "service.search",
         ):

@@ -23,7 +23,7 @@ from repro.api import (
     SimilarityService,
 )
 from repro.repository import SimilaritySearchEngine, WorkflowRepository
-from repro.store import FaultInjector
+from repro.store import FaultInjector, RetryPolicy, corpus_fingerprint
 
 MEASURE = "MS_ip_te_pll"
 
@@ -201,6 +201,83 @@ class TestStoreFaultsMidQuery:
         assert summary["workflows"] == len(service.repository)
         assert service.store.retry_count == 2
         assert not (warm_cache / "quarantine").exists()  # contention != corruption
+        service.close()
+
+
+class TestWriteThroughFaults:
+    """A corpus mutation whose store write fails never leaves a trusted
+    store behind it: every later answer matches the sequential one."""
+
+    def fast_and_exact(self, service, query_ids):
+        """Each measure's fast answer (asserted equal to the sequential
+        one), by measure; the first is the first response after the fault."""
+        fast = {}
+        for measure in ("BW", "BT", MEASURE):
+            fast[measure] = service.search(SearchRequest(measure=measure, queries=query_ids, k=5))
+            exact = service.search(
+                SearchRequest(
+                    measure=measure, queries=query_ids, k=5, policy=ExecutionPolicy.sequential()
+                )
+            )
+            assert fast[measure] == exact
+            assert fast[measure].result_tuples() == exact.result_tuples()
+        return fast
+
+    @pytest.mark.parametrize("locked", [False, True], ids=["corrupt", "locked"])
+    @pytest.mark.parametrize("operation", ["add", "remove"])
+    def test_failed_write_through(self, cache_dir, workflows, query_ids, operation, locked):
+        service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
+        service.build_index()
+        service.persist()
+        top = service.search(
+            SearchRequest(
+                measure="BW", queries=query_ids[:1], k=1, policy=ExecutionPolicy.sequential()
+            )
+        )
+        victim = top.queries[0].hits[0].workflow_id
+        workflow = service.repository.get(victim)
+        queries = [query for query in query_ids if query != victim]
+        if operation == "add":
+            service.remove_workflows([victim])
+        retry = RetryPolicy(attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0)
+        service.store.retry = retry
+        injector = FaultInjector()
+        injector.fail_commit(times=retry.attempts if locked else 1, locked=locked)
+        service.fault_injector = injector
+
+        def mutate():
+            if operation == "add":
+                service.add_workflows([workflow])
+            else:
+                service.remove_workflows([victim])
+
+        if locked:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                mutate()
+            assert not service.store_trusted
+            assert "store write contended" in service.degradation_log[-1]["event"]
+        else:
+            mutate()
+            assert len(list((cache_dir / "quarantine").iterdir())) == 1
+            assert service.store_trusted
+        assert (victim in service.repository) is (operation == "add")
+        if operation == "remove":
+            assert service.last_invalidation["workflows"] == 1
+
+        first = self.fast_and_exact(service, queries)["BW"].diagnostics
+        assert first.degraded
+        if locked:
+            assert "store write contended" in first.degradation_reason
+            assert first.path != "sql-indexed"
+            service.persist()
+            assert service.store_trusted
+            first = self.fast_and_exact(service, queries)["BW"].diagnostics
+            assert not first.degraded
+        else:
+            assert "store fault" in first.degradation_reason
+        assert first.path == "sql-indexed"
+        assert service.store.verify().ok
+        assert service.store.fingerprint() == corpus_fingerprint(service.repository)
         service.close()
 
 
