@@ -72,7 +72,6 @@ class ExecutionMode(str, Enum):
 
     AUTO = "auto"
     SEQUENTIAL = "sequential"
-    PARALLEL = "parallel"
 
 
 @dataclass(frozen=True)
@@ -86,99 +85,50 @@ class ExecutionPolicy:
     construction — the admission bound is score-safe), routes to the
     process pool when ``workers`` grants more than one worker and the
     request is pool-eligible, and otherwise runs the pruned/cached
-    in-process batch — never the slow sequential scan.  ``PARALLEL``
-    asks for the pool (``workers`` defaults to 2 there) and
-    ``SEQUENTIAL`` runs the reference scan, bypassing every fast tier.
-    ``repro serve`` runs no pool: it answers a policy that asks for one
-    with a 400.
-    ``cache_dir`` names a warm-start store directory
-    (:mod:`repro.store`) — the service attaches it on first use, so
-    even a service opened without one can be warmed per request.
+    in-process batch — never the slow sequential scan.  ``SEQUENTIAL``
+    runs the reference scan, bypassing every fast tier.  ``repro serve``
+    runs no pool: it answers ``workers`` above 1 with a 400.
 
-    The retry knobs shape the attached store's
-    :class:`~repro.store.resilience.RetryPolicy` for transient
-    ``database is locked`` contention: ``retry_attempts`` total tries
-    (1 = fail fast), backing off exponentially from
-    ``retry_base_delay`` seconds up to ``retry_max_delay`` (with
-    jitter).  They apply when *this policy's* ``cache_dir`` causes the
-    store attachment; a store attached earlier keeps its own policy.
+    The store a request runs on is the service's own
+    (:meth:`SimilarityService.attach_cache_dir
+    <repro.api.service.SimilarityService.attach_cache_dir>`), and so is
+    its lock-retry schedule (``service.store.retry``).
     """
 
     mode: ExecutionMode = ExecutionMode.AUTO
     workers: int | None = None
-    cache_dir: str | None = None
-    retry_attempts: int = 5
-    retry_base_delay: float = 0.02
-    retry_max_delay: float = 0.5
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ExecutionMode):
             object.__setattr__(self, "mode", ExecutionMode(str(self.mode)))
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.cache_dir is not None:
-            object.__setattr__(self, "cache_dir", str(self.cache_dir))
-        if self.retry_attempts < 1:
-            raise ValueError(f"retry_attempts must be >= 1, got {self.retry_attempts}")
-        for delay in (self.retry_base_delay, self.retry_max_delay):
-            if not 0 <= delay < math.inf:
-                raise ValueError(f"retry delays must be finite and non-negative, got {delay}")
-
-    def retry_policy(self):
-        """The :class:`~repro.store.resilience.RetryPolicy` these knobs describe."""
-        from ..store.resilience import RetryPolicy
-
-        return RetryPolicy(
-            attempts=self.retry_attempts,
-            base_delay=self.retry_base_delay,
-            max_delay=self.retry_max_delay,
-        )
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def auto(
-        cls,
-        *,
-        workers: int | None = None,
-        cache_dir: str | None = None,
-    ) -> "ExecutionPolicy":
-        return cls(mode=ExecutionMode.AUTO, workers=workers, cache_dir=cache_dir)
+    def auto(cls, *, workers: int | None = None) -> "ExecutionPolicy":
+        return cls(mode=ExecutionMode.AUTO, workers=workers)
 
     @classmethod
     def sequential(cls) -> "ExecutionPolicy":
         return cls(mode=ExecutionMode.SEQUENTIAL)
 
-    @classmethod
-    def parallel(cls, workers: int = 2) -> "ExecutionPolicy":
-        return cls(mode=ExecutionMode.PARALLEL, workers=workers)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode.value,
-            "workers": self.workers,
-            "cache_dir": self.cache_dir,
-            "retry_attempts": self.retry_attempts,
-            "retry_base_delay": self.retry_base_delay,
-            "retry_max_delay": self.retry_max_delay,
-        }
+        return {"mode": self.mode.value, "workers": self.workers}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
         """Rebuild a policy; unknown keys are ignored, so payloads that
-        still carry since-removed knobs load unchanged."""
+        still carry since-removed knobs (``cache_dir``, ``retry_*``)
+        load unchanged."""
         data = _mapping(data, "policy")
-        cache_dir = data.get("cache_dir")
         workers = data.get("workers")
         return cls(
             mode=ExecutionMode(data.get("mode", "auto")),
             workers=_number(int, workers, "workers") if workers is not None else None,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            retry_attempts=_number(int, data.get("retry_attempts", 5), "retry_attempts"),
-            retry_base_delay=_number(float, data.get("retry_base_delay", 0.02), "retry_base_delay"),
-            retry_max_delay=_number(float, data.get("retry_max_delay", 0.5), "retry_max_delay"),
         )
 
 

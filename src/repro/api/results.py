@@ -100,10 +100,12 @@ class ExecutionDiagnostics:
     per-query scan), ``"pruned"`` (frontier-pruned top-k), ``"cached"``
     (accelerated full scan), ``"sql-indexed"`` (candidate preselection
     over the store's token postings, ``BW``/``BT`` searches only), or
-    ``"parallel"`` (process pool).  Pairwise and cluster requests run
+    ``"parallel"`` (process pool, taken under ``auto`` when the policy
+    grants more than one worker).  Pairwise and cluster requests run
     ``"parallel"``, ``"cached"`` or ``"sequential"``.  ``requested_mode``
-    echoes the policy; when the two differ, ``notes`` says why (e.g. the
-    pool was unavailable and the service fell back).
+    echoes the policy's mode, ``"auto"`` or ``"sequential"``; when a
+    policy's workers could not be used, ``notes`` says why (e.g. the
+    request was not pool-eligible or no pool could be created).
 
     ``prune`` carries the top-k kernel's counters
     (:class:`~repro.perf.engine.PruneStats`, summed over the queries) on

@@ -20,6 +20,9 @@ the whole pool, the measure's exact bound and the ids SQL admitted, so
 every other candidate is bounded by 0.0 and only ``k`` candidates are
 scored.  Pairwise scoring (and clustering, built on it) tries the pool,
 then the cached scan, then the sequential scan.
+A request's :class:`~repro.api.requests.ExecutionPolicy` chooses only the
+mode (``auto`` or ``sequential``) and how many pool workers ``auto`` may
+use; the store and its lock-retry schedule belong to the service.
 The :class:`~repro.api.results.ExecutionDiagnostics` attached to every
 response records which path actually ran.
 
@@ -73,7 +76,6 @@ from ..perf.engine import AccelerationContext, PruneStats, bounded_top_k
 from ..repository.repository import RepositoryStatistics, WorkflowRepository
 from ..repository.search import SearchResultList, SimilaritySearchEngine
 from ..store import (
-    RetryPolicy,
     StoreCorruptionError,
     WorkflowStore,
     corpus_fingerprint,
@@ -82,7 +84,7 @@ from ..store import (
 from ..store.inverted_index import InvertedAnnotationIndex
 from ..store.resilience import is_locked_error
 from ..store.sql_admission import SqlAdmissionPlanner
-from ..store.workflow_store import STORE_FILENAME
+from ..store.workflow_store import SCHEMA_VERSION, STORE_FILENAME
 from ..workflow.model import Workflow
 from .requests import (
     ClusterRequest,
@@ -163,10 +165,13 @@ class SimilarityService:
         or one of another schema version, is quarantined; when its
         snapshot table is still intact the corpus is salvaged from it and
         the store rebuilt (the first request's diagnostics report the
-        degradation), otherwise a :exc:`~repro.store.StoreCorruptionError`
-        explains how to rebuild from a corpus source.  Either way the
-        corpus is the one that verification's payload-decode check
-        decoded: each snapshot row is decoded once per open.
+        degradation, and name a store of another schema version by its
+        version rather than as damage), otherwise a
+        :exc:`~repro.store.StoreCorruptionError` explains how to rebuild
+        from a corpus source.  Either way the corpus is the one that
+        verification's payload-decode check decoded: each snapshot row
+        is decoded once per open.  A sound store without a snapshot
+        raises ``ValueError`` after closing it.
         """
         if source is None:
             if cache_dir is None:
@@ -184,6 +189,7 @@ class SimilarityService:
             if report is not None and report.ok:
                 repository = report._snapshot
                 if repository is None:
+                    store.close()
                     raise ValueError(
                         f"no persisted repository snapshot in {str(cache_dir)!r}; "
                         "pass a corpus source or run persist()/`repro index build` first"
@@ -199,8 +205,11 @@ class SimilarityService:
                 salvaged = report._snapshot
             if store is not None:
                 store.close()
+            schema_reason = (
+                _other_schema(report, "its verified snapshot") if salvaged is not None else None
+            )
             quarantine_dir = quarantine_store(
-                Path(cache_dir) / STORE_FILENAME, reason=reason
+                Path(cache_dir) / STORE_FILENAME, reason=schema_reason or reason
             )
             if salvaged is None:
                 raise StoreCorruptionError(
@@ -214,7 +223,9 @@ class SimilarityService:
             service = cls(salvaged, framework=framework)
             service._adopt_store(WorkflowStore.rebuild(cache_dir, salvaged), trusted=True)
             event = (
-                f"persisted store failed verification ({reason}); snapshot salvaged, "
+                f"persisted {schema_reason}; previous files quarantined to {quarantine_dir}"
+                if schema_reason
+                else f"persisted store failed verification ({reason}); snapshot salvaged, "
                 f"damaged files quarantined to {quarantine_dir}, store rebuilt"
             )
             service.degradation_log.append(
@@ -255,9 +266,7 @@ class SimilarityService:
 
     # -- persistence ---------------------------------------------------------
 
-    def attach_cache_dir(
-        self, cache_dir: "str | Path", *, retry: "RetryPolicy | None" = None
-    ) -> None:
+    def attach_cache_dir(self, cache_dir: "str | Path") -> None:
         """Attach a persistent warm-start store to this service.
 
         The store's persisted pair scores are loaded into the score
@@ -271,15 +280,15 @@ class SimilarityService:
         quarantined and rebuilt cold from the live repository (recorded
         in :attr:`degradation_log` and the next request's diagnostics) —
         a corrupted cache can slow this service down but never poison
-        it.  ``retry`` overrides the store's lock-retry schedule.
+        it.  The store retries transient lock contention under its
+        :attr:`~repro.store.WorkflowStore.retry` policy, which callers
+        may replace (``service.store.retry = RetryPolicy(...)``).
         """
-        store = self._open_store_resilient(cache_dir, retry)
+        store = self._open_store_resilient(cache_dir)
         trusted = store.fingerprint() == corpus_fingerprint(self.repository)
         self._adopt_store(store, trusted=trusted)
 
-    def _open_store_resilient(
-        self, cache_dir: "str | Path", retry: "RetryPolicy | None"
-    ) -> WorkflowStore:
+    def _open_store_resilient(self, cache_dir: "str | Path") -> WorkflowStore:
         """Open + verify a store; quarantine and rebuild it on corruption.
 
         Only callable with a live repository (the rebuild source).
@@ -288,8 +297,9 @@ class SimilarityService:
         throw away good caches.
         """
         reason = ""
+        schema_reason = None
         try:
-            store = WorkflowStore(cache_dir, retry=retry)
+            store = WorkflowStore(cache_dir)
         except sqlite3.DatabaseError as error:
             if is_locked_error(error):
                 raise
@@ -299,13 +309,16 @@ class SimilarityService:
             if report.ok:
                 return store
             reason = report.summary()
+            schema_reason = _other_schema(report, "the live corpus")
             store.close()
         quarantine_dir = quarantine_store(
-            Path(cache_dir) / STORE_FILENAME, reason=reason
+            Path(cache_dir) / STORE_FILENAME, reason=schema_reason or reason
         )
-        store = WorkflowStore.rebuild(cache_dir, self.repository, retry=retry)
+        store = WorkflowStore.rebuild(cache_dir, self.repository)
         event = (
-            f"persisted store failed verification ({reason}); damaged files "
+            f"persisted {schema_reason}; previous files quarantined to {quarantine_dir}"
+            if schema_reason
+            else f"persisted store failed verification ({reason}); damaged files "
             f"quarantined to {quarantine_dir}, store rebuilt from the live corpus"
         )
         self.degradation_log.append({"event": event, "quarantine": str(quarantine_dir)})
@@ -521,7 +534,6 @@ class SimilarityService:
             self._resolve(request.candidates) if request.candidates is not None else None
         )
         policy = request.policy
-        self._ensure_policy_store(policy)
         mode, measure_name, k = policy.mode, request.measure.name, request.k
         engine = self.engine
         auto = mode is ExecutionMode.AUTO and candidates is None
@@ -611,7 +623,6 @@ class SimilarityService:
         started = time.perf_counter()
         pool = self._resolve(request.workflows)
         policy = request.policy
-        self._ensure_policy_store(policy)
         measure_name, engine = request.measure.name, self.engine
 
         def scan(stage) -> _Answer:
@@ -798,11 +809,6 @@ class SimilarityService:
             return self.repository.workflows()
         return [self.repository.get(identifier) for identifier in identifiers]
 
-    def _ensure_policy_store(self, policy) -> None:
-        """Attach the policy's ``cache_dir`` when the service has none yet."""
-        if policy.cache_dir is not None and self.store is None:
-            self.attach_cache_dir(policy.cache_dir, retry=policy.retry_policy())
-
     # -- resilience ----------------------------------------------------------
 
     @property
@@ -968,27 +974,41 @@ class _Answer:
 
 
 def _pool_tiers(policy, eligible: bool, requirement: str, notes: list[str], run) -> list[_Tier]:
-    """The process-pool tier, when the policy asks for it and the request fits.
+    """The process-pool tier, when the policy grants more than one worker
+    and the request fits.
 
-    ``PARALLEL`` always asks, ``AUTO`` when it grants more than one
-    worker; an explicit ``PARALLEL`` request the pool cannot take says
-    why in ``notes``.  ``run(workers)`` returns the pool's payload, or
-    ``None`` when no pool can be created here.
+    A request the pool cannot take says why in ``notes``.
+    ``run(workers)`` returns the pool's payload, or ``None`` when no
+    pool can be created here.
     """
-    mode = policy.mode
-    if mode is ExecutionMode.AUTO and not (policy.workers and policy.workers > 1):
+    workers = policy.workers or 1
+    if workers < 2:
         return []
     if not eligible:
-        if mode is ExecutionMode.PARALLEL:
-            notes.append(f"request not pool-eligible ({requirement}); used the in-process path")
+        notes.append(f"request not pool-eligible ({requirement}); used the in-process path")
         return []
-    workers = policy.workers or 2
 
     def pooled(stage) -> "_Answer | None":
         value = run(workers)
         return None if value is None else _Answer(value, "parallel", workers=workers)
 
     return [_Tier("parallel tier", "engine.parallel", pooled, {"workers": workers}, seam="parallel")]
+
+
+def _other_schema(report, source: str) -> str | None:
+    """Why a store written at another schema version is rebuilt from
+    ``source``: that version, then any other check it failed.  ``None``
+    for a store of this build's version, whose failures are damage."""
+    if report is None or report.other_schema is None:
+        return None
+    reason = (
+        f"store written at schema version {report.other_schema} (this build "
+        f"reads {SCHEMA_VERSION}); rebuilt from {source}"
+    )
+    others = [
+        problem for problem in report.problems if not problem.startswith("meta: schema version")
+    ]
+    return f"{reason}; other failed checks: {'; '.join(others)}" if others else reason
 
 
 def _query_result(result: SearchResultList) -> QueryResult:

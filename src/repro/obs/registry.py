@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterator
 
-from .histogram import RESERVOIR_SIZE, Reservoir
+from .histogram import Reservoir
 
 __all__ = [
     "Counter",
@@ -172,9 +172,8 @@ class Summary(_Instrument):
 
     kind = "summary"
 
-    def __init__(self, name, help_text, label_names, lock, *, reservoir_size: int = RESERVOIR_SIZE) -> None:
+    def __init__(self, name, help_text, label_names, lock) -> None:
         super().__init__(name, help_text, label_names, lock)
-        self._reservoir_size = reservoir_size
         self._reservoirs: "dict[tuple[str, ...], Reservoir]" = {}
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -182,7 +181,7 @@ class Summary(_Instrument):
         with self._lock:
             reservoir = self._reservoirs.get(key)
             if reservoir is None:
-                reservoir = self._reservoirs[key] = Reservoir(self._reservoir_size)
+                reservoir = self._reservoirs[key] = Reservoir()
             reservoir.observe(float(value))
 
     def count(self, **labels: Any) -> int:
@@ -234,7 +233,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: "dict[str, _Instrument]" = {}
 
-    def _get_or_create(self, cls, name: str, help_text: str, labels: "tuple[str, ...]", **kwargs):
+    def _get_or_create(self, cls, name: str, help_text: str, labels: "tuple[str, ...]"):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is not None:
@@ -251,7 +250,7 @@ class MetricsRegistry:
                 if help_text and not instrument.help:
                     instrument.help = help_text
                 return instrument
-            instrument = cls(name, help_text, tuple(labels), threading.Lock(), **kwargs)
+            instrument = cls(name, help_text, tuple(labels), threading.Lock())
             self._instruments[name] = instrument
             return instrument
 
@@ -261,17 +260,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labels: "tuple[str, ...]" = ()) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels)
 
-    def summary(
-        self,
-        name: str,
-        help: str = "",
-        labels: "tuple[str, ...]" = (),
-        *,
-        reservoir_size: int = RESERVOIR_SIZE,
-    ) -> Summary:
-        return self._get_or_create(
-            Summary, name, help, labels, reservoir_size=reservoir_size
-        )
+    def summary(self, name: str, help: str = "", labels: "tuple[str, ...]" = ()) -> Summary:
+        return self._get_or_create(Summary, name, help, labels)
 
     def get(self, name: str) -> "_Instrument | None":
         with self._lock:

@@ -91,14 +91,11 @@ class ModuleProfile:
 class WorkflowProfile:
     """Profiles of all modules of one workflow, in module order."""
 
-    __slots__ = ("workflow", "modules", "categories", "_by_category", "_by_type")
+    __slots__ = ("workflow", "modules")
 
     def __init__(self, workflow: Workflow, module_profiles: Iterable[ModuleProfile]) -> None:
         self.workflow = workflow
         self.modules: tuple[ModuleProfile, ...] = tuple(module_profiles)
-        self.categories: tuple[str, ...] = tuple(profile.category for profile in self.modules)
-        self._by_category: dict[str, tuple[int, ...]] | None = None
-        self._by_type: dict[str, tuple[int, ...]] | None = None
 
     @property
     def identifier(self) -> str:
@@ -107,28 +104,6 @@ class WorkflowProfile:
     @property
     def size(self) -> int:
         return len(self.modules)
-
-    def indices_by_category(self) -> dict[str, tuple[int, ...]]:
-        """Module indices grouped by type-equivalence category (``te``)."""
-        grouped = self._by_category
-        if grouped is None:
-            collect: dict[str, list[int]] = {}
-            for index, category in enumerate(self.categories):
-                collect.setdefault(category, []).append(index)
-            grouped = {category: tuple(indices) for category, indices in collect.items()}
-            self._by_category = grouped
-        return grouped
-
-    def indices_by_type(self) -> dict[str, tuple[int, ...]]:
-        """Module indices grouped by lowercased type identifier (``tm``)."""
-        grouped = self._by_type
-        if grouped is None:
-            collect: dict[str, list[int]] = {}
-            for index, profile in enumerate(self.modules):
-                collect.setdefault(profile.lowered("type"), []).append(index)
-            grouped = {name: tuple(indices) for name, indices in collect.items()}
-            self._by_type = grouped
-        return grouped
 
 
 class ProfileStore:

@@ -57,9 +57,9 @@ def fold_key(request: SearchRequest) -> tuple:
     """Requests fold only when this key matches exactly.
 
     The key covers everything that shapes execution: the measure spec,
-    ``k``, and the full execution policy (mode, workers, cache dir,
-    retry knobs).  Two requests under different measure specs
-    therefore *never* fold — the engine batch call takes one measure.
+    ``k``, and the full execution policy (mode and workers).  Two
+    requests under different measure specs therefore *never* fold — the
+    engine batch call takes one measure.
     """
     policy = tuple(sorted(request.policy.to_dict().items()))
     return (request.measure.name, request.k, policy)

@@ -28,17 +28,17 @@ class ServeConfig:
     ``max_inflight`` caps admitted requests per tenant (executing plus
     queued on the tenant's search lane).  The cap *is* the bounded
     queue: request ``max_inflight + 1`` is answered ``429`` with a
-    ``Retry-After`` of ``retry_after`` seconds instead of being buffered
-    without bound.  It also bounds micro-batching, which needs no knob
-    of its own: a search on an idle tenant runs at once, and only
-    same-spec searches admitted while the tenant's lane is busy fold
-    into its next engine batch (bit-identical to per-request execution).
+    ``Retry-After`` header instead of being buffered without bound.  It
+    also bounds micro-batching, which needs no knob of its own: a search
+    on an idle tenant runs at once, and only same-spec searches admitted
+    while the tenant's lane is busy fold into its next engine batch
+    (bit-identical to per-request execution).
 
-    ``drain_timeout`` bounds graceful shutdown: in-flight work, including
-    searches still queued on a lane, gets this many seconds to finish
-    before connections are torn down.  ``persist_on_shutdown`` writes
-    each open tenant's accumulated pair scores back to its store while
-    draining, so the next process warm-starts from this one's work.
+    ``persist_on_shutdown`` writes each open tenant's accumulated pair
+    scores back to its store while graceful shutdown drains, so the next
+    process warm-starts from this one's work.  The ``Retry-After``
+    delay, the drain bound and the body-size limit are constants of
+    :mod:`repro.serve.server`.
 
     ``trace_sample`` is the fraction of requests that record a trace
     (``1.0`` traces everything, ``0.0`` disables tracing entirely — the
@@ -52,9 +52,6 @@ class ServeConfig:
     port: int = 8340
     max_tenants: int = 8
     max_inflight: int = 16
-    retry_after: float = 1.0
-    drain_timeout: float = 10.0
-    max_body_bytes: int = 8 * 1024 * 1024
     persist_on_shutdown: bool = False
     trace_sample: float = 1.0
     trace_dir: "str | None" = None
@@ -68,10 +65,6 @@ class ServeConfig:
             raise ValueError(f"max_tenants must be positive, got {self.max_tenants}")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {self.max_inflight}")
-        if self.retry_after < 0 or self.drain_timeout < 0:
-            raise ValueError("retry_after and drain_timeout must be non-negative")
-        if self.max_body_bytes < 1024:
-            raise ValueError(f"max_body_bytes too small: {self.max_body_bytes}")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"

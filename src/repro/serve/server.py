@@ -19,11 +19,11 @@ search at once when the tenant is idle and folds same-spec searches that
 queue while it is busy (bit-identically); everything else runs directly
 on the tenant's worker thread.  Admission control answers 429 with
 ``Retry-After`` once a tenant's in-flight cap is hit.  The server runs
-no process pool: a policy asking for one (mode ``parallel``, or
-``workers`` above 1) is a 400.  Error mapping: invalid tenant names and
-malformed requests (JSON nested too deep to decode included) are 400,
-unknown tenants and unknown workflow identifiers 404, unsalvageably
-corrupt tenant stores 503, engine faults 500 — and a *salvageable*
+no process pool: a policy asking for one (``workers`` above 1) is a
+400.  Error mapping: invalid tenant names and malformed requests (JSON
+nested too deep to decode included) are 400, unknown tenants and
+unknown workflow identifiers 404, tenant stores that are unsalvageably
+corrupt or hold no snapshot 503, engine faults 500 — and a *salvageable*
 store fault never surfaces as an error at all, because the service's
 own quarantine-and-rebuild ladder answers exactly (the response's
 diagnostics carry ``degraded`` instead).
@@ -33,14 +33,16 @@ over the stream limit (64 KiB), a ``Content-Length`` that is not ASCII
 digits, two differing ``Content-Length`` headers, any
 ``Transfer-Encoding`` and a garbled request line each get a
 protocol-level 400 that carries an ``X-Request-Id`` and closes the
-connection.  A client's ``X-Request-Id`` is echoed only when it is a
+connection (a ``Content-Length`` above :data:`MAX_BODY_BYTES` gets a
+413 the same way).  A client's ``X-Request-Id`` is echoed only when it is a
 short token (1–64 letters, digits or ``._:-``); anything else gets a
 generated id, so a client cannot inject header lines into the response.
 
 Graceful shutdown (:meth:`SimilarityServer.stop`): stop accepting, wait
 for admitted work — executing or queued on a search lane — to drain
-(bounded by ``drain_timeout``), optionally persist each tenant's
-accumulated scores, close every tenant service on its own thread.
+(bounded by :data:`DRAIN_TIMEOUT_SECONDS`), optionally persist each
+tenant's accumulated scores, close every tenant service on its own
+thread.
 """
 
 from __future__ import annotations
@@ -52,13 +54,11 @@ import re
 import signal
 import time
 import uuid
-from dataclasses import replace
 from functools import partial
 from typing import Any, Mapping
 
 from ..api import (
     ClusterRequest,
-    ExecutionMode,
     PairwiseRequest,
     ResultSet,
     SearchRequest,
@@ -75,6 +75,13 @@ from .metrics import ServingMetrics
 from .tenants import TenantManager, TenantUnavailableError, UnknownTenantError
 
 __all__ = ["SimilarityServer", "run_server", "check_server"]
+
+#: Seconds a ``429`` asks the client to wait (its ``Retry-After``).
+RETRY_AFTER_SECONDS = 1
+#: Seconds graceful shutdown waits for admitted work to finish.
+DRAIN_TIMEOUT_SECONDS = 10.0
+#: Largest request body accepted; a longer ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _REASONS = {
     200: "OK",
@@ -251,7 +258,7 @@ class SimilarityServer:
             await self._server.wait_closed()
         if drain:
             loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.config.drain_timeout
+            deadline = loop.time() + DRAIN_TIMEOUT_SECONDS
             while self.admission.total_inflight() > 0 and loop.time() < deadline:
                 await asyncio.sleep(0.005)
         if self._connections:
@@ -278,7 +285,7 @@ class SimilarityServer:
         try:
             while True:
                 try:
-                    request = await _read_request(reader, self.config.max_body_bytes)
+                    request = await _read_request(reader, MAX_BODY_BYTES)
                 except _HttpError as error:
                     # Even protocol-level failures are correlatable.
                     request_id = uuid.uuid4().hex[:16]
@@ -418,16 +425,15 @@ class SimilarityServer:
             metrics.record(operation_label, status, time.perf_counter() - started)
             return status, payload, extra
         if not self.admission.try_acquire(tenant):
-            retry_after = max(1, round(self.config.retry_after))
             status, payload = 429, {
                 "error": (
                     f"tenant {tenant!r} is at its in-flight cap "
                     f"({self.admission.max_inflight}); retry shortly"
                 ),
-                "retry_after_seconds": retry_after,
+                "retry_after_seconds": RETRY_AFTER_SECONDS,
             }
             metrics.record(operation_label, status, time.perf_counter() - started)
-            return status, payload, {"Retry-After": str(retry_after)}
+            return status, payload, {"Retry-After": str(RETRY_AFTER_SECONDS)}
         degraded = False
         try:
             runtime = await self.tenants.get(tenant)
@@ -513,13 +519,12 @@ def _decode_request(operation: str, body: bytes):
     A body that is not a JSON object of the operation's request is the
     client's error, a 400, and so is one nested too deep to decode
     (``RecursionError``); the engine runs after decoding, so its faults
-    stay 500s.  Two policy rules of the server follow.  A policy that
-    asks for the process pool (mode ``parallel``, or ``workers`` above
-    1) is a 400: the pool forks the serving process once per worker,
-    which a request must not be able to ask for.  Server-side stores are
-    owned by the tenant layout, so a client must not be able to point a
-    request at an arbitrary directory: the policy's ``cache_dir`` is
-    dropped.
+    stay 500s.  A policy that asks for the process pool (``workers``
+    above 1) is a 400 too: the pool forks the serving process once per
+    worker, which a request must not be able to ask for.  Policy keys
+    the decoder does not know (``cache_dir`` and the retry knobs of
+    older clients among them) are ignored, so a client cannot point a
+    tenant at another directory.
     """
     try:
         data = json.loads(body.decode("utf-8")) if body else {}
@@ -530,15 +535,10 @@ def _decode_request(operation: str, body: bytes):
         request = _REQUEST_TYPES[operation].from_dict(data)
     except RecursionError:
         raise _HttpError(400, "request body nests too deeply") from None
-    policy = request.policy
-    if policy.mode is ExecutionMode.PARALLEL or (policy.workers or 1) > 1:
+    if (request.policy.workers or 1) > 1:
         raise _HttpError(
-            400,
-            "the server does not run the process pool; send no 'workers' above 1 "
-            "and a mode other than 'parallel'",
+            400, "the server does not run the process pool; send no 'workers' above 1"
         )
-    if policy.cache_dir is not None:
-        return replace(request, policy=replace(policy, cache_dir=None))
     return request
 
 

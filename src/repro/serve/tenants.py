@@ -18,9 +18,10 @@ quarantine directory, everything.  Two properties drive the design:
   ``SimilarityService.open(cache_dir=...)``, so the store's whole
   quarantine-and-rebuild ladder applies per tenant: a corrupt-but-
   salvageable store is quarantined and rebuilt transparently (the first
-  response's diagnostics say so), an unsalvageable one raises
-  :exc:`TenantUnavailableError` for *this* tenant only — other tenants'
-  directories are untouched by construction.
+  response's diagnostics say so), an unsalvageable one, or one that
+  holds no snapshot, raises :exc:`TenantUnavailableError` for *this*
+  tenant only — other tenants' directories are untouched by
+  construction.
 
 The manager keeps at most ``max_tenants`` services open, evicting the
 least recently used *idle* tenant (busy tenants are never evicted — the
@@ -162,7 +163,9 @@ class TenantManager:
                 service = await loop.run_in_executor(
                     executor, partial(context.run, opener)
                 )
-        except StoreCorruptionError as error:
+        except (StoreCorruptionError, ValueError) as error:
+            # ValueError: a verified store without a snapshot has no
+            # corpus to serve; the request never reached the service.
             executor.shutdown(wait=False)
             raise TenantUnavailableError(
                 f"tenant {name!r} store is unusable: {error}"

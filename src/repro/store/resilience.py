@@ -141,6 +141,10 @@ class StoreVerification:
     ok: bool = True
     problems: list[str] = field(default_factory=list)
     tables: dict[str, str] = field(default_factory=dict)
+    #: The schema version a store of another version was written at
+    #: (``None`` for this build's version or an unreadable ``meta``).
+    #: Its check fails, but that is age, not damage.
+    other_schema: int | None = None
     #: The snapshot the payload-decode check produced, in pool order, or
     #: ``None`` unless the ``workflows`` table verified and holds rows.
     #: Opening a service builds on it instead of decoding every row again.

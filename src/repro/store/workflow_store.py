@@ -458,6 +458,7 @@ class WorkflowStore:
             if row is None:
                 report.fail("meta: schema_version row missing")
             elif int(row[0]) != SCHEMA_VERSION:
+                report.other_schema = int(row[0])
                 report.fail(f"meta: schema version {row[0]} != {SCHEMA_VERSION}")
         except (sqlite3.DatabaseError, ValueError) as error:
             report.fail(f"meta: {error}")
@@ -523,7 +524,6 @@ class WorkflowStore:
         cache_dir: str | Path,
         repository: WorkflowRepository,
         *,
-        filename: str = STORE_FILENAME,
         retry: RetryPolicy | None = None,
     ) -> "WorkflowStore":
         """Write a brand-new store and atomically replace any existing one.
@@ -537,8 +537,8 @@ class WorkflowStore:
         """
         directory = Path(cache_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        final_path = directory / filename
-        temp_name = f"{filename}.rebuild-{os.getpid()}"
+        final_path = directory / STORE_FILENAME
+        temp_name = f"{STORE_FILENAME}.rebuild-{os.getpid()}"
         temp_path = directory / temp_name
         for stale in (
             temp_path,
@@ -553,10 +553,10 @@ class WorkflowStore:
         finally:
             fresh.close()  # checkpoints the WAL into the temp file
         os.replace(temp_path, final_path)
-        for sidecar in (final_path.parent / f"{filename}-wal", final_path.parent / f"{filename}-shm"):
+        for sidecar in (directory / f"{STORE_FILENAME}-wal", directory / f"{STORE_FILENAME}-shm"):
             if sidecar.exists():
                 sidecar.unlink()
-        return cls(directory, filename=filename, retry=retry)
+        return cls(directory, retry=retry)
 
     # -- repository snapshot -------------------------------------------------
 

@@ -65,6 +65,7 @@ BASE = {
 REQUEST_FIELDS = (
     "kind", "measure", "queries", "k", "candidates", "workflows", "threshold", "linkage", "policy",
 )
+#: The policy's fields, then retired keys that must load and be ignored.
 POLICY_FIELDS = (
     "mode", "workers", "cache_dir", "retry_attempts", "retry_base_delay", "retry_max_delay",
 )
@@ -139,10 +140,6 @@ policies = st.builds(
     ExecutionPolicy,
     mode=st.sampled_from(list(ExecutionMode)),
     workers=st.none() | st.integers(min_value=1, max_value=64),
-    cache_dir=st.none() | st.text(max_size=12),
-    retry_attempts=st.integers(min_value=1, max_value=20),
-    retry_base_delay=finite,
-    retry_max_delay=finite,
 )
 requests = (
     st.builds(

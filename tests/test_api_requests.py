@@ -95,31 +95,47 @@ class TestMeasureBuilder:
 
 class TestExecutionPolicy:
     def test_mode_coercion_from_string(self):
-        assert ExecutionPolicy(mode="parallel").mode is ExecutionMode.PARALLEL
-        assert [mode.value for mode in ExecutionMode] == ["auto", "sequential", "parallel"]
+        assert ExecutionPolicy(mode="sequential").mode is ExecutionMode.SEQUENTIAL
+        assert [mode.value for mode in ExecutionMode] == ["auto", "sequential"]
 
     def test_constructors(self):
         assert ExecutionPolicy.sequential().mode is ExecutionMode.SEQUENTIAL
-        parallel = ExecutionPolicy.parallel(4)
-        assert (parallel.mode, parallel.workers) == (ExecutionMode.PARALLEL, 4)
+        pooled = ExecutionPolicy.auto(workers=4)
+        assert (pooled.mode, pooled.workers) == (ExecutionMode.AUTO, 4)
+        assert ExecutionPolicy.auto() == ExecutionPolicy()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutionPolicy(workers=0)
-        for mode in ("warp-speed", "pruned"):
-            with pytest.raises(ValueError):
+        # "parallel" went the way of "pruned": auto(workers=n) reaches the pool.
+        for mode in ("warp-speed", "pruned", "parallel"):
+            with pytest.raises(ValueError, match="is not a valid ExecutionMode"):
                 ExecutionPolicy(mode=mode)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="is not a valid ExecutionMode"):
                 ExecutionPolicy.from_dict({"mode": mode})
 
     def test_round_trip(self):
-        policy = ExecutionPolicy.parallel(3)
+        policy = ExecutionPolicy.auto(workers=3)
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
-        assert len(policy.to_dict()) == 6
+        assert policy.to_dict() == {"mode": "auto", "workers": 3}
         # Clients that still send a retired knob keep working.
         retired = ExecutionPolicy.from_dict({"workers": 3, "preselect": False})
         assert retired == ExecutionPolicy(workers=3)
         assert ExecutionPolicy.from_dict({"workers": 3, "prune": False}) == ExecutionPolicy(workers=3)
+
+    def test_retired_store_knobs_load_and_are_ignored(self):
+        """``cache_dir`` and the retry knobs belong to the service's
+        store now; a payload that still sends them, well-formed or not,
+        decodes to the policy without them."""
+        for retired in (
+            {"cache_dir": "/elsewhere", "retry_attempts": 7, "retry_base_delay": 0.011,
+             "retry_max_delay": 0.13},
+            {"cache_dir": 3, "retry_attempts": float("-inf"), "retry_base_delay": 10**400,
+             "retry_max_delay": float("nan")},
+        ):
+            assert ExecutionPolicy.from_dict({"workers": 3, **retired}) == ExecutionPolicy(workers=3)
+            request = SearchRequest.from_dict({"measure": {"name": "BW"}, "policy": retired})
+            assert request.policy == ExecutionPolicy()
 
 
 class TestRequestRoundTrips:
@@ -129,7 +145,7 @@ class TestRequestRoundTrips:
             queries=["wf-1", "wf-2"],
             k=5,
             candidates=["wf-3"],
-            policy=ExecutionPolicy.parallel(3),
+            policy=ExecutionPolicy.auto(workers=3),
         )
         assert SearchRequest.from_json(request.to_json()) == request
         assert request.measure == MeasureSpec("MS_ip_te_pll")
@@ -218,10 +234,8 @@ class TestMalformedFields:
         for payload in (
             {**body, "k": float("inf")},
             {**body, "k": float("nan")},
-            {**body, "policy": {"retry_attempts": float("-inf")}},
             {**body, "policy": {"workers": float("inf")}},
-            {**body, "policy": {"retry_max_delay": float("nan")}},
-            {**body, "policy": {"retry_base_delay": 10**400}},
+            {**body, "policy": {"workers": float("nan")}},
         ):
             with pytest.raises(ValueError):
                 SearchRequest.from_dict(payload)

@@ -53,7 +53,7 @@ class TestPolicyEquivalence:
         assert sequential == pruned
         assert sequential.result_tuples() == pruned.result_tuples()
         if pool_available():
-            parallel = run(ExecutionPolicy.parallel(2))
+            parallel = run(ExecutionPolicy.auto(workers=2))
             assert parallel.diagnostics.path == "parallel"
             assert parallel == sequential
 
@@ -155,11 +155,11 @@ class TestAutoRouting:
                 measure="MS_ip_te_pll",
                 queries=small_corpus.repository.identifiers()[:1],
                 k=5,
-                policy=ExecutionPolicy.parallel(2),
+                policy=ExecutionPolicy.auto(workers=2),
             )
         )
         assert result.diagnostics.path in ("pruned", "cached")
-        assert result.diagnostics.notes
+        assert any("not pool-eligible" in note for note in result.diagnostics.notes)
 
 
 class TestSearchSemantics:

@@ -134,6 +134,30 @@ class TestCommands:
             assert len(hits) <= 4
             assert all(set(hit) == {"workflow_id", "similarity", "rank"} for hit in hits)
 
+    def test_search_batch_workers_reach_the_pool_with_equal_results(
+        self, corpus_file, small_corpus, tmp_path
+    ):
+        from repro.perf import pool_available
+
+        ids = small_corpus.repository.identifiers()[:4]
+        payloads = {}
+        for workers in ("2", "1"):
+            output = tmp_path / f"workers-{workers}.json"
+            exit_code = main(
+                [
+                    "search-batch", str(corpus_file), "--queries", *ids,
+                    "--measure", "MS_ip_te_pll", "-k", "5",
+                    "--workers", workers, "--output", str(output),
+                ]
+            )
+            assert exit_code == 0
+            payloads[workers] = json.loads(output.read_text())
+        assert payloads["2"]["results"] == payloads["1"]["results"]
+        assert payloads["1"]["diagnostics"]["path"] == "pruned"
+        if pool_available():
+            assert payloads["2"]["diagnostics"]["path"] == "parallel"
+            assert payloads["2"]["diagnostics"]["workers"] == 2
+
     def test_search_batch_unknown_query_fails(self, corpus_file, capsys):
         exit_code = main(["search-batch", str(corpus_file), "--queries", "ghost"])
         assert exit_code == 2

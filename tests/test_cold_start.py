@@ -143,7 +143,7 @@ class TestDispatchUnchanged:
 
 class TestSearchesLoadNoScipy:
     def test_default_and_parallel_searches(self):
-        """Default-policy MS and PS searches and a parallel(2) MS search
+        """Default-policy MS and PS searches and an auto(workers=2) MS search
         run matchings larger than 6x6, yet load neither SciPy nor NumPy."""
         outcome = run_python(
             """
@@ -172,7 +172,7 @@ class TestSearchesLoadNoScipy:
             if pool_available():
                 result = service.search(SearchRequest(
                     measure="MS_ip_te_pll", queries=queries, k=5,
-                    policy=ExecutionPolicy.parallel(2),
+                    policy=ExecutionPolicy.auto(workers=2),
                 ))
                 exact = service.search(SearchRequest(
                     measure="MS_ip_te_pll", queries=queries, k=5,

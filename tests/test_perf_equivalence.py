@@ -248,7 +248,7 @@ class TestParallelBackend:
                 measure="MS_ip_te_pll",
                 queries=query_ids,
                 k=5,
-                policy=ExecutionPolicy.parallel(2),
+                policy=ExecutionPolicy.auto(workers=2),
             )
         )
         assert parallel.diagnostics.path == "parallel"
@@ -262,7 +262,7 @@ class TestParallelBackend:
         repository = WorkflowRepository(pool, name="slice")
         serial = SimilarityService(repository).pairwise(PairwiseRequest(measure="MS_ip_te_pll"))
         parallel = SimilarityService(repository).pairwise(
-            PairwiseRequest(measure="MS_ip_te_pll", policy=ExecutionPolicy.parallel(2))
+            PairwiseRequest(measure="MS_ip_te_pll", policy=ExecutionPolicy.auto(workers=2))
         )
         assert parallel.diagnostics.path == "parallel"
         assert parallel == serial
@@ -281,7 +281,7 @@ class TestParallelBackend:
                 SearchRequest(measure="MS_ip_te_pll", queries=query_ids, k=10, policy=policy)
             )
 
-        parallel = run(ExecutionPolicy.parallel(2))
+        parallel = run(ExecutionPolicy.auto(workers=2))
         assert parallel.diagnostics.path == "parallel"
         assert parallel.result_tuples() == run(ExecutionPolicy.sequential()).result_tuples()
 
@@ -292,6 +292,6 @@ class TestParallelBackend:
             )
             return service.pairwise(PairwiseRequest(measure="MS_ip_te_pll", policy=policy))
 
-        parallel = run(ExecutionPolicy.parallel(2))
+        parallel = run(ExecutionPolicy.auto(workers=2))
         assert parallel.diagnostics.path == "parallel"
         assert parallel.pair_scores() == run(ExecutionPolicy.sequential()).pair_scores()

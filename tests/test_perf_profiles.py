@@ -61,11 +61,6 @@ class TestModuleProfile:
     def test_workflow_profile_groups_categories(self, store, kegg_workflow):
         profile = store.workflow_profile(kegg_workflow)
         assert profile.size == kegg_workflow.size
-        grouped = profile.indices_by_category()
-        assert set(grouped) == set(profile.categories)
-        for category, indices in grouped.items():
-            for index in indices:
-                assert profile.categories[index] == category
 
     def test_warm_profiles_whole_repository(self, store, small_corpus):
         total = store.warm(small_corpus.repository)

@@ -36,7 +36,7 @@ from repro.api import ResultSet, SearchRequest, SimilarityService
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.serve import ServeClient, ServeConfig, SimilarityServer
 from repro.serve.tenants import TenantManager, UnknownTenantError
-from repro.store import discover_tenants, tenant_cache_dir, validate_tenant_name
+from repro.store import WorkflowStore, discover_tenants, tenant_cache_dir, validate_tenant_name
 from repro.store.workflow_store import STORE_FILENAME
 
 MEASURE = "MS_ip_te_pll"
@@ -524,7 +524,7 @@ class TestNoProcessPool:
     and the tenant threads."""
 
     @pytest.mark.parametrize(
-        "operation, payload",
+        "operation, payload, message",
         [
             (
                 "search",
@@ -533,13 +533,15 @@ class TestNoProcessPool:
                     "queries": ["1000", "1001"],
                     "policy": {"mode": "parallel", "workers": 2},
                 },
+                # The mode is gone: the decoder rejects it before the pool rule.
+                "'parallel' is not a valid ExecutionMode",
             ),
-            ("pairwise", {"measure": {"name": "BW"}, "policy": {"workers": 2}}),
+            ("pairwise", {"measure": {"name": "BW"}, "policy": {"workers": 2}}, "process pool"),
         ],
         ids=["search-parallel", "pairwise-auto-workers"],
     )
     def test_pool_policy_is_400_and_constructs_no_pool(
-        self, serve_root, pool_constructions, operation, payload
+        self, serve_root, pool_constructions, operation, payload, message
     ):
         async def scenario(server):
             client = ServeClient("127.0.0.1", server.port)
@@ -550,8 +552,39 @@ class TestNoProcessPool:
 
         status, _headers, body = run_serve(serve_root, scenario)
         assert status == 400, body
-        assert "process pool" in body["error"], body
+        assert message in body["error"], body
         assert pool_constructions == []
+
+    def test_retired_policy_keys_are_ignored(self, serve_root, tmp_path):
+        """A policy's ``cache_dir`` cannot point a tenant at another
+        directory, and the retry knobs of older clients change nothing:
+        the search answers as if they were absent."""
+        elsewhere = tmp_path / "elsewhere"
+        retired = {
+            "cache_dir": str(elsewhere),
+            "retry_attempts": 7,
+            "retry_base_delay": 0.011,
+            "retry_max_delay": 0.13,
+        }
+
+        async def scenario(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                plain = await client.post("/v1/alpha/search", search_payload("1000"))
+                keyed = await client.post(
+                    "/v1/alpha/search", {**search_payload("1000"), "policy": retired}
+                )
+            finally:
+                await client.close()
+            return plain, keyed
+
+        (plain_status, _, plain), (status, _, payload) = run_serve(serve_root, scenario)
+        assert plain_status == 200 and status == 200, payload
+        assert (
+            ResultSet.from_dict(payload).result_tuples()
+            == ResultSet.from_dict(plain).result_tuples()
+        )
+        assert not elsewhere.exists()
 
 
 # -- tenant lifecycle races --------------------------------------------------
@@ -687,6 +720,36 @@ class TestTenantIsolation:
         assert alpha_status == 503
         assert "alpha" in alpha_payload["error"]
         assert beta_status == 200
+
+    def test_tenant_store_without_snapshot_is_503(self, tmp_path, monkeypatch):
+        """A verified store that holds no snapshot has no corpus to serve:
+        the tenant is unavailable (503, not the client's 400), and each
+        failed open closes the store it opened."""
+        root = tmp_path / "empty-root"
+        WorkflowStore(root / "t1").close()
+        closed = []
+        close = WorkflowStore.close
+
+        def recording_close(store):
+            closed.append(store.path)
+            close(store)
+
+        monkeypatch.setattr(WorkflowStore, "close", recording_close)
+
+        async def scenario(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                first = await client.post("/v1/t1/search", search_payload("1000", "BW"))
+                second = await client.post("/v1/t1/search", search_payload("1000", "BW"))
+            finally:
+                await client.close()
+            return first, second, server.tenants.open_tenants()
+
+        (first, _, payload), (second, _, _), open_tenants = run_serve(root, scenario)
+        assert (first, second) == (503, 503), payload
+        assert "t1" in payload["error"] and "no persisted repository snapshot" in payload["error"]
+        assert open_tenants == []
+        assert closed == [root / "t1" / STORE_FILENAME] * 2
 
 
 # -- admission control -------------------------------------------------------

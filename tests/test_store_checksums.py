@@ -616,6 +616,18 @@ def assert_answers(service, query_ids, references, *, degraded_first=False):
         assert result.diagnostics.degraded is (degraded_first and index == 0)
 
 
+#: What an older store's quarantine says, in ``REASON.txt`` and (after
+#: "persisted ") in the open's event: its age, not damage.
+OLDER_REASON = "store written at schema version 1 (this build reads 2); rebuilt from {source}"
+#: The check an older layout's label postings fail beside the version's.
+LABEL_POSTINGS = "; other failed checks: postings: unknown index field 'label'"
+
+
+def only_quarantine(cache_dir):
+    (quarantined,) = (cache_dir / "quarantine").iterdir()
+    return quarantined
+
+
 class TestOlderSchemas:
     @pytest.mark.parametrize("kind", ["v1", "label"])
     def test_older_store_is_rebuilt_from_its_snapshot(self, cache_dir, small_corpus, kind):
@@ -628,7 +640,13 @@ class TestOlderSchemas:
         assert report.table_ok("workflows")
 
         service = SimilarityService.open(cache_dir=cache_dir)
-        assert len(list((cache_dir / "quarantine").iterdir())) == 1
+        reason = OLDER_REASON.format(source="its verified snapshot")
+        reason += LABEL_POSTINGS if kind == "label" else ""
+        quarantined = only_quarantine(cache_dir)
+        assert (quarantined / "REASON.txt").read_text() == reason + "\n"
+        (entry,) = service.degradation_log
+        assert entry["event"] == f"persisted {reason}; previous files quarantined to {quarantined}"
+        assert "damaged" not in entry["event"]
         assert_answers(service, query_ids, references, degraded_first=True)
         assert_sums_exact(service.store)
         assert_postings_match_snapshot(service.store)
@@ -636,11 +654,37 @@ class TestOlderSchemas:
         assert schema_version(cache_dir) == "2"
         assert not has_label_leftovers(cache_dir)
 
+    def test_older_store_lists_its_other_failed_checks(self, cache_dir, small_corpus):
+        """Age leads; damage found beside it follows, and the store is
+        still rebuilt from its verified snapshot."""
+        query_ids, references = older_store(
+            cache_dir, small_corpus.repository.workflows()[:20], "v1"
+        )
+        raw_execute(
+            cache_dir,
+            "UPDATE pair_scores SET score = score + 0.25 "
+            "WHERE rowid = (SELECT MIN(rowid) FROM pair_scores)",
+        )
+        service = SimilarityService.open(cache_dir=cache_dir)
+        reason = (
+            OLDER_REASON.format(source="its verified snapshot")
+            + "; other failed checks: pair_scores: content checksum mismatch"
+        )
+        quarantined = only_quarantine(cache_dir)
+        assert (quarantined / "REASON.txt").read_text() == reason + "\n"
+        assert service.degradation_log[0]["event"].startswith(f"persisted {reason}; ")
+        assert_answers(service, query_ids, references, degraded_first=True)
+        service.close()
+
     def test_older_store_is_rebuilt_from_the_live_corpus(self, cache_dir, small_corpus):
         workflows = small_corpus.repository.workflows()[:20]
         query_ids, references = older_store(cache_dir, workflows, "label")
         service = SimilarityService(WorkflowRepository(workflows, name="legacy"), cache_dir=cache_dir)
-        assert len(list((cache_dir / "quarantine").iterdir())) == 1
+        reason = OLDER_REASON.format(source="the live corpus") + LABEL_POSTINGS
+        quarantined = only_quarantine(cache_dir)
+        assert (quarantined / "REASON.txt").read_text() == reason + "\n"
+        (entry,) = service.degradation_log
+        assert entry["event"] == f"persisted {reason}; previous files quarantined to {quarantined}"
         assert service.store_trusted
         assert_answers(service, query_ids, references, degraded_first=True)
         service.close()

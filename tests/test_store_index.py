@@ -142,19 +142,16 @@ class TestIndexedRouting:
         assert result.diagnostics.index_candidates < len(indexed_service)
         assert result.diagnostics.prune["exact_comparisons"] == min(10, len(indexed_service) - 1)
 
-    def test_policy_store_attaches_before_routing(self, small_corpus, tmp_path):
-        """A storeless service attaches the policy's ``cache_dir`` before
-        it picks a tier, so the request that brings an indexed store
-        already runs on it."""
+    def test_attached_store_routes_the_next_request(self, small_corpus, tmp_path):
+        """A storeless service that attaches an indexed store of its
+        corpus answers its next ``BW`` search from the store's postings."""
         workflows = small_corpus.repository.workflows()[:40]
         indexed(workflows, tmp_path / "store").close()
         service = SimilarityService(fresh_repository(workflows))
         assert service.store is None
         query_id = workflows[0].identifier
-        policy = ExecutionPolicy.auto(cache_dir=str(tmp_path / "store"))
-        first = service.search(
-            SearchRequest(measure="BW", queries=[query_id], k=10, policy=policy)
-        )
+        service.attach_cache_dir(tmp_path / "store")
+        first = service.search(SearchRequest(measure="BW", queries=[query_id], k=10))
         assert first.diagnostics.path == "sql-indexed"
         assert first.diagnostics.index_candidates < len(service)
         sequential = service.search(

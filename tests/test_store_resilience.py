@@ -140,8 +140,13 @@ class TestQuarantineAndRebuild:
 
         assert result == reference  # bit-identical despite the corruption
         assert result.diagnostics.degraded
-        assert "quarantined" in result.diagnostics.degradation_reason
-        self.assert_quarantined(cache_dir)
+        quarantined = self.assert_quarantined(cache_dir)
+        # A store of this schema version that fails is damaged, and says so.
+        assert (quarantined / "REASON.txt").read_text() == "pair_scores: content checksum mismatch\n"
+        assert result.diagnostics.degradation_reason == (
+            "persisted store failed verification (pair_scores: content checksum mismatch); "
+            f"snapshot salvaged, damaged files quarantined to {quarantined}, store rebuilt"
+        )
         assert service.store.verify().ok  # the rebuilt store is clean
         assert service.store_trusted
         # The degradation was consumed; the next request runs clean.
@@ -300,22 +305,17 @@ class TestRetryPolicy:
         assert contended.verify().ok
         contended.close()
 
-    def test_policy_knobs_flow_from_execution_policy(
-        self, cache_dir, workflows, query_ids
-    ):
-        policy = ExecutionPolicy(
-            cache_dir=str(cache_dir),
-            retry_attempts=7,
-            retry_base_delay=0.011,
-            retry_max_delay=0.13,
-        )
-        assert policy.retry_policy() == RetryPolicy(
-            attempts=7, base_delay=0.011, max_delay=0.13
-        )
-        service = SimilarityService(fresh_repository(workflows))
-        service.search(
-            SearchRequest(measure=MEASURE, queries=query_ids, k=5, policy=policy)
-        )
-        assert service.store is not None
-        assert service.store.retry.attempts == 7
+    def test_attached_store_takes_a_new_retry_policy(self, cache_dir, workflows):
+        """A service's lock-retry schedule is its store's: a budget of 7
+        set there rides out 6 locked commits (the default gives up
+        after 5 attempts)."""
+        service = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
+        service.store.retry = RetryPolicy(attempts=7, base_delay=0.001, max_delay=0.002)
+        injector = FaultInjector()
+        injector.lock_for_attempts(6)
+        service.fault_injector = injector
+        assert service.persist()["workflows"] == len(workflows)
+        assert service.store.retry_count == 6
+        assert injector.count_fired("lock-for-attempts") == 6
+        assert service.store.verify().ok
         service.close()

@@ -206,7 +206,7 @@ class TestStoreAttachment:
         assert untrusted_bw.diagnostics.path == "cached"
         assert untrusted_bw == fresh.search(bw)
 
-    def test_policy_cache_dir_attaches_store(self, small_corpus, cache_dir):
+    def test_attach_cache_dir_warm_starts_a_storeless_service(self, small_corpus, cache_dir):
         workflows = small_corpus.repository.workflows()[:25]
         query_ids = [workflows[0].identifier]
         writer = SimilarityService(fresh_repository(workflows), cache_dir=cache_dir)
@@ -215,13 +215,8 @@ class TestStoreAttachment:
 
         service = SimilarityService(fresh_repository(workflows))
         assert service.store is None
-        request = SearchRequest(
-            measure="MS_ip_te_pll",
-            queries=query_ids,
-            k=10,
-            policy=ExecutionPolicy.auto(cache_dir=str(cache_dir)),
-        )
-        result = service.search(request)
+        service.attach_cache_dir(cache_dir)
+        result = service.search(ms_request(query_ids))
         assert service.store is not None
         assert result.diagnostics.cache_warm_hits > 0
 
