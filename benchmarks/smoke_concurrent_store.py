@@ -92,7 +92,7 @@ def reader(cache_dir: str, rounds: int, queue) -> None:
             repository = store.load_repository()
             assert repository is not None and len(repository) > 0
             for config in range(3):
-                loaded += len(store.load_pair_scores(f"smoke-config-{config}"))
+                loaded += sum(1 for _ in store.load_pair_scores(f"smoke-config-{config}"))
             time.sleep(0.002)
         store.close()
         queue.put(("reader", "ok", loaded))

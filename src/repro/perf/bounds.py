@@ -43,7 +43,8 @@ Registered bounds:
 *column memo*.  Under a module-local preselection, a candidate module's
 column — its pair bounds against every query module it may be paired
 with — depends only on its admissibility class and on the attribute
-fingerprint the pair cache compares.  Each distinct column is therefore
+fingerprint the pair cache compares (a key holds the fingerprint's
+number, not its tuple).  Each distinct column is therefore
 bounded once per query, however many modules of however many candidates
 share it, and a refinement that tightens a pair bound tightens it for
 all of them.  This memo is the only store of non-exact pair bounds (the
@@ -242,7 +243,7 @@ class _ModuleSummary:
     """Per-workflow summary of the structural (module-pair) bounds.
 
     ``keys[j]`` is module ``j``'s column key, the pair (admissibility
-    class, pair-cache fingerprint); ``representatives`` maps each
+    class, pair-cache fingerprint number); ``representatives`` maps each
     distinct key, in module order, to the first module profile holding it.
     """
 

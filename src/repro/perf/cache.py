@@ -18,10 +18,25 @@ same comparator semantics (with Myers' bit-parallel Levenshtein standing
 in for the rolling-row edit distance — same integers, same division).
 The equivalence tests pin this property.
 
+The cache numbers each distinct fingerprint the first time it sees it
+(:meth:`~ModulePairScoreCache.fingerprint` returns the number) and keeps
+the exact scores in a two-level table, ``{number_a: {number_b: score}}``,
+in which bit-equal scores share one float object.  An entry is therefore
+its slot in an inner dict and nothing else: no key object, no float of
+its own, no record of whether it is persisted (one count per row does
+that).  50,000 ``pll`` entries over 1,000 fingerprints cost about 40
+bytes each this way, against about 130 in a dict keyed by pairs of
+fingerprint tuples (``tracemalloc``, CPython 3.11).  A number, once given, names its fingerprint for the life of the
+cache (:meth:`~ModulePairScoreCache.clear` drops scores, never numbers),
+so bound summaries and column memos can hold numbers.  Numbers live only
+in memory: :meth:`~ModulePairScoreCache.entries` maps them back to
+fingerprint tuples, which is how the store keys its rows.
+
 When every rule of a configuration uses a provably symmetric comparator
 (see :data:`repro.core.comparators.SYMMETRIC_COMPARATORS`), ``(a, b)``
 and ``(b, a)`` share one canonical cache entry, halving both memory and
-the number of distances ever computed.
+the number of distances ever computed: in memory the smaller number
+comes first, on export the smaller fingerprint tuple.
 
 Only exact scores are kept across queries; a non-exact pair bound is
 recomputed when asked for, its Levenshtein part with one AND of two
@@ -32,8 +47,9 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from math import copysign
 from sys import intern
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..core.comparators import SYMMETRIC_COMPARATORS, prefix_match
 from ..core.module_similarity import ModuleComparisonConfig
@@ -61,6 +77,16 @@ _KIND_BY_NAME = {
     "label_token_jaccard": _KIND_LABEL_TOKEN_JACCARD,
     "prefix": _KIND_PREFIX,
 }
+
+#: A warm key packs a pair of fingerprint numbers into one int, the first
+#: number shifted past this many bits.  Numbers stay far below ``2**32``:
+#: each one stands for a distinct fingerprint tuple held in memory.
+_PACK_BITS = 32
+
+#: The shared zeros, one per sign (see :meth:`ModulePairScoreCache._shared`).
+_ZERO = 0.0
+_NEGATIVE_ZERO = -0.0
+
 
 def config_signature(config: ModuleComparisonConfig) -> str | None:
     """A process-independent identity string of a comparison configuration.
@@ -125,7 +151,10 @@ class ModulePairScoreCache:
         "warm_hits",
         "_attributes",
         "_rules",
+        "_numbers",
+        "_tuples",
         "_scores",
+        "_values",
         "_fingerprints",
         "_bits",
         "_masks",
@@ -150,27 +179,42 @@ class ModulePairScoreCache:
             )
         else:
             self.single_levenshtein = None
-        self._scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-        self._fingerprints: dict[int, tuple[ModuleProfile, tuple[str, ...]]] = {}
+        # The number of each distinct fingerprint, and the fingerprint of
+        # each number.  Numbers are never reused, not even by clear().
+        self._numbers: dict[tuple[str, ...], int] = {}
+        self._tuples: list[tuple[str, ...]] = []
+        # Exact scores, {number_a: {number_b: score}}; a symmetric
+        # configuration keeps each pair once, the smaller number first.
+        self._scores: dict[int, dict[int, float]] = {}
+        # The one float object of each distinct score (zeros and NaN
+        # aside, see _shared).
+        self._values: dict[float, float] = {}
+        self._fingerprints: dict[int, tuple[ModuleProfile, int]] = {}
         # The bit numbered for each (character, occurrence index) seen so
         # far, and the mask of each distinct string over those bits.
         self._bits: dict[tuple[str, int], int] = {}
         self._masks: dict[str, int] = {}
-        # Keys loaded from a persistent store; hits against them are
-        # counted separately so diagnostics can show warm-start reuse.
-        self._warm: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-        # How many of the first (insertion-ordered) ``_scores`` entries
-        # are on the attached store's disk.  ``_scores`` only grows until
-        # clear(), so everything after this mark is unpersisted.
-        self._persisted = 0
+        # Packed keys (see _PACK_BITS) of the entries loaded from a
+        # persistent store; hits against them are counted separately so
+        # diagnostics can show warm-start reuse.
+        self._warm: set[int] = set()
+        # Per row, how many of its first (insertion-ordered) entries are
+        # on the attached store's disk.  Rows only grow until clear(), so
+        # everything after a row's count is unpersisted.
+        self._persisted: dict[int, int] = {}
         self.hits = 0
         self.misses = 0
         self.warm_hits = 0
 
     # -- keys ----------------------------------------------------------------
 
-    def fingerprint(self, profile: ModuleProfile) -> tuple[str, ...]:
-        """The interned attribute values this configuration compares."""
+    def fingerprint(self, profile: ModuleProfile) -> int:
+        """The number of the attribute values this configuration compares.
+
+        Profiles with equal values share a number, given the first time
+        the values are seen; it names them for the life of the cache, so
+        the pair methods below take numbers, and callers may keep them.
+        """
         entry = self._fingerprints.get(id(profile))
         # The stored profile reference keeps the id alive *and* guards
         # against recycled ids from profiles created after a store
@@ -179,15 +223,43 @@ class ModulePairScoreCache:
             return entry[1]
         values = profile.values
         fingerprint = tuple(values[name] for name in self._attributes)
-        self._fingerprints[id(profile)] = (profile, fingerprint)
-        return fingerprint
+        number = self._numbers.get(fingerprint)
+        if number is None:
+            number = self._number(fingerprint)
+        self._fingerprints[id(profile)] = (profile, number)
+        return number
 
-    def _key(
-        self, fingerprint_a: tuple[str, ...], fingerprint_b: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def _number(self, fingerprint: tuple[str, ...]) -> int:
+        """Give a fingerprint that has no number the next one."""
+        number = self._numbers[fingerprint] = len(self._tuples)
+        self._tuples.append(fingerprint)
+        return number
+
+    def _shared(self, value: float) -> float:
+        """``value`` as the one float object this cache keeps for its bits.
+
+        Zeros and NaN are never looked up by value: ``0.0 == -0.0``
+        though their signs differ, so each zero maps to the constant of
+        its sign; and NaN equals nothing, so it is kept as it comes.
+        """
+        if value == 0.0:
+            return _ZERO if copysign(1.0, value) > 0.0 else _NEGATIVE_ZERO
+        if value != value:
+            return value
+        return self._values.setdefault(value, value)
+
+    def _add(self, fingerprint_a: int, fingerprint_b: int, value: float) -> bool:
+        """Store an exact score unless the pair already has one; returns
+        whether it was stored."""
         if self.symmetric and fingerprint_b < fingerprint_a:
-            return (fingerprint_b, fingerprint_a)
-        return (fingerprint_a, fingerprint_b)
+            fingerprint_a, fingerprint_b = fingerprint_b, fingerprint_a
+        row = self._scores.get(fingerprint_a)
+        if row is None:
+            row = self._scores[fingerprint_a] = {}
+        elif fingerprint_b in row:
+            return False
+        row[fingerprint_b] = self._shared(value)
+        return True
 
     def char_mask(self, value: str) -> int:
         """The characters of ``value`` as a bit mask, memoised per string.
@@ -220,29 +292,30 @@ class ModulePairScoreCache:
     def pair_score(
         self,
         profile_a: ModuleProfile,
-        fingerprint_a: tuple[str, ...],
+        fingerprint_a: int,
         profile_b: ModuleProfile,
-        fingerprint_b: tuple[str, ...],
+        fingerprint_b: int,
     ) -> float:
         """:meth:`score` for callers that hold both fingerprints."""
         value = self.exact_score(fingerprint_a, fingerprint_b)
         if value is None:
             self.misses += 1
-            value = self._scores[self._key(fingerprint_a, fingerprint_b)] = self._compute(
-                profile_a, profile_b
-            )
+            value = self._compute(profile_a, profile_b)
+            self._add(fingerprint_a, fingerprint_b, value)
         return value
 
-    def exact_score(
-        self, fingerprint_a: tuple[str, ...], fingerprint_b: tuple[str, ...]
-    ) -> float | None:
+    def exact_score(self, fingerprint_a: int, fingerprint_b: int) -> float | None:
         """The cached exact score of a pair, counted as a hit; ``None`` if
         no exact score is cached (nothing is counted then)."""
-        key = self._key(fingerprint_a, fingerprint_b)
-        value = self._scores.get(key)
+        if self.symmetric and fingerprint_b < fingerprint_a:
+            fingerprint_a, fingerprint_b = fingerprint_b, fingerprint_a
+        row = self._scores.get(fingerprint_a)
+        if row is None:
+            return None
+        value = row.get(fingerprint_b)
         if value is not None:
             self.hits += 1
-            if self._warm and key in self._warm:
+            if self._warm and (fingerprint_a << _PACK_BITS | fingerprint_b) in self._warm:
                 self.warm_hits += 1
         return value
 
@@ -332,9 +405,9 @@ class ModulePairScoreCache:
     def pair_bound(
         self,
         profile_a: ModuleProfile,
-        fingerprint_a: tuple[str, ...],
+        fingerprint_a: int,
         profile_b: ModuleProfile,
-        fingerprint_b: tuple[str, ...],
+        fingerprint_b: int,
     ) -> tuple[float, bool]:
         """:meth:`upper_bound` for callers that hold both fingerprints."""
         value = self.exact_score(fingerprint_a, fingerprint_b)
@@ -374,15 +447,15 @@ class ModulePairScoreCache:
             # The bound pass happened to be an exact evaluation (e.g. the
             # ``plm`` exact-match configuration) — promote it to a hit.
             self.misses += 1
-            self._scores[self._key(fingerprint_a, fingerprint_b)] = value
+            self._add(fingerprint_a, fingerprint_b, value)
         return value, all_exact
 
     def score_from_levenshtein(
         self,
         profile_a: ModuleProfile,
-        fingerprint_a: tuple[str, ...],
+        fingerprint_a: int,
         profile_b: ModuleProfile,
-        fingerprint_b: tuple[str, ...],
+        fingerprint_b: int,
         similarity: float,
         *,
         exact: bool,
@@ -402,11 +475,8 @@ class ModulePairScoreCache:
         if rule.skip_if_both_empty and not value_a and not value_b:
             return 0.0
         value = (similarity * rule.weight) / rule.weight
-        if exact:
-            key = self._key(fingerprint_a, fingerprint_b)
-            if key not in self._scores:
-                self.misses += 1
-                self._scores[key] = value
+        if exact and self._add(fingerprint_a, fingerprint_b, value):
+            self.misses += 1
         return value
 
     # -- persistence ---------------------------------------------------------
@@ -420,38 +490,56 @@ class ModulePairScoreCache:
     def persistable(self) -> bool:
         return self.signature is not None
 
-    def entries(self) -> "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]":
+    def entries(self) -> "Iterator[tuple[tuple[str, ...], tuple[str, ...], float]]":
         """Every exact score as ``(fingerprint_a, fingerprint_b, score)``.
 
-        Only exact scores are kept, so only they are exported.
+        The fingerprints are tuples again, a symmetric pair in tuple
+        order, as the store keys its rows.  Only exact scores are kept,
+        so only they are exported.
         """
-        for (fingerprint_a, fingerprint_b), value in self._scores.items():
-            yield fingerprint_a, fingerprint_b, value
+        for number_a, row in self._scores.items():
+            yield from self._export(number_a, row.items())
 
-    def new_entries(
-        self, end: int | None = None
-    ) -> "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]":
+    def new_entries(self) -> "Iterator[tuple[tuple[str, ...], tuple[str, ...], float]]":
         """Like :meth:`entries`, but only what the attached store lacks.
 
-        Yields the entries stored since the last :meth:`mark_persisted`
-        (up to the ``end``-th entry), minus warm-loaded keys: those came
-        out of the attached store, and writing them back — or rewriting
-        entries an earlier persist already wrote — is pure write
-        amplification.
+        Yields the entries stored since the last :meth:`mark_persisted`,
+        minus warm-loaded keys: those came out of the attached store,
+        and writing them back — or rewriting entries an earlier persist
+        already wrote — is pure write amplification.
         """
         warm = self._warm
-        for key, value in islice(self._scores.items(), self._persisted, end):
-            if key not in warm:
-                yield key[0], key[1], value
+        persisted = self._persisted
+        for number_a, row in self._scores.items():
+            start = persisted.get(number_a, 0)
+            if start == len(row):
+                continue
+            pairs = islice(row.items(), start, None)
+            if warm:
+                pairs = (pair for pair in pairs if (number_a << _PACK_BITS | pair[0]) not in warm)
+            yield from self._export(number_a, pairs)
 
-    def mark_persisted(self, end: int) -> None:
-        """Record that the first ``end`` entries are on the store's disk.
+    def _export(
+        self, number_a: int, pairs: "Iterable[tuple[int, float]]"
+    ) -> "Iterator[tuple[tuple[str, ...], tuple[str, ...], float]]":
+        tuples = self._tuples
+        fingerprint_a = tuples[number_a]
+        for number_b, value in pairs:
+            fingerprint_b = tuples[number_b]
+            if self.symmetric and fingerprint_b < fingerprint_a:
+                yield fingerprint_b, fingerprint_a, value
+            else:
+                yield fingerprint_a, fingerprint_b, value
 
-        Call only after the save of :meth:`new_entries` ``(end)``
-        committed: a save that rolled back leaves the mark where it was,
-        so the next persist writes those entries again.
+    def mark_persisted(self) -> None:
+        """Record that every entry is on the store's disk.
+
+        Call right after the save of :meth:`new_entries` committed, with
+        nothing scored in between (the save reads all its entries before
+        it writes).  A save that rolled back leaves the marks where they
+        were, so the next persist writes those entries again.
         """
-        self._persisted = end
+        self._persisted = {number_a: len(row) for number_a, row in self._scores.items()}
 
     def reset_warm(self) -> None:
         """Forget which entries were warm-loaded or persisted (scores are kept).
@@ -462,7 +550,7 @@ class ModulePairScoreCache:
         persist.  The cumulative :attr:`warm_hits` counter is preserved.
         """
         self._warm.clear()
-        self._persisted = 0
+        self._persisted = {}
 
     def load_entries(
         self, entries: "Iterable[tuple[tuple[str, ...], tuple[str, ...], float]]"
@@ -470,29 +558,27 @@ class ModulePairScoreCache:
         """Warm-start the score table from persisted entries.
 
         Entries must come from a cache with the same
-        :attr:`signature` — their keys are already canonical for this
-        configuration's symmetry.  Values already computed in this
-        process are never overwritten (they are bit-identical anyway).
+        :attr:`signature`.  Values already computed in this process are
+        never overwritten (they are bit-identical anyway).  A fingerprint
+        seen for the first time is numbered once, its parts interned.
         Returns the number of entries loaded; hits served from them are
         counted on :attr:`warm_hits`.
         """
         loaded = 0
-        scores = self._scores
-        # Each distinct fingerprint recurs across many rows; every key
-        # holding it shares one interned tuple.
-        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-        def canonical(fingerprint: tuple[str, ...]) -> tuple[str, ...]:
-            interned = shared.get(fingerprint)
-            if interned is None:
-                interned = shared[fingerprint] = tuple(intern(part) for part in fingerprint)
-            return interned
-
+        numbers = self._numbers
+        symmetric = self.symmetric
+        warm = self._warm
         for fingerprint_a, fingerprint_b, value in entries:
-            key = (canonical(fingerprint_a), canonical(fingerprint_b))
-            if key not in scores:
-                scores[key] = value
-                self._warm.add(key)
+            number_a = numbers.get(fingerprint_a)
+            if number_a is None:
+                number_a = self._number(tuple(map(intern, fingerprint_a)))
+            number_b = numbers.get(fingerprint_b)
+            if number_b is None:
+                number_b = self._number(tuple(map(intern, fingerprint_b)))
+            if symmetric and number_b < number_a:
+                number_a, number_b = number_b, number_a
+            if self._add(number_a, number_b, value):
+                warm.add(number_a << _PACK_BITS | number_b)
                 loaded += 1
         return loaded
 
@@ -500,7 +586,7 @@ class ModulePairScoreCache:
 
     @property
     def size(self) -> int:
-        return len(self._scores)
+        return sum(map(len, self._scores.values()))
 
     @property
     def hit_rate(self) -> float:
@@ -511,10 +597,12 @@ class ModulePairScoreCache:
         """Counters of this cache.
 
         ``entries`` counts exact scores (never evicted; the table lives
-        as long as the cache).  ``hits`` and ``warm_hits`` count
-        lookups served from exact scores: the frontier bounds look up
-        each distinct module pair once per query (their per-query column
-        memo serves every repeat), not once per occurrence.
+        as long as the cache), each one slot of the two-level table of
+        fingerprint numbers; ``warm_entries`` counts those loaded from
+        the attached store.  ``hits`` and ``warm_hits`` count lookups
+        served from exact scores: the frontier bounds look up each
+        distinct module pair once per query (their per-query column memo
+        serves every repeat), not once per occurrence.
         """
         return {
             "config": self.config.name,
@@ -546,12 +634,15 @@ class ModulePairScoreCache:
         return released
 
     def clear(self) -> None:
+        """Drop every score, memo and counter; keep the fingerprint numbers,
+        which bound summaries held elsewhere may still name."""
         self._scores.clear()
+        self._values.clear()
         self._fingerprints.clear()
         self._bits.clear()
         self._masks.clear()
         self._warm.clear()
-        self._persisted = 0
+        self._persisted = {}
         self.hits = 0
         self.misses = 0
         self.warm_hits = 0

@@ -137,15 +137,17 @@ class AccelerationContext:
         if signature is None:
             return 0
         try:
-            entries = self._store.load_pair_scores(signature)
+            # The rows stream from the store's cursor, so a fault can
+            # surface while they load as well as when the read starts.
+            return cache.load_entries(self._store.load_pair_scores(signature))
         except Exception as error:
             # A corrupted/closed/contended store must slow a query down,
             # never take it down: drop the store, serve cold, and leave
-            # the fault for the service's recovery pass.
+            # the fault for the service's recovery pass.  Entries loaded
+            # before the fault stay cached.
             self.store_fault = error
             self._store = None
             return 0
-        return cache.load_entries(entries)
 
     def persist_scores(self, store) -> int:
         """Write every persistable cache's *new* exact scores to ``store``.
@@ -160,9 +162,8 @@ class AccelerationContext:
         for cache in self._pair_caches.values():
             signature = cache.signature
             if signature is not None:
-                end = cache.size
-                written += store.save_pair_scores(signature, cache.new_entries(end))
-                cache.mark_persisted(end)
+                written += store.save_pair_scores(signature, cache.new_entries())
+                cache.mark_persisted()
         return written
 
     def warm_hits_total(self) -> int:

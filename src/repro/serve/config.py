@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ServeConfig"]
+__all__ = ["ServeConfig", "RETRY_AFTER_SECONDS"]
+
+#: Seconds a ``429`` or a tenant's ``503`` asks the client to wait (its
+#: ``Retry-After``), and how long a tenant that failed to open keeps
+#: failing before the next request opens it again.
+RETRY_AFTER_SECONDS = 1
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class ServeConfig:
     ``persist_on_shutdown`` writes each open tenant's accumulated pair
     scores back to its store while graceful shutdown drains, so the next
     process warm-starts from this one's work.  The ``Retry-After``
-    delay, the drain bound and the body-size limit are constants of
-    :mod:`repro.serve.server`.
+    delay is :data:`RETRY_AFTER_SECONDS`; the drain bound and the
+    body-size limit are constants of :mod:`repro.serve.server`.
 
     ``trace_sample`` is the fraction of requests that record a trace
     (``1.0`` traces everything, ``0.0`` disables tracing entirely — the

@@ -21,12 +21,14 @@ on the tenant's worker thread.  Admission control answers 429 with
 ``Retry-After`` once a tenant's in-flight cap is hit.  The server runs
 no process pool: a policy asking for one (``workers`` above 1) is a
 400.  Error mapping: invalid tenant names and malformed requests (JSON
-nested too deep to decode included) are 400, unknown tenants and
-unknown workflow identifiers 404, tenant stores that are unsalvageably
-corrupt or hold no snapshot 503, engine faults 500 — and a *salvageable*
-store fault never surfaces as an error at all, because the service's
-own quarantine-and-rebuild ladder answers exactly (the response's
-diagnostics carry ``degraded`` instead).
+nested too deep to decode included) are 400, found before the tenant is
+opened; unknown tenants and unknown workflow identifiers 404; tenant
+stores that are unsalvageably corrupt or hold no snapshot 503 with
+``Retry-After`` (the manager opens such a tenant at most once per
+:data:`~repro.serve.config.RETRY_AFTER_SECONDS`); engine faults 500 —
+and a *salvageable* store fault never surfaces as an error at all,
+because the service's own quarantine-and-rebuild ladder answers exactly
+(the response's diagnostics carry ``degraded`` instead).
 
 Malformed HTTP is answered, never dropped: a request or header line
 over the stream limit (64 KiB), a ``Content-Length`` that is not ASCII
@@ -70,14 +72,12 @@ from ..store import StoreCorruptionError
 from ..store.layout import validate_tenant_name
 from .admission import AdmissionController
 from .batcher import MicroBatcher, is_foldable
-from .config import ServeConfig
+from .config import RETRY_AFTER_SECONDS, ServeConfig
 from .metrics import ServingMetrics
 from .tenants import TenantManager, TenantUnavailableError, UnknownTenantError
 
 __all__ = ["SimilarityServer", "run_server", "check_server"]
 
-#: Seconds a ``429`` asks the client to wait (its ``Retry-After``).
-RETRY_AFTER_SECONDS = 1
 #: Seconds graceful shutdown waits for admitted work to finish.
 DRAIN_TIMEOUT_SECONDS = 10.0
 #: Largest request body accepted; a longer ``Content-Length`` is a 413.
@@ -436,8 +436,9 @@ class SimilarityServer:
             return status, payload, {"Retry-After": str(RETRY_AFTER_SECONDS)}
         degraded = False
         try:
-            runtime = await self.tenants.get(tenant)
+            # A malformed body is the client's 400 before any tenant open.
             request = _decode_request(operation, body)
+            runtime = await self.tenants.get(tenant)
             status, payload, extra = 200, None, None
             if operation == "search":
                 result = await self._run_search(runtime, request)
@@ -459,7 +460,10 @@ class SimilarityServer:
             status, payload, extra = error.status, {"error": str(error)}, None
         except UnknownTenantError as error:
             status, payload, extra = 404, {"error": str(error)}, None
-        except (TenantUnavailableError, StoreCorruptionError) as error:
+        except TenantUnavailableError as error:
+            status, payload = 503, {"error": str(error)}
+            extra = {"Retry-After": str(RETRY_AFTER_SECONDS)}
+        except StoreCorruptionError as error:
             status, payload, extra = 503, {"error": str(error)}, None
         except (json.JSONDecodeError, ValueError, TypeError, KeyError) as error:
             status, payload, extra = (

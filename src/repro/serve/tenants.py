@@ -21,7 +21,10 @@ quarantine directory, everything.  Two properties drive the design:
   response's diagnostics say so), an unsalvageable one, or one that
   holds no snapshot, raises :exc:`TenantUnavailableError` for *this*
   tenant only — other tenants' directories are untouched by
-  construction.
+  construction.  The failure is remembered for
+  :data:`~repro.serve.config.RETRY_AFTER_SECONDS`: requests inside that
+  window get the same error without opening anything, and the first
+  request after it opens the tenant again.
 
 The manager keeps at most ``max_tenants`` services open, evicting the
 least recently used *idle* tenant (busy tenants are never evicted — the
@@ -37,6 +40,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from time import monotonic
 from typing import Any, Callable
 
 from ..api import SimilarityService
@@ -44,6 +48,7 @@ from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
 from ..store import StoreCorruptionError, tenant_cache_dir, tenant_store_exists
 from ..store.layout import discover_tenants, validate_tenant_name
+from .config import RETRY_AFTER_SECONDS
 
 __all__ = [
     "TenantRuntime",
@@ -94,6 +99,10 @@ class TenantManager:
         self.max_tenants = max_tenants
         self._runtimes: "OrderedDict[str, TenantRuntime]" = OrderedDict()
         self._locks: dict[str, asyncio.Lock] = {}
+        # Per tenant whose last open failed: when it may be opened again,
+        # and the error to answer until then.  Only tenants with a store
+        # on disk get here, so the record is bounded by the root.
+        self._failures: dict[str, tuple[float, str]] = {}
         #: Callable deciding whether a tenant is safe to evict (no work
         #: in flight).  The server wires this to its admission counters.
         self.is_idle: Callable[[str], bool] = lambda name: True
@@ -141,7 +150,15 @@ class TenantManager:
             if runtime is not None:
                 self._runtimes.move_to_end(name)
                 return runtime
-            runtime = await self._open(name)
+            failure = self._failures.get(name)
+            if failure is not None and monotonic() < failure[0]:
+                raise TenantUnavailableError(failure[1])
+            try:
+                runtime = await self._open(name)
+            except TenantUnavailableError as error:
+                self._failures[name] = (monotonic() + RETRY_AFTER_SECONDS, str(error))
+                raise
+            self._failures.pop(name, None)
             self._runtimes[name] = runtime
             self._open_gauge.set(len(self._runtimes))
             await self._evict_over_bound(exclude=name)
@@ -232,3 +249,4 @@ class TenantManager:
         for name, lock in list(self._locks.items()):
             if not lock.locked():
                 del self._locks[name]
+        self._failures.clear()

@@ -80,7 +80,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
@@ -122,6 +122,20 @@ def _rows_sum(row_format: str, rows: Iterable[tuple]) -> int:
         sum(from_bytes(sha256((row_format % row).encode("utf-8")).digest(), "big") for row in rows)
         % _SUM_MODULUS
     )
+
+
+def _decoded_pair_scores(
+    rows: Iterable[tuple[str, str, float]],
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], float]]:
+    decoded: dict[str, tuple[str, ...]] = {}
+    for text_a, text_b, score in rows:
+        fingerprint_a = decoded.get(text_a)
+        if fingerprint_a is None:
+            fingerprint_a = decoded[text_a] = tuple(json.loads(text_a))
+        fingerprint_b = decoded.get(text_b)
+        if fingerprint_b is None:
+            fingerprint_b = decoded[text_b] = tuple(json.loads(text_b))
+        yield fingerprint_a, fingerprint_b, score
 
 
 def _table_sum(cursor: sqlite3.Cursor, table: str) -> int:
@@ -693,17 +707,19 @@ class WorkflowStore:
 
     def load_pair_scores(
         self, config_signature: str
-    ) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
-        """Every persisted score of one configuration."""
+    ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], float]]:
+        """Every persisted score of one configuration, streamed from the cursor.
+
+        The query runs at once; the rows are read as the caller iterates,
+        so a fault can surface there too.  Each distinct fingerprint
+        text is decoded once, and its rows share the one tuple.
+        """
         self._fire("load")
         rows = self.connection.execute(
             "SELECT fp_a, fp_b, score FROM pair_scores WHERE config = ?",
             (config_signature,),
-        ).fetchall()
-        return [
-            (tuple(json.loads(fp_a)), tuple(json.loads(fp_b)), score)
-            for fp_a, fp_b, score in rows
-        ]
+        )
+        return _decoded_pair_scores(rows)
 
     def pair_score_count(self) -> int:
         return self.connection.execute("SELECT COUNT(*) FROM pair_scores").fetchone()[0]

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import random
+import tracemalloc
+from sys import intern
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.configs import get_module_config
@@ -14,6 +20,7 @@ from repro.perf import (
     ProfileStore,
     accelerate_measure,
 )
+from repro.store import WorkflowStore, workflow_store
 from repro.workflow.model import Module
 
 
@@ -172,22 +179,126 @@ class TestPairScoreCache:
         cache.score(profiles[0], profiles[1])
         cache.load_entries([(("warm",), ("loaded",), 0.5)])
         assert len(list(cache.new_entries())) == 1  # warm keys never count
-        cache.mark_persisted(cache.size)
+        cache.mark_persisted()
         assert list(cache.new_entries()) == []
         cache.score(profiles[0], profiles[2])
         assert len(list(cache.new_entries())) == 1
         cache.reset_warm()  # a different store: everything is new again
         assert len(list(cache.new_entries())) == 3
 
-    def test_loaded_keys_share_one_tuple_per_fingerprint(self):
+    def test_stored_fingerprints_are_decoded_and_numbered_once(
+        self, store, tmp_path, monkeypatch
+    ):
+        """A warm load decodes each distinct fingerprint text once, and
+        numbers each fingerprint once: one a live profile already
+        numbered keeps its number."""
+        rows = [(("a",), ("b",), 0.5), (("a",), ("c",), 0.25), (("b",), ("c",), 0.75)]
+        persisted = WorkflowStore(tmp_path)
+        persisted.save_pair_scores("sig", rows)
+        decoded: list[str] = []
+        numbered: list[tuple[str, ...]] = []
+
+        def counting_loads(text):
+            decoded.append(text)
+            return json.loads(text)
+
+        number = ModulePairScoreCache._number
+
+        def counting_number(cache, fingerprint):
+            numbered.append(fingerprint)
+            return number(cache, fingerprint)
+
+        counting_json = SimpleNamespace(loads=counting_loads, dumps=json.dumps)
+        monkeypatch.setattr(workflow_store, "json", counting_json)
+        monkeypatch.setattr(ModulePairScoreCache, "_number", counting_number)
         cache = ModulePairScoreCache(get_module_config("pll"))
-        cache.load_entries(
-            [(("a",), ("b",), 0.5), (("a",), ("c",), 0.25), (("b",), ("c",), 0.75)]
-        )
-        keys = list(cache._scores)
-        assert keys[0][0] is keys[1][0]
-        assert keys[0][1] is keys[2][0]
-        assert keys[1][1] is keys[2][1]
+        # "b" has a number before the load, from a live profile.
+        profile_b = store.module_profile(make_module(label="b"))
+        number_b = cache.fingerprint(profile_b)
+        assert cache.load_entries(persisted.load_pair_scores("sig")) == 3
+        assert sorted(decoded) == ['["a"]', '["b"]', '["c"]']
+        assert numbered == [("b",), ("a",), ("c",)]
+        assert all(part is intern(part) for fingerprint in numbered for part in fingerprint)
+        assert cache.fingerprint(profile_b) == number_b
+        assert sorted(cache.entries()) == sorted(rows)
+        profile_c = store.module_profile(make_module("m2", label="c"))
+        assert cache.score(profile_b, profile_c) == 0.75
+        assert (cache.hits, cache.warm_hits) == (1, 1)
+        # Loading the rows again decodes them again, numbers nothing.
+        assert cache.load_entries(persisted.load_pair_scores("sig")) == 0
+        assert (len(decoded), len(numbered)) == (6, 3)
+        persisted.close()
+
+    def test_entries_cost_a_table_slot_and_a_shared_score(self, store):
+        """50,000 ``pll`` entries over 1,000 fingerprints cost at most 64
+        bytes each (a dict keyed by tuple pairs costs about 130): no key
+        object, no bookkeeping object, one float per distinct score.
+        With every score distinct they cost no more than that dict."""
+        rng = random.Random(7)
+        words = ("get", "pathway", "gene", "blast", "run", "fetch", "seq", "parse", "kegg", "by")
+        labels: set[str] = set()
+        while len(labels) < 1000:
+            parts = rng.choices(words, k=rng.randint(1, 4))
+            labels.add("_".join(parts) + str(rng.randint(0, 99)))
+        profiles = [
+            store.module_profile(make_module(f"m{i}", label=label))
+            for i, label in enumerate(sorted(labels))
+        ]
+        pairs: set[tuple[int, int]] = set()
+        while len(pairs) < 50_000:
+            pairs.add(tuple(sorted(rng.sample(range(1000), 2))))
+        ordered = sorted(pairs)
+        # pll scores are 1 - distance / longest label; drawn, not computed,
+        # so that only the table's allocations are traced.
+        pll_scores = []
+        for i, j in ordered:
+            longest = max(len(profiles[i].values["label"]), len(profiles[j].values["label"]))
+            pll_scores.append(1.0 - rng.randint(1, longest) / longest)
+        distinct_scores = [(k + 1) / 65_536 for k in range(len(ordered))]
+
+        def traced(fill):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = fill()
+                return (tracemalloc.get_traced_memory()[0] - before) / len(ordered), kept
+            finally:
+                tracemalloc.stop()
+
+        def cache_of(scores):
+            cache = ModulePairScoreCache(get_module_config("pll"))
+            numbers = [cache.fingerprint(profile) for profile in profiles]
+
+            def fill():
+                for (i, j), score in zip(ordered, scores):
+                    cache.score_from_levenshtein(
+                        profiles[i], numbers[i], profiles[j], numbers[j], score, exact=True
+                    )
+
+            per_entry, _ = traced(fill)
+            assert cache.size == len(ordered)
+            return cache, per_entry
+
+        cache, per_entry = cache_of(pll_scores)
+        assert per_entry <= 64, per_entry
+        values = [value for _a, _b, value in cache.entries()]
+        assert len({id(value) for value in values}) == len(set(values)) < 1000
+
+        _distinct, per_distinct = cache_of(distinct_scores)
+        tuples = [(profile.values["label"],) for profile in profiles]
+
+        def fill_by_tuple_pairs():
+            return {
+                (tuples[i], tuples[j]) if tuples[i] < tuples[j] else (tuples[j], tuples[i]): (
+                    score * 1.0
+                )
+                / 1.0
+                for (i, j), score in zip(ordered, distinct_scores)
+            }
+
+        per_tuple_pair, by_tuple_pairs = traced(fill_by_tuple_pairs)
+        assert len(by_tuple_pairs) == len(ordered)
+        assert per_distinct <= per_tuple_pair, (per_distinct, per_tuple_pair)
 
     def test_exact_match_config_bound_is_exact(self, store):
         cache = ModulePairScoreCache(get_module_config("plm"))

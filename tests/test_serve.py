@@ -35,6 +35,8 @@ import pytest
 from repro.api import ResultSet, SearchRequest, SimilarityService
 from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.serve import ServeClient, ServeConfig, SimilarityServer
+from repro.serve import tenants as tenants_module
+from repro.serve.config import RETRY_AFTER_SECONDS
 from repro.serve.tenants import TenantManager, UnknownTenantError
 from repro.store import WorkflowStore, discover_tenants, tenant_cache_dir, validate_tenant_name
 from repro.store.workflow_store import STORE_FILENAME
@@ -126,6 +128,19 @@ def record_searches(runtime, *, fail_measure: "str | None" = None) -> list:
 
     runtime.service.search = recording
     return calls
+
+
+def recording_opens(monkeypatch) -> list:
+    """Record the ``cache_dir`` of every ``SimilarityService.open`` call."""
+    opens: list = []
+    open_service = SimilarityService.open
+
+    def recording(*args, **kwargs):
+        opens.append(kwargs.get("cache_dir"))
+        return open_service(*args, **kwargs)
+
+    monkeypatch.setattr(SimilarityService, "open", recording)
+    return opens
 
 
 def has_fold_note(payload) -> bool:
@@ -723,8 +738,10 @@ class TestTenantIsolation:
 
     def test_tenant_store_without_snapshot_is_503(self, tmp_path, monkeypatch):
         """A verified store that holds no snapshot has no corpus to serve:
-        the tenant is unavailable (503, not the client's 400), and each
-        failed open closes the store it opened."""
+        the tenant is unavailable (503 with ``Retry-After``, not the
+        client's 400), each failed open closes the store it opened, and
+        the failure is kept for the retry-after window: a second search
+        inside it opens nothing, a third after it opens the tenant again."""
         root = tmp_path / "empty-root"
         WorkflowStore(root / "t1").close()
         closed = []
@@ -735,21 +752,59 @@ class TestTenantIsolation:
             close(store)
 
         monkeypatch.setattr(WorkflowStore, "close", recording_close)
+        opens = recording_opens(monkeypatch)
 
         async def scenario(server):
             client = ServeClient("127.0.0.1", server.port)
             try:
                 first = await client.post("/v1/t1/search", search_payload("1000", "BW"))
                 second = await client.post("/v1/t1/search", search_payload("1000", "BW"))
+                opens_in_window = len(opens)
+                later = tenants_module.monotonic() + RETRY_AFTER_SECONDS
+                monkeypatch.setattr(tenants_module, "monotonic", lambda: later)
+                third = await client.post("/v1/t1/search", search_payload("1000", "BW"))
             finally:
                 await client.close()
-            return first, second, server.tenants.open_tenants()
+            return first, second, third, opens_in_window, server.tenants.open_tenants()
 
-        (first, _, payload), (second, _, _), open_tenants = run_serve(root, scenario)
-        assert (first, second) == (503, 503), payload
+        first, second, third, opens_in_window, open_tenants = run_serve(root, scenario)
+        for status, headers, payload in (first, second, third):
+            assert status == 503, payload
+            assert headers["retry-after"] == str(RETRY_AFTER_SECONDS)
+        assert second[2]["error"] == first[2]["error"]
+        payload = first[2]
         assert "t1" in payload["error"] and "no persisted repository snapshot" in payload["error"]
         assert open_tenants == []
+        assert opens_in_window == 1
+        assert opens == [root / "t1"] * 2
         assert closed == [root / "t1" / STORE_FILENAME] * 2
+
+    def test_malformed_body_is_400_before_any_tenant_open(self, serve_root, tmp_path, monkeypatch):
+        """The body is decoded before the tenant is opened: a malformed
+        one costs no open, and is the client's 400 whatever the tenant's
+        state (not yet open, unusable, or unknown)."""
+        root = tmp_path / "decode-root"
+        shutil.copytree(serve_root / "alpha", root / "alpha")
+        WorkflowStore(root / "t1").close()
+        opens = recording_opens(monkeypatch)
+
+        async def scenario(server):
+            client = ServeClient("127.0.0.1", server.port)
+            try:
+                answers = [
+                    await client.post(f"/v1/{tenant}/search", {"measure": "BW"})
+                    for tenant in ("alpha", "t1", "ghost")
+                ]
+            finally:
+                await client.close()
+            return answers, server.tenants.open_tenants()
+
+        answers, open_tenants = run_serve(root, scenario)
+        for status, _headers, payload in answers:
+            assert status == 400, payload
+            assert payload["error"].startswith("bad request: ValueError: measure must be"), payload
+        assert open_tenants == []
+        assert opens == []
 
 
 # -- admission control -------------------------------------------------------

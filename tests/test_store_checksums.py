@@ -177,9 +177,9 @@ class TestIncrementalSums:
             "sig", [(("a",), ("b",), 0.5), (("a",), ("b",), 0.75)]
         )
         assert written == 1
-        assert store.load_pair_scores("sig") == [(("a",), ("b",), 0.75)]
+        assert list(store.load_pair_scores("sig")) == [(("a",), ("b",), 0.75)]
         assert store.save_pair_scores("sig", [(("a",), ("b",), 0.125)]) == 1
-        assert store.load_pair_scores("sig") == [(("a",), ("b",), 0.125)]
+        assert list(store.load_pair_scores("sig")) == [(("a",), ("b",), 0.125)]
         assert store.save_pair_scores("sig", []) == 0
         assert_sums_exact(store)
         store.close()

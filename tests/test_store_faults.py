@@ -23,7 +23,7 @@ from repro.api import (
     SimilarityService,
 )
 from repro.repository import SimilaritySearchEngine, WorkflowRepository
-from repro.store import FaultInjector, RetryPolicy, corpus_fingerprint
+from repro.store import FaultInjector, RetryPolicy, corpus_fingerprint, workflow_store
 
 MEASURE = "MS_ip_te_pll"
 
@@ -99,6 +99,41 @@ class TestStoreFaultsMidQuery:
         assert service.store.verify().ok
         assert service.store_trusted
         # Recovery is complete: the next request is clean and warm again.
+        follow_up = service.search(auto_request(query_ids))
+        assert follow_up == reference
+        assert not follow_up.diagnostics.degraded
+        service.close()
+
+    def test_fault_while_scores_stream_degrades_quarantines_and_rebuilds(
+        self, warm_cache, query_ids, reference, monkeypatch
+    ):
+        """Pair scores stream from the store's cursor into the cache, so a
+        fault can surface after some rows loaded: the warm load still
+        parks it, the store is quarantined and rebuilt, and the answer
+        and the scores loaded before the fault stay exact."""
+        decoded = workflow_store._decoded_pair_scores
+
+        def faulting(rows):
+            for number, row in enumerate(decoded(rows)):
+                if number == 3:
+                    raise sqlite3.DatabaseError("database disk image is malformed")
+                yield row
+
+        monkeypatch.setattr(workflow_store, "_decoded_pair_scores", faulting)
+        service = SimilarityService.open(cache_dir=warm_cache)
+        result = service.search(auto_request(query_ids))
+        monkeypatch.undo()
+
+        assert result == reference
+        assert result.diagnostics.degraded
+        assert "store fault (database disk image is malformed)" in (
+            result.diagnostics.degradation_reason
+        )
+        assert any((warm_cache / "quarantine").iterdir())
+        assert service.store is not None and service.store.verify().ok
+        # The three rows loaded before the fault count as new for the
+        # rebuilt store, which receives them on the next persist.
+        assert service.persist()["pair_scores"] == service.context.cache_stats()[0]["entries"]
         follow_up = service.search(auto_request(query_ids))
         assert follow_up == reference
         assert not follow_up.diagnostics.degraded

@@ -9,11 +9,16 @@ start actually happened (``cache_warm_hits > 0``).
 
 from __future__ import annotations
 
+import hashlib
+import sqlite3
+
 import pytest
 
 from repro.api import ExecutionPolicy, SearchRequest, SimilarityService
+from repro.corpus.generator import CorpusSpec, generate_myexperiment_corpus
 from repro.repository import WorkflowRepository
 from repro.store import FaultInjector, RetryPolicy, WorkflowStore, corpus_fingerprint
+from repro.store.workflow_store import STORE_FILENAME
 from repro.workflow.serialization import workflow_to_dict
 
 
@@ -164,8 +169,40 @@ class TestStoreRoundTrips:
         assert store.save_pair_scores("sig", entries) == 3
         restored = sorted(store.load_pair_scores("sig"))
         assert restored == sorted(entries)  # float equality: bit-exact
-        assert store.load_pair_scores("other") == []
+        assert list(store.load_pair_scores("other")) == []
         assert store.pair_score_count() == 3
+
+    def test_pair_score_rows_are_pinned(self, cache_dir):
+        """The ``pair_scores`` rows a fixed run writes are pinned: their
+        sorted text and the table's row sum.  Pair caches number their
+        fingerprints in memory only; on disk a symmetric pair is keyed by
+        its fingerprint tuples in tuple order and a score by the text of
+        its float.  Turning a pair around or changing that text would
+        need a ``SCHEMA_VERSION`` bump, and so would a change to which
+        pairs the searches score exactly."""
+        corpus = generate_myexperiment_corpus(CorpusSpec(workflow_count=120, seed=3))
+        ids = corpus.repository.identifiers()
+        service = SimilarityService(corpus.repository, cache_dir=cache_dir)
+        for measure in ("MS_ip_te_pll", "MS_np_ta_pw0", "PS_ip_te_pll"):
+            service.search(SearchRequest(measure=measure, queries=ids[:6], k=10))
+        service.persist()
+        service.search(ms_request(ids[6:10]))
+        service.persist()
+        service.close()
+        connection = sqlite3.connect(cache_dir / STORE_FILENAME)
+        try:
+            rows = sorted(connection.execute("SELECT config, fp_a, fp_b, score FROM pair_scores"))
+            (row_sum,) = connection.execute(
+                "SELECT value FROM meta WHERE key = 'rowsum:pair_scores'"
+            ).fetchone()
+        finally:
+            connection.close()
+        text = "\n".join("\x1f".join(map(repr, row)) for row in rows)
+        assert len(rows) == 11_647
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "149932e79746c0754ab47294627eb857133b8d519451b7b30528177d943d23c8"
+        )
+        assert row_sum == "19fc9a579bf42dcecfba579a4495dd4a1a57977aed40319f23703af788227ad9"
 
     def test_remove_workflow_row(self, small_corpus, cache_dir):
         repository = fresh_repository(small_corpus.repository.workflows()[:5])
