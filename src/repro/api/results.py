@@ -107,12 +107,13 @@ class ExecutionDiagnostics:
     policy's workers could not be used, ``notes`` says why (e.g. the
     request was not pool-eligible or no pool could be created).
 
-    ``prune`` carries the top-k kernel's counters
+    ``prune`` carries the top-k counters
     (:class:`~repro.perf.engine.PruneStats`, summed over the queries) on
     the ``pruned``, ``cached`` and ``sql-indexed`` paths.  On
-    ``sql-indexed`` the exact ``BW``/``BT`` bound ends each scan after
-    ``min(k, corpus - 1)`` exact comparisons; the other candidates count
-    as pruned under the bound's name.
+    ``sql-indexed`` SQLite scores every admitted candidate, so
+    ``exact_comparisons`` equals ``index_candidates``; the other
+    candidates (``corpus - 1`` per query in all) score exactly 0.0 and
+    count as pruned under the bound's name.
     ``index_candidates`` counts the candidates admitted by the store's
     postings across the request's queries (``None`` off the
     ``sql-indexed`` path); on a preselected search it is at most

@@ -7,19 +7,20 @@ caller never picks an engine method or manages an
 :class:`~repro.perf.engine.AccelerationContext`: the service owns the
 context (bound to the repository's profile store) and routes every
 request down one ordered list of tiers, each bit-identical to the
-sequential reference scan.  A search tries candidate admission over the
-store's token postings where the measure's
-:class:`~repro.perf.bounds.CertifiedBound` names a postings field
-(``BW``/``BT``), then the process pool when the policy grants workers,
-then the in-process batch — frontier-pruned top-k for every measure
-with a pruning bound (``MS``, ``PS``, fully certified ensembles), a
-cached full scan otherwise — and last the sequential scan.  Every fast
-search ranks through one kernel,
-:func:`~repro.perf.engine.bounded_top_k`: the admission tier hands it
-the whole pool, the measure's exact bound and the ids SQL admitted, so
-every other candidate is bounded by 0.0 and only ``k`` candidates are
-scored.  Pairwise scoring (and clustering, built on it) tries the pool,
-then the cached scan, then the sequential scan.
+sequential reference scan.  A search tries the store's token postings
+where the measure's :class:`~repro.perf.bounds.CertifiedBound` names a
+postings field (``BW``/``BT``), then the process pool when the policy
+grants workers, then the in-process batch — frontier-pruned top-k for
+every measure with a pruning bound (``MS``, ``PS``, fully certified
+ensembles), a cached full scan otherwise — and last the sequential
+scan.  The postings tier ranks inside SQLite: one statement per query
+admits, scores and orders the candidates from integer token counts
+(:meth:`~repro.store.SqlAdmissionPlanner.top_k`), the candidates it
+does not admit score exactly 0.0 and fill a short answer in pool
+order, and no candidate is scored in Python.  Every other fast search
+ranks through one kernel, :func:`~repro.perf.engine.bounded_top_k`.
+Pairwise scoring (and clustering, built on it) tries the pool, then the
+cached scan, then the sequential scan.
 A request's :class:`~repro.api.requests.ExecutionPolicy` chooses only the
 mode (``auto`` or ``sequential``) and how many pool workers ``auto`` may
 use; the store and its lock-retry schedule belong to the service.
@@ -67,12 +68,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..core.framework import SimilarityFramework
+from ..core.framework import RankedWorkflow, SimilarityFramework
 from ..core.registry import all_configuration_names
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
 from ..perf.bounds import CertifiedBound, find_bound, find_frontier_bound
-from ..perf.engine import AccelerationContext, PruneStats, bounded_top_k
+from ..perf.engine import AccelerationContext, PruneStats
+# Not called here: every fast ranking but the SQL one runs inside the
+# engine.  perfbench's traced runs wrap this module attribute by name.
+from ..perf.engine import bounded_top_k  # noqa: F401
 from ..repository.repository import RepositoryStatistics, WorkflowRepository
 from ..repository.search import SearchResultList, SimilaritySearchEngine
 from ..store import (
@@ -541,26 +545,40 @@ class SimilarityService:
 
         def indexed(stage) -> _Answer:
             planner = SqlAdmissionPlanner(self.store)
-            instance = engine._accelerated_measure(measure_name)
-            pool = self.repository.workflows()
+            field, name, repository = admission.postings, admission.measure.name, self.repository
+            others = len(repository) - 1
             stats = PruneStats()
             results: list[SearchResultList] = []
             total = 0
             for query in query_list:
-                tokens = InvertedAnnotationIndex.workflow_tokens(admission.postings, query)
-                admitted = planner.admitted(admission.postings, tokens)
-                admitted.discard(query.identifier)
-                total += len(admitted)
-                ranked = bounded_top_k(
-                    query, pool, instance, self.context,
-                    k=k, stats=stats, bound=admission, admitted=admitted,
-                )
-                results.append(engine._result_list(query.identifier, instance.name, ranked))
+                tokens = InvertedAnnotationIndex.workflow_tokens(field, query)
+                rows, admitted = planner.top_k(field, tokens, exclude=query.identifier, k=k)
+                ranked = [
+                    RankedWorkflow(self._stored_member(identifier), score, rank)
+                    for rank, (identifier, score) in enumerate(rows, start=1)
+                ]
+                if len(ranked) < k:
+                    # Every admitted candidate is ranked; the rest score
+                    # exactly 0.0 and follow in pool order.
+                    skip = {identifier for identifier, _score in rows}
+                    skip.add(query.identifier)
+                    for workflow in repository:
+                        if len(ranked) == k:
+                            break
+                        if workflow.identifier not in skip:
+                            ranked.append(RankedWorkflow(workflow, 0.0, len(ranked) + 1))
+                total += admitted
+                stats.candidates += others
+                stats.exact_comparisons += admitted
+                stats.count_prune(admission.name, refined=False, count=others - admitted)
+                results.append(engine._result_list(query.identifier, name, ranked))
             stage.set_attribute("candidates", total)
             return _Answer(
                 results,
                 "sql-indexed",
-                notes=(f"candidates admitted by bound {admission.name!r} (sql pushdown)",),
+                notes=(
+                    f"candidates admitted and scored in SQL by bound {admission.name!r} (sql pushdown)",
+                ),
                 prune=stats.as_dict(),
                 index_candidates=total,
             )
@@ -930,6 +948,23 @@ class SimilarityService:
             {"event": event, "fault": repr(fault), "quarantine": str(quarantine_dir)}
         )
         return event
+
+    def _stored_member(self, identifier: str) -> Workflow:
+        """The live workflow that a ranked store row names.
+
+        A row the live corpus lacks was written by another handle, so the
+        store no longer describes the corpus: it loses its trust (and
+        with it the SQL tier) until :meth:`persist` or :meth:`build_index`,
+        and the request falls to the next tier.
+        """
+        try:
+            return self.repository.get(identifier)
+        except KeyError:
+            self._store_trusted = False
+            raise LookupError(
+                f"store row {identifier!r} is not in the live corpus; "
+                "store no longer trusted until persist() or build_index()"
+            ) from None
 
     def _sql_admission_ready(self) -> bool:
         """Whether a trusted, indexed store can answer admission in SQL."""

@@ -30,14 +30,15 @@ Registered bounds:
 * :class:`BagOfWordsBound` / :class:`BagOfTagsBound` — ``BW``/``BT``:
   the bag-overlap similarity itself (exact, hence trivially an upper
   bound).  They do not *prune* a whole pool — a frontier scan would
-  just compute the exact score twice — but they compose into ensembles,
-  and each names the store ``postings`` field (:attr:`CertifiedBound.postings`)
-  whose token union holds every candidate that can score above 0.0.
-  The sql-indexed search passes the bound with the ids SQL admits from
-  those postings, so every other candidate is bounded by 0.0 and the
-  top-k scores only ``k`` candidates.  Ensembles name no field: a
-  member applicable to only some candidates shifts the ensemble
-  denominator, so one member's zero certifies nothing about the mean.
+  just compute the exact score twice — but they compose into ensembles.
+  For the configurations whose tokens the store's postings hold (the
+  default ones), each names the ``postings`` field
+  (:attr:`CertifiedBound.postings`) whose token union holds every
+  candidate that can score above 0.0: the sql-indexed search then ranks
+  in SQLite from that field's counts and scores nothing in Python.
+  Ensembles name no field: a member applicable to only some candidates
+  shifts the ensemble denominator, so one member's zero certifies
+  nothing about the mean.
 
 ``MS`` and ``PS`` read their module-pair bounds through one per-query
 *column memo*.  Under a module-local preselection, a candidate module's
@@ -188,9 +189,12 @@ class CertifiedBound:
     prunes: bool = True
     #: The store's ``postings`` field whose token union certifies every
     #: candidate outside it to score exactly 0.0, or ``None``.  Only the
-    #: bag-overlap bounds name one: for them a score is positive iff the
-    #: token sets intersect, so the SQL-admitted search ranks with the
-    #: bound and the admitted ids (see :func:`repro.perf.engine.bounded_top_k`).
+    #: bag-overlap bounds name one, and only for a measure that reads its
+    #: tokens as :meth:`InvertedAnnotationIndex.workflow_tokens
+    #: <repro.store.inverted_index.InvertedAnnotationIndex.workflow_tokens>`
+    #: wrote them: a score is then positive iff the token sets intersect,
+    #: and a function of the counts the postings hold, so the sql-indexed
+    #: search ranks in SQLite (see :class:`repro.store.SqlAdmissionPlanner`).
     postings: str | None = None
 
     def __init__(self, measure: WorkflowSimilarityMeasure, context) -> None:
@@ -571,13 +575,20 @@ class BagOfWordsBound(CertifiedBound):
 
     Exact bounds do not *prune* a whole pool — a frontier scan over them
     would pay the full score for every candidate — but they make ``BW``
-    a valid ensemble component, and with the ``text`` postings' admitted
-    ids the top-k scores only ``k`` candidates exactly.
+    a valid ensemble component, and for the default measure (title and
+    description) they name the ``text`` postings, from which SQLite ranks
+    its searches.
     """
 
     name = "bw-token-bag"
     prunes = False
-    postings = "text"
+
+    def __init__(self, measure: BagOfWordsSimilarity, context) -> None:
+        super().__init__(measure, context)
+        # The ``text`` postings hold title-and-description tokens; a
+        # measure that reads only one of the two is not scored from them.
+        if measure.use_title and measure.use_description:
+            self.postings = "text"
 
     @classmethod
     def certifies(cls, measure: WorkflowSimilarityMeasure) -> bool:
@@ -591,11 +602,18 @@ class BagOfWordsBound(CertifiedBound):
 
 
 class BagOfTagsBound(CertifiedBound):
-    """``BT``: the exact bag-overlap score over the tag sets."""
+    """``BT``: the exact bag-overlap score over the tag sets; for raw tags
+    (the paper's default) it names the ``tags`` postings."""
 
     name = "bt-tag-bag"
     prunes = False
-    postings = "tags"
+
+    def __init__(self, measure: BagOfTagsSimilarity, context) -> None:
+        super().__init__(measure, context)
+        # The ``tags`` postings hold the raw tags; lowercased tags would
+        # admit too few candidates from them.
+        if not measure.lowercase:
+            self.postings = "tags"
 
     @classmethod
     def certifies(cls, measure: WorkflowSimilarityMeasure) -> bool:

@@ -15,9 +15,8 @@ Two cooperating layers, both exact (no score changes):
   replacement for :meth:`SimilarityFramework.top_k
   <repro.core.framework.SimilarityFramework.top_k>` for every measure.
   With a :class:`~repro.perf.bounds.CertifiedBound` (the pruning bounds
-  of ``MS``, ``PS`` and fully certified ensembles, or the exact
-  ``BW``/``BT`` bounds the SQL-admitted search passes together with its
-  admitted ids) it bounds every candidate, verifies candidates
+  of ``MS``, ``PS`` and fully certified ensembles) it bounds every
+  candidate, verifies candidates
   best-first (descending *certified upper bound*, ties in pool order)
   against the current top-k frontier, and stops at the first candidate
   whose bound cannot reach the k-th entry; candidates before that point
@@ -28,14 +27,16 @@ Two cooperating layers, both exact (no score changes):
   measure itself performs, so selected scores, tie-breaks and ranks
   match the sequential scan exactly.  Without a bound it scores every
   candidate in pool order.  The bound machinery itself lives in
-  :mod:`repro.perf.bounds`.
+  :mod:`repro.perf.bounds`.  ``BW``/``BT`` searches over an indexed
+  store do not come here: SQLite ranks them
+  (:meth:`repro.store.SqlAdmissionPlanner.top_k`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 from ..core.base import WorkflowSimilarityMeasure
 from ..core.ensemble import MeanEnsemble
@@ -43,7 +44,7 @@ from ..core.framework import RankedWorkflow
 from ..core.module_similarity import ModuleComparator, ModuleComparisonConfig
 from ..core.topological import StructuralMeasure
 from ..workflow.model import Module, Workflow
-from .bounds import CertifiedBound, find_frontier_bound
+from .bounds import find_frontier_bound
 from .cache import ModulePairScoreCache
 from .profiles import ProfileStore
 
@@ -339,8 +340,6 @@ def bounded_top_k(
     *,
     k: int = 10,
     stats: PruneStats | None = None,
-    bound: CertifiedBound | None = None,
-    admitted: AbstractSet[str] | None = None,
 ) -> list[RankedWorkflow]:
     """Exact top-k with best-first certified-bound frontier pruning.
 
@@ -358,20 +357,12 @@ def bounded_top_k(
     itself, so returned scores, ranks and tie-breaks are the sequential
     scan's, bit for bit.  Without a pruning bound every candidate is
     scored, in pool order, which is :meth:`SimilarityFramework.top_k`.
-
-    ``bound`` defaults to the measure's pruning bound.  With ``admitted``
-    (an id set certified to hold every candidate that can score above
-    0.0, such as a token-postings union) a candidate outside it is
-    bounded by 0.0 without a summary: its refinement receives ``None``,
-    so admission suits bounds that do not refine, such as the exact
-    ``BW``/``BT`` bounds.
     """
     if stats is None:
         stats = PruneStats()
     if k <= 0:
         return []
-    if bound is None:
-        bound = find_frontier_bound(measure, context)
+    bound = find_frontier_bound(measure, context)
 
     # (-bound, position, candidate, summary); positions are unique, so
     # sorting never compares past the position.
@@ -383,7 +374,7 @@ def bounded_top_k(
     for position, candidate in enumerate(pool):
         if candidate.identifier == query.identifier:
             continue
-        if bound is None or (admitted is not None and candidate.identifier not in admitted):
+        if bound is None:
             order.append((0.0, position, candidate, None))
         else:
             candidate_summary = summary(candidate)

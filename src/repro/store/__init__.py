@@ -8,9 +8,9 @@ The durable structures behind :class:`repro.api.SimilarityService`'s
   of :mod:`repro.perf`, and the annotation token postings derived from
   the snapshot, so a service reopened over the same directory
   warm-starts bit-identically to the process that wrote it;
-* :class:`SqlAdmissionPlanner` — resolves the ``BW``/``BT`` admission
-  bound against those postings inside SQLite, a provably score-safe
-  sublinear candidate preselection;
+* :class:`SqlAdmissionPlanner` — ranks ``BW``/``BT`` searches inside
+  SQLite from those postings: the admitted candidates, their scores and
+  their order come from one statement per query;
 * :class:`InvertedAnnotationIndex` — the postings' token fields and the
   tokenisation the store and the admission bound share.
 

@@ -11,12 +11,12 @@ registry installable on the seams that can fail in production:
   (fail-Nth-commit, lock-for-N-attempts);
 * ``"load"`` — fired at the top of every store read
   (``load_repository`` / ``load_pair_scores`` /
-  ``SqlAdmissionPlanner.admitted``), the seam where a store corrupted
-  mid-flight first surfaces;
+  ``SqlAdmissionPlanner.top_k`` / ``SqlAdmissionPlanner.admitted``), the
+  seam where a store corrupted mid-flight first surfaces;
 * ``"parallel"`` — fired by the service before the process-pool tier
   runs (kill-worker / ``BrokenProcessPool``);
-* ``"sql"`` — fired before the in-database (SQL pushdown) admission
-  tier resolves its candidate set.
+* ``"sql"`` — fired before the in-database (SQL pushdown) tier ranks
+  its ``BW``/``BT`` queries.
 
 Faults are *armed* with a budget (``times``) and an optional ``after``
 skip count, so "the third commit fails" is expressible without

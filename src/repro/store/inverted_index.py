@@ -14,12 +14,14 @@ workflow appears in the postings list of at least one query token.
 
 so the union of the postings lists of the query's tokens contains
 *every* workflow with a positive score; all workflows outside it score
-exactly ``0.0``.  A top-k search can therefore bound every non-admitted
-workflow by 0.0 and rank with the exact ``BW``/``BT`` bound
-(:func:`repro.perf.engine.bounded_top_k` with ``admitted``) —
-reproducing the reference ranking (descending score, input order) bit
-for bit while the exact comparisons stay at ``k``, not at the corpus
-size.
+exactly ``0.0``.  And the score itself needs no token sets: it is
+``m / (|A| + |B| - m)`` for ``m`` shared tokens, a function of three
+integers the postings hold.  So a top-k search ranks the admitted
+workflows inside SQLite
+(:meth:`repro.store.SqlAdmissionPlanner.top_k`) and pads a short answer
+with the others' zeros in pool order — reproducing the reference
+ranking (descending score, input order) bit for bit without scoring a
+candidate in Python.
 
 Two token fields are indexed per workflow:
 
@@ -35,8 +37,9 @@ row each, kept in step with the snapshot by every store write and
 queried in SQL by :class:`repro.store.SqlAdmissionPlanner`.  This class
 owns what the store and the sql-indexed search must agree on: the field
 names (which :attr:`repro.perf.bounds.CertifiedBound.postings` names
-per measure) and the tokenisation, which tokenises the query of that
-search as it tokenised the rows.
+for the measure configurations whose tokens :meth:`workflow_tokens`
+replays) and the tokenisation, which tokenises the query of that search
+as it tokenised the rows.
 """
 
 from __future__ import annotations

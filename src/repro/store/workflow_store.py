@@ -31,6 +31,16 @@ directory, holding four tables:
   same transaction as every snapshot write, so they always describe
   exactly the stored corpus.
 
+Two temporary tables belong to one connection, never to the file (no
+schema version, no checksum): ``token_counts`` — per workflow and
+postings field, its token count and snapshot position, derived from
+``postings`` and ``workflows`` on first use and kept in step by every
+write of the connection (:meth:`WorkflowStore.ensure_token_counts`) —
+and ``query_tokens``, the tokens of the query being ranked
+(:meth:`WorkflowStore.select_with_tokens`).  Both are written in
+transactions that take no lock on the store file and commit before they
+return.
+
 Invalidation is precise and value-safe: removing or adding a workflow
 touches only its snapshot row and its posting rows, while pair scores
 are *never* invalidated by corpus churn — they are keyed by attribute
@@ -75,10 +85,12 @@ rewrite replaces it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sqlite3
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -142,6 +154,24 @@ def _table_sum(cursor: sqlite3.Cursor, table: str) -> int:
     """Recompute one table's additive hash from every row it holds."""
     columns, row_format = _TABLES[table]
     return _rows_sum(row_format, cursor.execute(f"SELECT {columns} FROM {table}"))
+
+
+def _checked_sum(
+    row_format: str, rows: Iterable[tuple], check: Callable[[tuple], object]
+) -> tuple[int, Exception | None]:
+    """One pass over some rows: their additive hash, and the first error
+    ``check`` raised on a row (the rows after it are hashed, not checked)."""
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    total = 0
+    error: Exception | None = None
+    for row in rows:
+        total += from_bytes(sha256((row_format % row).encode("utf-8")).digest(), "big")
+        if error is None:
+            try:
+                check(row)
+            except Exception as caught:
+                error = caught
+    return total % _SUM_MODULUS, error
 
 
 def _stored_sum(cursor: sqlite3.Cursor, table: str) -> int | None:
@@ -238,6 +268,21 @@ def _posting_rows(workflow) -> list[tuple[str, str, str]]:
     ]
 
 
+#: The per-connection token counts of the ``BW``/``BT`` ranking (see
+#: :meth:`WorkflowStore.ensure_token_counts`).  A temporary table: it is
+#: never part of the file, its schema or its checksums.
+_TOKEN_COUNTS_TABLE = (
+    "CREATE TEMP TABLE IF NOT EXISTS token_counts (workflow_id TEXT NOT NULL,"
+    " field TEXT NOT NULL, n INTEGER NOT NULL, position INTEGER NOT NULL,"
+    " PRIMARY KEY (workflow_id, field)) WITHOUT ROWID"
+)
+#: One query's tokens, staged for a statement that ranks or admits by them
+#: (see :meth:`WorkflowStore.select_with_tokens`).
+_QUERY_TOKENS_TABLE = (
+    "CREATE TEMP TABLE IF NOT EXISTS query_tokens (token TEXT PRIMARY KEY) WITHOUT ROWID"
+)
+
+
 def _indexed(connection: "sqlite3.Connection | sqlite3.Cursor") -> bool:
     return connection.execute("SELECT 1 FROM postings LIMIT 1").fetchone() is not None
 
@@ -315,6 +360,9 @@ class WorkflowStore:
         #: Optional :class:`~repro.store.faults.FaultInjector` — fired at
         #: the ``"commit"`` and ``"load"`` seams; ``None`` in production.
         self.fault_injector = None
+        #: Whether this connection's ``temp.token_counts`` describes the
+        #: store (see :meth:`ensure_token_counts`).
+        self._token_counts_built = False
         # Registered at construction so the family shows up (at zero) on
         # a /metrics scrape even before any contention happens.
         self._retries_counter = _RETRIES_COUNTER()
@@ -445,8 +493,11 @@ class WorkflowStore:
         table checked, so its snapshot can be salvaged the same way; a
         table without a checksum row is never vouched for.
 
-        The decode check reads the snapshot in pool order and keeps the
-        repository it decoded on the report (a private field), so
+        Each table is read once: one ``SELECT`` hashes every row and
+        checks its payload, and a checksum failure is reported in place
+        of any payload failure of that table.  The snapshot is read in
+        pool order, and the repository it decoded is kept on the report
+        (a private field) when both of its checks pass, so
         ``SimilarityService.open(cache_dir=...)`` decodes each row once
         per open instead of again in :meth:`load_repository`.
         """
@@ -476,11 +527,50 @@ class WorkflowStore:
                 report.fail(f"meta: schema version {row[0]} != {SCHEMA_VERSION}")
         except (sqlite3.DatabaseError, ValueError) as error:
             report.fail(f"meta: {error}")
-        for table in _TABLES:
+        workflows: list = []
+
+        def decode_workflow(row: tuple) -> None:
+            identifier, _position, payload = row
+            workflow = workflow_from_dict(json.loads(payload))
+            if workflow.identifier != identifier:
+                raise ValueError(f"row {identifier!r} decodes to {workflow.identifier!r}")
+            workflows.append(workflow)
+
+        # Few distinct fingerprints recur across many rows: each distinct
+        # text is decoded once.
+        fingerprints: set[str] = set()
+
+        def decode_fingerprints(row: tuple) -> None:
+            for fingerprint in row[1:3]:
+                if fingerprint not in fingerprints:
+                    if not isinstance(json.loads(fingerprint), list):
+                        raise ValueError("fingerprint is not a JSON list")
+                    fingerprints.add(fingerprint)
+
+        known = frozenset(InvertedAnnotationIndex.FIELDS)
+
+        def check_field(row: tuple) -> None:
+            if row[0] not in known:
+                raise ValueError(f"unknown index field {row[0]!r}")
+
+        # Per table: the order it is read in, its payload check and how a
+        # failed check is reported.  One read hashes and checks each row;
+        # the checksum decides first, so a table whose sum fails never
+        # reports a payload error.
+        checks = {
+            "workflows": (" ORDER BY position", decode_workflow, "workflows: undecodable payload ({})"),
+            "pair_scores": ("", decode_fingerprints, "pair_scores: undecodable fingerprint ({})"),
+            "postings": ("", check_field, "postings: {}"),
+        }
+        payload_errors: dict[str, tuple[str, Exception]] = {}
+        for table, (columns, row_format) in _TABLES.items():
             report.tables[table] = "ok"
+            order, check, message = checks[table]
             try:
                 stored = _stored_sum(connection.cursor(), table)
-                actual = _table_sum(connection.cursor(), table)
+                actual, error = _checked_sum(
+                    row_format, connection.execute(f"SELECT {columns} FROM {table}{order}"), check
+                )
             except sqlite3.DatabaseError as error:
                 report.fail(f"{table}: unreadable ({error})", table=table)
                 continue
@@ -488,46 +578,18 @@ class WorkflowStore:
                 report.fail(f"{table}: checksum row missing or unreadable", table=table)
             elif stored != actual:
                 report.fail(f"{table}: content checksum mismatch", table=table)
+            elif error is not None:
+                payload_errors[table] = (message, error)
+        for table, (message, error) in payload_errors.items():
+            report.fail(message.format(error), table=table)
         if report.table_ok("workflows"):
             try:
-                workflows = []
-                for (identifier, payload) in connection.execute(
-                    "SELECT identifier, payload FROM workflows ORDER BY position"
-                ):
-                    workflow = workflow_from_dict(json.loads(payload))
-                    if workflow.identifier != identifier:
-                        raise ValueError(
-                            f"row {identifier!r} decodes to {workflow.identifier!r}"
-                        )
-                    workflows.append(workflow)
                 name = self._repository_name()
             except Exception as error:
                 report.fail(f"workflows: undecodable payload ({error})", table="workflows")
             else:
                 if workflows:
                     report._snapshot = WorkflowRepository(workflows, name=name)
-        if report.table_ok("pair_scores"):
-            try:
-                # Few distinct fingerprints recur across many rows: each
-                # distinct text is decoded once.
-                decoded: set[str] = set()
-                for row in connection.execute("SELECT fp_a, fp_b FROM pair_scores"):
-                    for fingerprint in row:
-                        if fingerprint in decoded:
-                            continue
-                        if not isinstance(json.loads(fingerprint), list):
-                            raise ValueError("fingerprint is not a JSON list")
-                        decoded.add(fingerprint)
-            except Exception as error:
-                report.fail(f"pair_scores: undecodable fingerprint ({error})", table="pair_scores")
-        if report.table_ok("postings"):
-            try:
-                known = set(InvertedAnnotationIndex.FIELDS)
-                for (field,) in connection.execute("SELECT DISTINCT field FROM postings"):
-                    if field not in known:
-                        raise ValueError(f"unknown index field {field!r}")
-            except Exception as error:
-                report.fail(f"postings: {error}", table="postings")
         return report
 
     # -- atomic full rewrite -------------------------------------------------
@@ -600,6 +662,10 @@ class WorkflowStore:
                 writer.insert_rows(
                     "postings", [row for workflow in repository for row in _posting_rows(workflow)]
                 )
+            if self._token_counts_built:
+                # Dropped, not rewritten: the next ranking builds them.
+                writer.execute("DELETE FROM temp.token_counts")
+                self._token_counts_built = False
             writer.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('repository_name', ?)",
                 (repository.name,),
@@ -650,6 +716,7 @@ class WorkflowStore:
         identifier = workflow.identifier
         payload = _workflow_payload(workflow)
         posting_rows = _posting_rows(workflow)
+        counts = Counter(field for field, _token, _identifier in posting_rows)
 
         def operation(writer: _Writer) -> None:
             indexed = _indexed(writer.cursor)
@@ -659,6 +726,11 @@ class WorkflowStore:
             writer.delete_rows("postings", "workflow_id = ?", (identifier,))
             if indexed:
                 writer.insert_rows("postings", posting_rows)
+            self._step_token_counts(
+                writer,
+                identifier,
+                [(identifier, field, n, last + 1) for field, n in counts.items()] if indexed else [],
+            )
 
         self._transaction(operation)
 
@@ -673,6 +745,7 @@ class WorkflowStore:
         def operation(writer: _Writer) -> bool:
             existed = writer.delete_rows("workflows", "identifier = ?", (identifier,)) > 0
             writer.delete_rows("postings", "workflow_id = ?", (identifier,))
+            self._step_token_counts(writer, identifier, [])
             return existed
 
         return self._transaction(operation)
@@ -729,6 +802,81 @@ class WorkflowStore:
     def has_postings(self) -> bool:
         """Whether the store is indexed (the SQL-admission gate)."""
         return _indexed(self.connection)
+
+    def ensure_token_counts(self) -> None:
+        """Build this connection's ``temp.token_counts`` unless it is current.
+
+        One row per workflow and postings field the workflow holds tokens
+        in: the number of its tokens ``n`` and its snapshot ``position``,
+        derived from ``postings`` joined to ``workflows``.  They are the
+        two integers besides the shared-token count that a ``BW``/``BT``
+        score needs (see :class:`~repro.store.sql_admission.SqlAdmissionPlanner`).
+        The table belongs to this connection, not to the file: it is
+        built on first use, kept in step by :meth:`add_workflow` and
+        :meth:`remove_workflow` inside their transactions, and dropped by
+        :meth:`save_repository`.
+
+        The build writes only the connection's temporary database, in
+        one :meth:`_temp_transaction`, and commits before it returns.
+        """
+        if self._token_counts_built:
+            return
+        with self._temp_transaction() as connection:
+            connection.execute(_TOKEN_COUNTS_TABLE)
+            connection.execute("DELETE FROM temp.token_counts")
+            connection.execute(
+                "INSERT INTO temp.token_counts (workflow_id, field, n, position)"
+                " SELECT p.workflow_id, p.field, COUNT(*), w.position"
+                " FROM postings AS p JOIN workflows AS w ON w.identifier = p.workflow_id"
+                " GROUP BY p.workflow_id, p.field"
+            )
+        self._token_counts_built = True
+
+    def select_with_tokens(self, statement: str, tokens: Iterable[str], params: tuple) -> list[tuple]:
+        """The rows of one read ``statement`` that reads a query's ``tokens``
+        from ``temp.query_tokens`` (as ``token IN temp.query_tokens``).
+
+        The tokens travel as rows, not as host parameters, so a query of
+        any length and any characters is one statement.
+        """
+        with self._temp_transaction() as connection:
+            connection.execute(_QUERY_TOKENS_TABLE)
+            connection.execute("DELETE FROM temp.query_tokens")
+            connection.executemany(
+                "INSERT OR IGNORE INTO temp.query_tokens (token) VALUES (?)",
+                [(token,) for token in tokens],
+            )
+            return connection.execute(statement, params).fetchall()
+
+    @contextlib.contextmanager
+    def _temp_transaction(self) -> Iterator[sqlite3.Connection]:
+        """A deferred transaction that writes only this connection's
+        temporary tables.
+
+        It reads the store at one WAL snapshot, takes no lock that a
+        writer waits on, and commits (or rolls back) before the block
+        exits, so the connection never stays inside a transaction that
+        the next write's ``BEGIN IMMEDIATE`` would fail on.
+        """
+        connection = self.connection
+        connection.execute("BEGIN")
+        try:
+            yield connection
+            connection.commit()
+        except BaseException:
+            with contextlib.suppress(sqlite3.Error):
+                connection.rollback()
+            raise
+
+    def _step_token_counts(self, writer: _Writer, identifier: str, rows: list[tuple]) -> None:
+        """Replace one workflow's token counts by ``rows``, in the writer's
+        transaction (a no-op until :meth:`ensure_token_counts` built them)."""
+        if self._token_counts_built:
+            writer.execute("DELETE FROM temp.token_counts WHERE workflow_id = ?", (identifier,))
+            writer.cursor.executemany(
+                "INSERT INTO temp.token_counts (workflow_id, field, n, position) VALUES (?, ?, ?, ?)",
+                rows,
+            )
 
     def index_stats(self) -> dict[str, int]:
         """Snapshot size and the distinct tokens and rows per postings field."""

@@ -7,9 +7,9 @@ probe.  These tests sweep all pairs of a generated corpus (plus the
 paper's approach matrix as the configuration source) and assert the
 inequality for the initial bound and for every refinement step.  They
 also pin the best-first top-k built on those bounds: its tie rule, the
-per-query column memo that refinements write back into, and its
-admission mode, where the exact ``BW``/``BT`` bound and the ids SQL
-admits from the store's postings must reproduce the sequential ranking.
+per-query column memo that refinements write back into, and the
+``BW``/``BT`` ranking that SQL computes from the store's postings, which
+must reproduce the sequential ranking.
 
 The corpus seed is overridable via ``REPRO_BOUNDS_SEED`` so CI can run
 the same sweep on a corpus no other test has ever seen.  A second sweep
@@ -480,11 +480,11 @@ def _reannotated(workflow, suffix: str, **annotations):
 @pytest.mark.parametrize("configuration", ["BW", "BT"])
 @pytest.mark.parametrize("source", ["corpus", "adversarial_pool"])
 def test_admitted_top_k_equals_sequential_ranking(configuration, source, request, tmp_path):
-    """bounded_top_k with the exact BW/BT bound and the ids the planner
-    admits from a store of the pool equals SimilarityFramework.top_k —
-    ids, scores and ranks — including queries whose tokens or tags are
-    empty (nothing admitted) and k above the admitted count.  The exact
-    bound ends every scan after min(k, pool - 1) exact comparisons."""
+    """The SQL ranking of a store of the pool (the ``sql-indexed`` tier)
+    equals SimilarityFramework.top_k — ids, scores and ranks — including
+    queries whose tokens or tags are empty (nothing admitted) and k above
+    the admitted count.  SQL scores exactly the admitted candidates; every
+    other candidate counts as pruned under the bound's name."""
     base = request.getfixturevalue(source)
     pool = list(base) + [
         _reannotated(base[0], "-bare"),
@@ -492,32 +492,30 @@ def test_admitted_top_k_equals_sequential_ranking(configuration, source, request
         _reannotated(base[2], "-untagged", title=base[2].annotations.title),
     ]
     reference = SimilarityFramework()
-    measure = create_measure(configuration)
-    context = AccelerationContext()
-    accelerate_measure(measure, context)
-    bound = find_bound(measure, context)
-    field = bound.postings
+    service = SimilarityService(WorkflowRepository(pool), cache_dir=tmp_path)
+    service.build_index()
+    bound = {"BW": "bw-token-bag", "BT": "bt-tag-bag"}[configuration]
     empty = above = 0
-    with WorkflowStore(tmp_path) as store:
-        store.save_repository(WorkflowRepository(pool), postings=True)
-        planner = SqlAdmissionPlanner(store)
-        for query in pool[:8] + pool[-3:]:
-            admitted = planner.admitted(field, InvertedAnnotationIndex.workflow_tokens(field, query))
-            admitted.discard(query.identifier)
-            empty += not admitted
-            for k in (1, 3, 10, len(pool)):
-                above += k > len(admitted)
-                stats = PruneStats()
-                fast = bounded_top_k(
-                    query, pool, measure, context, k=k, stats=stats, bound=bound, admitted=admitted
-                )
-                expected = reference.top_k(query, pool, configuration, k=k)
-                assert [(entry.identifier, entry.similarity, entry.rank) for entry in fast] == [
-                    (entry.identifier, entry.similarity, entry.rank) for entry in expected
-                ], f"{configuration}, k={k}, query {query.identifier}"
-                assert stats.candidates == len(pool) - 1
-                assert stats.exact_comparisons == min(k, len(pool) - 1)
-                assert stats.exact_comparisons + stats.pruned == stats.candidates
+    for query in pool[:8] + pool[-3:]:
+        for k in (1, 3, 10, len(pool)):
+            result = service.search(
+                SearchRequest(measure=configuration, queries=[query.identifier], k=k)
+            )
+            diagnostics = result.diagnostics
+            assert diagnostics.path == "sql-indexed"
+            admitted = diagnostics.index_candidates
+            above += k > admitted
+            expected = reference.top_k(query, pool, configuration, k=k)
+            assert [(hit.workflow_id, hit.similarity, hit.rank) for hit in result.queries[0].hits] == [
+                (entry.identifier, entry.similarity, entry.rank) for entry in expected
+            ], f"{configuration}, k={k}, query {query.identifier}"
+            prune = diagnostics.prune
+            assert prune["candidates"] == len(pool) - 1
+            assert prune["exact_comparisons"] == admitted
+            assert prune["exact_comparisons"] + prune["pruned_char_bag"] == prune["candidates"]
+            assert prune["pruned_by_bound"] == {bound: prune["pruned_char_bag"]}
+        empty += not admitted
+    service.close()
     assert empty > 0, "no query without tokens; the sweep missed empty admission"
     assert above > 0
 

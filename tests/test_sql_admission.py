@@ -84,10 +84,13 @@ class TestSqlAdmissionEquivalence:
         service.close()
 
     def test_sql_tier_never_materializes_structures(self, warm_cache, query_ids):
-        """Admission reads only the postings rows of the query's tokens
-        (indexed lookups, never a table scan), and MS reads none."""
+        """A search reads only the postings rows of its query's tokens
+        (indexed lookups, never a table scan), and MS reads none.  The one
+        whole read of the postings builds the connection's token counts,
+        once, at the first BW/BT search."""
         service = SimilarityService.open(cache_dir=warm_cache)
-        for measure in MEASURES:
+        builds: list[str] = []
+        for measure in MEASURES + ("BW",):
             statements: list[str] = []
             service.store.connection.set_trace_callback(statements.append)
             result = service.search(request(measure, query_ids))
@@ -96,14 +99,19 @@ class TestSqlAdmissionEquivalence:
             reads = [
                 statement
                 for statement in statements
-                if "FROM postings" in statement and "LIMIT 1" not in statement
+                # The tier's readiness probe (has_postings) reads one row.
+                if "FROM postings" in statement and statement != "SELECT 1 FROM postings LIMIT 1"
             ]
+            builds += [statement for statement in reads if "INTO temp.token_counts" in statement]
+            searches = [statement for statement in reads if "INTO temp.token_counts" not in statement]
             if measure.startswith("MS"):
                 assert reads == []
                 assert not any("label-char-bag" in note for note in result.diagnostics.notes)
             else:
                 assert "sql pushdown" in " ".join(result.diagnostics.notes)
-                assert reads and all("token IN" in statement for statement in reads)
+                assert len(searches) == len(query_ids)
+                assert all("token IN temp.query_tokens" in statement for statement in searches)
+        assert len(builds) == 1
         service.close()
 
     def test_sql_tier_survives_corpus_churn(

@@ -224,6 +224,39 @@ class TestDetection:
         assert "checksum mismatch" in report.summary()
         assert all(report.table_ok(other) for other in TABLES if other != table)
 
+    def test_verify_reads_each_table_once(self, cache_dir, pool):
+        """One SELECT per data table both hashes and decodes its rows."""
+        with populated_store(cache_dir, pool[:4]) as store:
+            statements: list[str] = []
+            store.connection.set_trace_callback(statements.append)
+            report = store.verify()
+            store.connection.set_trace_callback(None)
+        assert report.ok and len(report._snapshot) == 4
+        for table in TABLES:
+            reads = [s for s in statements if s.startswith("SELECT") and f"FROM {table}" in s]
+            assert len(reads) == 1, (table, reads)
+
+    def test_checksum_failure_is_reported_instead_of_a_decode_failure(self, cache_dir, pool):
+        populated_store(cache_dir, pool[:4]).close()
+        raw_execute(
+            cache_dir,
+            "UPDATE workflows SET payload = 'not json' WHERE rowid = (SELECT MIN(rowid) FROM workflows)",
+        )
+        with WorkflowStore(cache_dir) as store:
+            report = store.verify()
+            assert report.tables["workflows"] == "workflows: content checksum mismatch"
+            assert report._snapshot is None
+            # With the sum rewritten to match, only the decode check fails.
+            store.connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'rowsum:workflows'",
+                (format(_table_sum(store.connection.cursor(), "workflows"), "064x"),),
+            )
+            store.connection.commit()
+            report = store.verify()
+        assert report.tables["workflows"].startswith("workflows: undecodable payload (")
+        assert report.table_ok("pair_scores") and report.table_ok("postings")
+        assert report._snapshot is None
+
     @pytest.mark.parametrize("table", ["postings"])
     def test_deleted_row_is_detected(self, cache_dir, pool, table):
         populated_store(cache_dir, pool[:4]).close()

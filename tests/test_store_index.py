@@ -111,6 +111,24 @@ class TestAdmissionBound:
         assert postings_field(create_measure("MS_np_ta_plm")) is None
         assert postings_field(create_measure("BW+MS_ip_te_pll")) is None
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            BagOfTagsSimilarity(lowercase=True),
+            BagOfWordsSimilarity(use_title=False),
+            BagOfWordsSimilarity(use_description=False),
+        ],
+        ids=["BT-lowercase", "BW-description", "BW-title"],
+    )
+    def test_postings_certify_only_the_tokenisation_they_hold(self, measure):
+        """Postings hold raw tags and title-and-description tokens: a
+        variant that reads its tokens otherwise names no field (lowercased
+        tags would admit too few candidates, a one-part text would be
+        scored from the wrong counts), though its exact bound remains."""
+        bound = find_bound(measure, AccelerationContext())
+        assert bound is not None and bound.name in ("bw-token-bag", "bt-tag-bag")
+        assert bound.postings is None
+
 
 class TestIndexedRouting:
     """AUTO routes annotation measures through SQL admission, bit-identically."""
@@ -127,11 +145,14 @@ class TestIndexedRouting:
         assert auto.diagnostics.path == "sql-indexed"
         corpus_size = len(indexed_service)
         assert auto.diagnostics.index_candidates < corpus_size * corpus_size
-        # The exact bound ends each scan at the k-th candidate.
+        # SQL scores every admitted candidate; the others are the
+        # postings' certified zeros, pruned under the bound's name.
         prune = auto.diagnostics.prune
         assert prune["candidates"] == corpus_size * (corpus_size - 1)
-        assert prune["exact_comparisons"] == corpus_size * min(10, corpus_size - 1)
+        assert prune["exact_comparisons"] == auto.diagnostics.index_candidates
         assert prune["exact_comparisons"] + prune["pruned_char_bag"] == prune["candidates"]
+        bound = {"BW": "bw-token-bag", "BT": "bt-tag-bag"}[measure]
+        assert prune["pruned_by_bound"] == {bound: prune["pruned_char_bag"]}
 
     def test_single_query_preselects_below_corpus_size(self, indexed_service):
         query_id = indexed_service.repository.identifiers()[0]
@@ -140,7 +161,7 @@ class TestIndexedRouting:
         )
         assert result.diagnostics.path == "sql-indexed"
         assert result.diagnostics.index_candidates < len(indexed_service)
-        assert result.diagnostics.prune["exact_comparisons"] == min(10, len(indexed_service) - 1)
+        assert result.diagnostics.prune["exact_comparisons"] == result.diagnostics.index_candidates
 
     def test_attached_store_routes_the_next_request(self, small_corpus, tmp_path):
         """A storeless service that attaches an indexed store of its
